@@ -7,7 +7,9 @@ the reference Hamiltonian), and ``f2_mc`` replaces the deterministic momentum
 update by a stochastic draw weighted with a smeared (complex Gaussian) delta
 function.  ``f2_gaussian_chain`` evaluates the same second-order object in
 closed form when the dynamics is quadratic and the perturbation is a
-quadratic potential.
+quadratic potential: one forward pass carries a complex 2x2 Gaussian in
+(q, p) through the steps, so all N values cost O(N), and each Gaussian
+integral takes the principal-branch log of a pivot with positive real part.
 
 All Monte Carlo reductions run over fixed, index-ordered batches so results
 are reproducible bit-for-bit for a given seed regardless of how work is
@@ -31,7 +33,7 @@ _SINGULAR_RTOL = 1e-12
 
 
 class SingularExponentError(RuntimeError):
-    """Raised when the quadratic-form matrix of the chain integral is singular."""
+    """Raised when a pivot of the chain's Gaussian integrals is numerically zero."""
 
 
 @dataclass(frozen=True)
@@ -381,105 +383,33 @@ def _quadratic_coeffs(term, what: str, max_degree: int = 2):
     return c[: max_degree + 1]
 
 
-def _gaussian_log_integral(quad: np.ndarray, lin: np.ndarray):
-    """log of the m-dimensional integral of exp(z^T quad z + lin . z).
+def _substitute(a, b, c, m, s):
+    """Rewrite exp(-x^T a x / 2 + b . x + c) under the change x -> m x + s."""
+    a_s = a @ s
+    return m.T @ a @ m, m.T @ (b - a_s), c + b @ s - 0.5 * (s @ a_s)
 
-    ``quad`` is the complex symmetric matrix of the quadratic form (its real
-    part must be negative semidefinite for convergence).  The square-root
-    branch is the one reached by continuous deformation from the identity,
-    obtained here as the product of principal-branch factors over the
-    eigenvalues, all of which stay in the closed right half plane.
+
+def _integrate_out(a, b, c, j, step, scale=None):
+    """Integrate exp(-x^T a x / 2 + b . x + c) over the variable x_j.
+
+    Returns the Gaussian in the remaining variables and the pivot ratio
+    |a_jj| / scale, where ``scale`` defaults to max|a|.  Every pivot the
+    chain meets has a positive real part, so the principal-branch log of the
+    pivot selects the square root reached continuously from the real case.
     """
-    m = quad.shape[0]
-    a_mat = -2.0 * quad
-    lam = np.linalg.eigvals(a_mat)
-    mags = np.abs(lam)
-    if mags.min() <= _SINGULAR_RTOL * mags.max():
-        cond = np.inf if mags.min() == 0.0 else mags.max() / mags.min()
+    pivot = a[j, j]
+    ratio = abs(pivot) / (np.abs(a).max() if scale is None else scale)
+    if not ratio > _SINGULAR_RTOL:
         raise SingularExponentError(
-            f"singular exponent matrix (condition number {cond:.3e})"
+            f"singular exponent matrix at step {step}: pivot ratio {ratio:.3e} "
+            f"<= {_SINGULAR_RTOL:g}; change tau or degenerate_a_threshold"
         )
-    log_det = np.sum(np.log(lam))
-    sol = np.linalg.solve(a_mat, lin)
-    return 0.5 * m * np.log(2.0 * np.pi) - 0.5 * log_det + 0.5 * (lin @ sol)
-
-
-def _chain_value(n, comp, t1, t2, v1, v2, dv, a, tau, hbar, degenerate):
-    """Fidelity amplitude after ``n`` steps of the quadratic chain."""
-    d0, d1, d2 = dv
-    planck = 2.0 * np.pi * hbar
-    sq, sp = comp.sigma[0], hbar / comp.sigma[0]
-    qbar, pbar = comp.center_q[0], comp.center_p[0]
-
-    if degenerate:
-        # momentum updates collapse to the classical map: positions are an
-        # affine function of (q0, p0) only
-        m = 2
-        rows = np.empty((n, m))
-        offs = np.empty(n)
-        rq, rp = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        sq_off, sp_off = 0.0, 0.0
-        for k in range(n):
-            rq = rq + 2.0 * tau * t2 * rp
-            sq_off = sq_off + tau * (t1 + 2.0 * t2 * sp_off)
-            rp = rp - 2.0 * tau * v2 * rq
-            sp_off = sp_off - tau * (v1 + 2.0 * v2 * sq_off)
-            rows[k], offs[k] = rq, sq_off
-        n_fresnel = 0
-    else:
-        # variables: z = (q0, p0, p_1 .. p_{n-1}); the final momentum
-        # integrates out exactly since its smeared delta is normalised
-        m = n + 1
-        rows = np.zeros((n, m))
-        rows[:, 0] = 1.0
-        rows[:, 1:] = 2.0 * tau * t2 * np.tril(np.ones((n, n)))
-        offs = tau * t1 * np.arange(1, n + 1)
-        n_fresnel = n - 1
-
-    quad = np.zeros((m, m), dtype=complex)
-    lin = np.zeros(m, dtype=complex)
-    const = 0.0 + 0.0j
-
-    def add_square(c, vec, shift):
-        # contribution c * (vec . z + shift)**2 to the exponent
-        nonlocal const
-        quad[...] += c * np.outer(vec, vec)
-        lin[...] += 2.0 * c * shift * vec
-        const += c * shift**2
-
-    # initial Wigner density
-    e0 = np.zeros(m)
-    e0[0] = 1.0
-    e1 = np.zeros(m)
-    e1[1] = 1.0
-    add_square(-1.0 / sq**2, e0, -qbar)
-    add_square(-1.0 / sp**2, e1, -pbar)
-
-    # accumulated perturbation phase over q_1 .. q_n
-    for k in range(n):
-        vec, shift = rows[k], offs[k]
-        if d2 != 0.0:
-            add_square(-1j * tau * d2 / hbar, vec, shift)
-        lin[...] += -1j * tau * d1 / hbar * vec
-        const += -1j * tau / hbar * (d1 * shift + d0)
-
-    # Fresnel factors of the intermediate momentum updates
-    for k in range(1, n_fresnel + 1):
-        vec = 2.0 * tau * v2 * rows[k - 1].astype(complex)
-        vec[1 + k] += 1.0
-        vec[k] -= 1.0
-        shift = tau * (v1 + 2.0 * v2 * offs[k - 1])
-        add_square(1j / (4.0 * a * hbar**2), vec, shift)
-
-    log_val = np.log(2.0 / planck) + const + _gaussian_log_integral(quad, lin)
-    if n_fresnel:
-        log_c = (
-            -np.log(planck)
-            + 0.5 * np.log(np.pi / abs(a))
-            - 1j * np.pi * np.sign(a) / 4.0
-        )
-        log_val = log_val + n_fresnel * log_c
-    return np.exp(log_val)
+    keep = [i for i in range(len(b)) if i != j]
+    col = a[keep, j]
+    a_new = a[np.ix_(keep, keep)] - np.outer(col, col) / pivot
+    b_new = b[keep] - col * (b[j] / pivot)
+    c_new = c + b[j] ** 2 / (2.0 * pivot) + 0.5 * (np.log(2.0 * np.pi) - np.log(pivot))
+    return a_new, b_new, c_new, ratio
 
 
 def f2_gaussian_chain(
@@ -489,9 +419,17 @@ def f2_gaussian_chain(
 
     Requires a single Gaussian initial state, quadratic kinetic and potential
     parts of the average Hamiltonian and a quadratic perturbing potential.
-    Every time step is then a multivariate complex Gaussian integral that is
-    evaluated exactly (deterministically, stderr = 0), which makes this the
-    reference implementation the Monte Carlo version is validated against.
+    The integrand is then a Markov chain in (q_k, p_k), and one forward pass
+    carries the Gaussian g(q, p) = exp(-x^T A x / 2 + b . x + c) of the
+    current phase-space point, with A complex symmetric 2x2.  Each step
+    shears q by the drift, multiplies in the perturbation phase, reads f(n)
+    as the integral of g (two 1-D Gaussian integrals), shears p by the
+    classical kick and, unless the chain is degenerate, convolves p with the
+    normalised Fresnel kernel of the smeared momentum update.  All N values
+    cost O(N); each 1-D integral has a pivot with positive real part, whose
+    principal-branch log gives the square-root branch.  The result is exact
+    (deterministic, stderr = 0), which makes this the reference the Monte
+    Carlo version is validated against.
     """
     _require_position_perturbation(state, pair)
     if len(state.components) != 1:
@@ -499,21 +437,57 @@ def f2_gaussian_chain(
     comp = state.components[0]
     _, t1, t2 = _quadratic_coeffs(pair.average.kinetic[0], "kinetic part")
     _, v1, v2 = _quadratic_coeffs(pair.average.potential[0], "average potential")
-    dv = _quadratic_coeffs(pair.delta.potential[0], "perturbing potential")
+    d0, d1, d2 = _quadratic_coeffs(pair.delta.potential[0], "perturbing potential")
     # both branch potentials must individually be quadratic as well
     _quadratic_coeffs(pair.h_prime.potential[0], "unperturbed potential")
 
     tau, hbar = config.tau, config.hbar
-    a = tau * dv[2] / (4.0 * hbar)
-    degenerate = abs(a) < config.degenerate_a_threshold
+    a_fresnel = tau * d2 / (4.0 * hbar)
+    degenerate = abs(a_fresnel) < config.degenerate_a_threshold
+
+    # initial Wigner density exp(-(q-qbar)^2/sq^2 - (p-pbar)^2/sp^2) / (pi hbar)
+    x0 = np.array([comp.center_q[0], comp.center_p[0]])
+    a = np.diag([2.0 / comp.sigma[0] ** 2, 2.0 * comp.sigma[0] ** 2 / hbar**2]) + 0j
+    b = a @ x0
+    c = -np.log(np.pi * hbar) - 0.5 * (x0 @ b)
+    # drift q_old = q - 2 tau t2 p - tau t1
+    drift_m = np.array([[1.0, -2.0 * tau * t2], [0.0, 1.0]])
+    drift_s = np.array([-tau * t1, 0.0])
+    # kick p_old = p + tau (v1 + 2 v2 q), less the momentum smear eta when the
+    # Fresnel kernel C exp(i eta^2 / (4 a hbar^2)) is integrated out
+    kick_m = np.array([[1.0, 0.0, 0.0], [2.0 * tau * v2, 1.0, -1.0]])
+    kick_s = np.array([0.0, tau * v1])
+    if degenerate:
+        kick_m = kick_m[:, :2]
+    else:
+        fresnel_k = -1j / (2.0 * a_fresnel * hbar**2)
+        log_fresnel_c = (
+            -np.log(2.0 * np.pi * hbar)
+            + 0.5 * np.log(np.pi / abs(a_fresnel))
+            - 1j * np.pi * np.sign(a_fresnel) / 4.0
+        )
 
     times = config.times
     values = np.empty(len(times), dtype=complex)
     values[0] = 1.0
+    min_ratio = 1.0  # a ratio of one or more is a well-conditioned pivot
     for n in range(1, len(times)):
-        values[n] = _chain_value(
-            n, comp, t1, t2, v1, v2, dv, a, tau, hbar, degenerate
-        )
+        a, b, c = _substitute(a, b, c, drift_m, drift_s)
+        a[0, 0] += 2j * tau * d2 / hbar
+        b[0] -= 1j * tau * d1 / hbar
+        c -= 1j * tau * d0 / hbar
+        scale = np.abs(a).max()
+        a_q, b_q, c_n, r_p = _integrate_out(a, b, c, 1, n, scale)
+        _, _, c_n, r_q = _integrate_out(a_q, b_q, c_n, 0, n, scale)
+        values[n] = np.exp(c_n)
+        min_ratio = min(min_ratio, r_p, r_q)
+        if n == len(times) - 1:
+            break
+        a, b, c = _substitute(a, b, c, kick_m, kick_s)
+        if not degenerate:
+            a[2, 2] += fresnel_k
+            a, b, c, r_eta = _integrate_out(a, b, c + log_fresnel_c, 2, n)
+            min_ratio = min(min_ratio, r_eta)
     meta = {
         "estimator": "f2_gaussian",
         "n_traj": None,
@@ -522,5 +496,6 @@ def f2_gaussian_chain(
         "n_steps": config.n_steps,
         "hbar": hbar,
         "degenerate_chain": bool(degenerate),
+        "chain_min_pivot_ratio": float(min_ratio),
     }
     return FidelitySeries(times, values, np.zeros(len(times)), meta)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loschmidt.estimators import (
     EstimatorConfig,
     FidelitySeries,
+    SingularExponentError,
+    _integrate_out,
     f0,
     f1_dr,
     f2_gaussian_chain,
@@ -292,6 +296,80 @@ def test_chain_preconditions():
     )
     with pytest.raises(ValueError, match="polynomial"):
         f2_gaussian_chain(STD_GAUSSIAN, kicked, cfg)
+
+
+@pytest.mark.parametrize(
+    "name, n_steps, bound",
+    [
+        ("ho_diff_k", 200, 1e-11),
+        ("displaced_ho", 500, 1e-12),
+        ("ho_diff_k", 1000, 1e-10),
+    ],
+)
+def test_chain_error_against_exact_stays_flat_in_n(name, n_steps, bound):
+    # the forward pass carries one 2x2 Gaussian, so rounding must not grow
+    # like a dense N x N form; N = 1000 also checks that the square-root
+    # branch stays continuous over a long run
+    sc = load(name)
+    cfg = config(tau=sc.tau, n_steps=n_steps)
+    exact = fidelity_exact(sc.state, sc.pair, n_steps, sc.tau)
+    series = f2_gaussian_chain(sc.state, sc.pair, cfg)
+    assert series.meta["degenerate_chain"] is (name == "displaced_ho")
+    assert np.max(np.abs(series.values - exact.values)) <= bound
+    assert 0.0 < series.meta["chain_min_pivot_ratio"] <= 1.0
+
+
+def test_chain_singular_pivot_names_step_and_remedy():
+    a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(
+        SingularExponentError,
+        match=r"step 7: pivot ratio 0\.000e\+00 .*change tau or degenerate_a_threshold",
+    ):
+        _integrate_out(a, np.zeros(2, dtype=complex), 0.0, 1, 7)
+
+
+def test_chain_rejects_extremely_squeezed_state():
+    # widths 1e-7 and 1e7 in q and p leave no usable pivot after one drift
+    squeezed = InitialState.gaussian([0.0], [0.0], [1e-7])
+    with pytest.raises(SingularExponentError, match="step 1"):
+        f2_gaussian_chain(squeezed, load("ho_diff_k").pair, config(n_steps=5))
+
+
+@st.composite
+def quadratic_systems(draw):
+    unit = st.floats(0.7, 1.4)
+    centre = st.floats(-1.0, 1.0)
+    kin = quadratic_kinetic(draw(unit))
+    h_a = hamiltonian_1d(kin, harmonic_potential(draw(unit), draw(centre)))
+    h_b = hamiltonian_1d(kin, harmonic_potential(draw(unit), draw(centre)))
+    state = InitialState.gaussian(
+        [draw(centre)], [draw(centre)], [draw(st.floats(0.8, 1.25))]
+    )
+    return state, h_a, h_b
+
+
+@settings(max_examples=25, deadline=None)
+@given(system=quadratic_systems())
+def test_chain_invariants_on_random_quadratic_pairs(system):
+    state, h_a, h_b = system
+    cfg = config(n_traj=1, n_steps=100)
+    f = f2_gaussian_chain(state, make_pair(h_a, h_b), cfg).values
+    swapped = f2_gaussian_chain(state, make_pair(h_b, h_a), cfg).values
+    assert f[0] == 1.0
+    assert np.all(np.abs(f) <= 1.0 + 1e-12)
+    assert np.max(np.abs(swapped - np.conj(f))) <= 1e-12
+
+
+@settings(max_examples=4, deadline=None)
+@given(system=quadratic_systems())
+def test_chain_matches_exact_on_random_quadratic_pairs(system):
+    state, h_a, h_b = system
+    pair = make_pair(h_a, h_b)
+    cfg = config(n_traj=1, n_steps=60)
+    # packets that move need more room than the default 8-sigma grid
+    exact = fidelity_exact(state, pair, 60, cfg.tau, pad_sigmas=16.0)
+    chain = f2_gaussian_chain(state, pair, cfg)
+    assert np.max(np.abs(chain.values - exact.values)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
