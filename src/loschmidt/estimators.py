@@ -5,7 +5,10 @@ phases of the perturbation over the initial Wigner density, ``f1_dr`` is the
 dephasing representation (phases accumulated along classical trajectories of
 the reference Hamiltonian), and ``f2_mc`` replaces the deterministic momentum
 update by a stochastic draw weighted with a smeared (complex Gaussian) delta
-function.  ``f2_gaussian_chain`` evaluates the same second-order object in
+function.  ``f1_dr`` and ``f2_mc`` share one orbit loop over
+``dynamics.map_step`` and differ only in the kick: the classical momentum
+update (a delta function) at first order, the smeared draw at second order.
+``f2_gaussian_chain`` evaluates the same second-order object in
 closed form when the dynamics is quadratic and the perturbation is a
 quadratic potential: one forward pass carries a complex 2x2 Gaussian in
 (q, p) through the steps, so all N values cost O(N), and each Gaussian
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import check_escape
+from .dynamics import check_escape, map_step
 from .hamiltonians import HamiltonianPair
 from .states import InitialState, sample
 
@@ -204,11 +207,33 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
 
 
 # ---------------------------------------------------------------------------
-# first order: dephasing representation
+# first and second order: one orbit loop
 
 
-def _drift(q, p, h, tau):
-    return q + tau * h.kinetic_d1(p)
+def _orbit_loop(state, pair, config, h, reduce, kick=None):
+    """Follow the kick map of ``h`` and record reduce(exp(-i tau phi / hbar)).
+
+    phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``.
+    ``kick(q, p)``, when given, replaces the classical momenta after each
+    step has been recorded.
+    """
+    tau, hbar = config.tau, config.hbar
+    q, p = sample(state, config.n_traj, config.seed, hbar)
+    starts = _batch_starts(config.n_traj, config.n_error_batches)
+    phi = np.zeros(config.n_traj)
+    values = np.empty(config.n_steps + 1, dtype=complex)
+    stderr = np.empty(config.n_steps + 1)
+    values[0], stderr[0] = 1.0 + 0.0j, 0.0
+    for n in range(1, config.n_steps + 1):
+        q_new, p_new = map_step(q, p, h, tau)
+        phi = phi + pair.delta.value(q_new, p)
+        # rebind before the reduction so the old momenta are freed early
+        q, p = q_new, p_new
+        check_escape(q, p)
+        values[n], stderr[n] = reduce(np.exp(-1j * tau / hbar * phi), starts)
+        if kick is not None:
+            p = kick(q, p)
+    return values, stderr
 
 
 def f1_dr(
@@ -229,37 +254,18 @@ def f1_dr(
     if reference not in ("average", "h_prime"):
         raise ValueError(f"unknown reference {reference!r}")
     h_ref = pair.average if reference == "average" else pair.h_prime
-    times = config.times
-    tau, hbar = config.tau, config.hbar
-    q, p = sample(state, config.n_traj, config.seed, config.hbar)
-    starts = _batch_starts(config.n_traj, config.n_error_batches)
-    phi = np.zeros(config.n_traj)
-    values = np.empty(len(times), dtype=complex)
-    stderr = np.empty(len(times))
-    values[0], stderr[0] = 1.0 + 0.0j, 0.0
-    for n in range(1, len(times)):
-        q_new = _drift(q, p, h_ref, tau)
-        phi = phi + pair.delta.value(q_new, p)
-        p = p - tau * h_ref.potential_d1(q_new)
-        q = q_new
-        check_escape(q, p)
-        z = np.exp(-1j * tau / hbar * phi)
-        values[n], stderr[n] = _mean_stderr(z, starts)
+    values, stderr = _orbit_loop(state, pair, config, h_ref, _mean_stderr)
     meta = {
         "estimator": "f1",
         "reference": reference,
         "n_traj": config.n_traj,
         "seed": config.seed,
-        "tau": tau,
+        "tau": config.tau,
         "n_steps": config.n_steps,
-        "hbar": hbar,
+        "hbar": config.hbar,
         "correlated_time_steps": True,
     }
-    return FidelitySeries(times, values, stderr, meta)
-
-
-# ---------------------------------------------------------------------------
-# second order: smeared-momentum Monte Carlo
+    return FidelitySeries(config.times, values, stderr, meta)
 
 
 def _require_position_perturbation(state, pair):
@@ -285,63 +291,51 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     sigma_prop = proposal_width_factor * hbar * sqrt(pi * |a_n|).
     """
     _require_position_perturbation(state, pair)
-    h_avg = pair.average
-    times = config.times
     tau, hbar = config.tau, config.hbar
     n = config.n_traj
-    q, p = sample(state, n, config.seed, hbar)
     # proposal draws come from a child stream so they can never collide with
     # the initial-condition sampler stream
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([config.seed, 1]))
     )
-    starts = _batch_starts(n, config.n_error_batches)
-
-    phi = np.zeros(n)
     weight = np.ones(n, dtype=complex)
-    values = np.empty(len(times), dtype=complex)
-    stderr = np.empty(len(times))
-    values[0], stderr[0] = 1.0 + 0.0j, 0.0
     planck = 2.0 * np.pi * hbar
 
-    for step in range(1, len(times)):
-        q_new = _drift(q, p, h_avg, tau)
-        phi = phi + pair.delta.value(q_new, p)
-        vp = h_avg.potential_d1(q_new)
-        p_class = p - tau * vp
-        check_escape(q_new, p_class)
-        # record with the weight accumulated so far: the current step's
-        # momentum factor integrates to one and would only add variance
-        z = np.exp(-1j * tau / hbar * phi)
-        values[step], stderr[step] = _weighted_mean_stderr(weight, z, starts)
-
-        a = tau / (8.0 * hbar) * pair.delta.potential_d2(q_new)[..., 0]
+    def smeared_kick(q, p):
+        nonlocal weight
+        a = tau / (8.0 * hbar) * pair.delta.potential_d2(q)[..., 0]
         smear = np.abs(a) >= config.degenerate_a_threshold
-        if np.any(smear):
-            a_safe = np.where(smear, a, 1.0)
-            abs_a = np.abs(a_safe)
-            sigma_prop = config.proposal_width_factor * hbar * np.sqrt(np.pi * abs_a)
-            draw = p_class[..., 0] + sigma_prop * rng.standard_normal(n)
-            b = (draw - p[..., 0] + tau * vp[..., 0]) / hbar
-            smeared_delta = (
-                np.sqrt(np.pi / abs_a)
-                / planck
-                * np.exp(1j * (b**2 / (4.0 * a_safe) - np.pi * np.sign(a_safe) / 4.0))
-            )
-            proposal = np.exp(-((draw - p_class[..., 0]) ** 2) / (2.0 * sigma_prop**2)) / (
-                sigma_prop * np.sqrt(2.0 * np.pi)
-            )
-            weight = weight * np.where(smear, smeared_delta / proposal, 1.0)
-            p = np.where(smear, draw, p_class[..., 0])[:, None]
-            # rescale to dodge overflow in the products; the reported value
-            # and error are ratios in the weights, so a common factor
-            # cancels exactly
-            peak = np.max(np.abs(weight))
-            if peak > 1e250:
-                weight = weight / peak
-        else:
-            p = p_class
-        q = q_new
+        if not np.any(smear):
+            return p
+        a_safe = np.where(smear, a, 1.0)
+        abs_a = np.abs(a_safe)
+        sigma_prop = config.proposal_width_factor * hbar * np.sqrt(np.pi * abs_a)
+        # the drawn momentum is the classical one plus sigma_prop * xi, so the
+        # offset b and the proposal density come from xi without cancellation
+        xi = rng.standard_normal(n)
+        b = sigma_prop * xi / hbar
+        smeared_delta = (
+            np.sqrt(np.pi / abs_a)
+            / planck
+            * np.exp(1j * (b**2 / (4.0 * a_safe) - np.pi * np.sign(a_safe) / 4.0))
+        )
+        proposal = np.exp(-0.5 * xi**2) / (sigma_prop * np.sqrt(2.0 * np.pi))
+        weight = weight * np.where(smear, smeared_delta / proposal, 1.0)
+        # rescale to dodge overflow in the products; the reported value
+        # and error are ratios in the weights, so a common factor
+        # cancels exactly
+        peak = np.max(np.abs(weight))
+        if peak > 1e250:
+            weight = weight / peak
+        return np.where(smear, p[..., 0] + sigma_prop * xi, p[..., 0])[:, None]
+
+    # each step is recorded with the weight accumulated so far: the current
+    # step's momentum factor integrates to one and would only add variance
+    values, stderr = _orbit_loop(
+        state, pair, config, pair.average,
+        lambda z, starts: _weighted_mean_stderr(weight, z, starts),
+        smeared_kick,
+    )
 
     mags = np.abs(weight)
     peak = mags.max()
@@ -369,7 +363,7 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
         "effective_sample_size": float(ess),
         "correlated_time_steps": True,
     }
-    return FidelitySeries(times, values, stderr, meta)
+    return FidelitySeries(config.times, values, stderr, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,16 @@ def test_build_requires_estimators_and_system():
         build_run_config({"scenario": "nope", "estimators": "f1"})
 
 
+@pytest.mark.parametrize(
+    "key, value", [("proposal_width_factor", "0"), ("degenerate_a_threshold", "-1")]
+)
+def test_build_validates_estimator_settings(key, value):
+    # rejected while parsing, before any estimator (exact included) has run
+    entries = {"scenario": "cubic_perturbation", "estimators": "exact, f2_mc", key: value}
+    with pytest.raises(ConfigError, match=key):
+        build_run_config(entries)
+
+
 def test_inline_system_round_trip():
     entries = parse_config_text(INLINE_CFG)
     cfg = build_run_config(entries)
@@ -153,6 +163,21 @@ def test_run_thread_count_does_not_change_results(tmp_path):
     run(cfg, tmp_path / "t4", threads=4)
     for name in ("exact.csv", "f0.csv", "f1.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
+
+
+def test_run_looks_estimators_up_at_call_time(tmp_path, monkeypatch):
+    # a rebinding of the module-level name (as a span tracer does) is seen
+    calls = []
+
+    def counting_f1_dr(*args, **kwargs):
+        calls.append(kwargs.get("reference"))
+        return f1_dr(*args, **kwargs)
+
+    monkeypatch.setattr("loschmidt.cli.f1_dr", counting_f1_dr)
+    cfg = build_run_config(parse_config_text(DISPLACED_CFG))
+    results = run(cfg, tmp_path / "out")
+    assert calls == ["average"]
+    assert results["f1"].meta["estimator"] == "f1"
 
 
 def test_run_zero_perturbation_unit_modulus(tmp_path):

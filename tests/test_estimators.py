@@ -184,12 +184,20 @@ def test_f1_stderr_scales_inverse_root_n():
 
 def test_f2_mc_reduces_to_f1_for_linear_perturbation():
     # linear delta V: every step takes the degenerate branch, so paths,
-    # phases and reductions coincide with the dephasing representation
-    sc = load("displaced_ho")
-    cfg = config(n_traj=3000, tau=sc.tau, n_steps=100)
-    dr = f1_dr(sc.state, sc.pair, cfg)
-    mc = f2_mc(sc.state, sc.pair, cfg)
-    assert np.array_equal(mc.values, dr.values)
+    # phases and reductions coincide with the dephasing representation.
+    # The same holds for a nonzero curvature a_n held below the threshold:
+    # both estimators then run one orbit loop with the classical kick.
+    cases = [
+        ("displaced_ho", 1e-10),
+        ("cubic_perturbation", 1e300),
+        ("morse_like", 1e300),
+    ]
+    for name, threshold in cases:
+        sc = load(name)
+        cfg = config(n_traj=3000, tau=sc.tau, n_steps=100, degenerate_a_threshold=threshold)
+        dr = f1_dr(sc.state, sc.pair, cfg)
+        mc = f2_mc(sc.state, sc.pair, cfg)
+        assert np.array_equal(mc.values, dr.values), name
 
 
 def test_f2_mc_zero_steps():
