@@ -20,9 +20,9 @@ from .hamiltonians import (
 )
 from .states import GaussianComponent, InitialState, sample, wigner_density
 from .dynamics import Trajectory, TrajectoryEscapeError, map_step, trajectory
+from .series import FidelitySeries
 from .estimators import (
     EstimatorConfig,
-    FidelitySeries,
     SingularExponentError,
     f0,
     f1_dr,

@@ -1,8 +1,7 @@
 """Batch runner: parse a flat key=value config, run estimators, write files.
 
-Series files carry the columns step,time,re_f,im_f,abs_f_sq,stderr with
-17-significant-digit numbers, so reading a file back reproduces the
-in-memory series exactly.  Exit codes: 0 success, 2 invalid configuration,
+Output tables are written by ``loschmidt.series``, which also reads series
+files back bit-exactly.  Exit codes: 0 success, 2 invalid configuration,
 3 numerical abort (diagnostic on stderr).
 """
 from __future__ import annotations
@@ -21,7 +20,6 @@ from . import __version__
 from .dynamics import TrajectoryEscapeError
 from .estimators import (
     EstimatorConfig,
-    FidelitySeries,
     SingularExponentError,
     f0,
     f1_dr,
@@ -31,14 +29,13 @@ from .estimators import (
 from .hamiltonians import CoordFunction, SeparableHamiltonian, make_pair
 from .presets import SCENARIO_NAMES, load
 from .qgrid import AliasingError, Grid, GridLeakError, fidelity_exact
-from .spectra import spectrum
+from .series import FidelitySeries, write_series, write_table
+from .spectra import MIN_SERIES_LENGTH, spectrum
 from .states import GaussianComponent, InitialState
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-_FLOAT_FMT = "%.17g"
 
 
 class ConfigError(ValueError):
@@ -145,7 +142,10 @@ def parse_config_text(text: str) -> dict:
 
 def _term(entries: dict, key: str) -> CoordFunction:
     coeffs = _floats(entries.get(key, "0"))
-    cos_amp = float(entries.get(key + "_cos", 0.0) or 0.0)
+    try:
+        cos_amp = float(entries.get(key + "_cos") or 0.0)
+    except ValueError as exc:
+        raise ConfigError(f"{key}_cos: {exc}") from exc
     try:
         return CoordFunction(tuple(coeffs), cos_amp)
     except ValueError as exc:
@@ -231,58 +231,12 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown output format {cfg.output_format!r}")
     if cfg.reference not in ("average", "h_prime"):
         raise ConfigError(f"unknown reference {cfg.reference!r}")
+    if cfg.spectrum_damping_time is not None:
+        if not cfg.spectrum_damping_time > 0.0:
+            raise ConfigError("spectrum_damping_time must be positive")
+        if est_cfg.n_steps + 1 < MIN_SERIES_LENGTH:
+            raise ConfigError(f"spectra need n_steps >= {MIN_SERIES_LENGTH - 1}")
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# series file IO
-
-
-def write_series_csv(series: FidelitySeries, path: Path) -> None:
-    lines = ["step,time,re_f,im_f,abs_f_sq,stderr"]
-    for n in range(len(series)):
-        v = series.values[n]
-        row = (n, series.times[n], v.real, v.imag, abs(v) ** 2, series.stderr[n])
-        lines.append(
-            "%d," % row[0] + ",".join(_FLOAT_FMT % x for x in row[1:])
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def read_series_csv(path: Path) -> FidelitySeries:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header != ["step", "time", "re_f", "im_f", "abs_f_sq", "stderr"]:
-        raise ValueError(f"unexpected series header in {path}")
-    times, values, stderr = [], [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        times.append(float(cells[1]))
-        values.append(complex(float(cells[2]), float(cells[3])))
-        stderr.append(float(cells[5]))
-    return FidelitySeries(np.array(times), np.array(values), np.array(stderr))
-
-
-def write_series_json(series: FidelitySeries, path: Path) -> None:
-    payload = {
-        "meta": series.meta,
-        "step": list(range(len(series))),
-        "time": series.times.tolist(),
-        "re_f": series.values.real.tolist(),
-        "im_f": series.values.imag.tolist(),
-        "abs_f_sq": (np.abs(series.values) ** 2).tolist(),
-        "stderr": series.stderr.tolist(),
-    }
-    path.write_text(json.dumps(payload, indent=1, default=repr) + "\n")
-
-
-def read_series_json(path: Path) -> FidelitySeries:
-    payload = json.loads(Path(path).read_text())
-    values = np.array(payload["re_f"]) + 1j * np.array(payload["im_f"])
-    return FidelitySeries(
-        np.array(payload["time"]), values, np.array(payload["stderr"]),
-        payload.get("meta", {}),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,31 +272,6 @@ ESTIMATORS = {
 }
 
 
-def _write_comparison(results: dict, out_dir: Path, fmt: str) -> None:
-    exact = results["exact"]
-    others = [name for name in results if name != "exact"]
-    devs = {name: results[name].deviation_from(exact) for name in others}
-    if fmt == "csv":
-        header = "step,time," + ",".join(f"abs_dev_{n}" for n in others)
-        lines = [header]
-        for n in range(len(exact)):
-            cells = ["%d" % n, _FLOAT_FMT % exact.times[n]]
-            cells += [_FLOAT_FMT % devs[name][n] for name in others]
-            lines.append(",".join(cells))
-        (out_dir / "comparison.csv").write_text("\n".join(lines) + "\n")
-    else:
-        payload = {
-            "step": list(range(len(exact))),
-            "time": exact.times.tolist(),
-        }
-        payload.update({f"abs_dev_{n}": devs[n].tolist() for n in others})
-        (out_dir / "comparison.json").write_text(json.dumps(payload, indent=1) + "\n")
-    summary = {name: float(np.max(devs[name])) for name in others}
-    (out_dir / "comparison_max.json").write_text(
-        json.dumps(summary, indent=1, sort_keys=True) + "\n"
-    )
-
-
 def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
     """Execute the configured estimators and write all output files.
 
@@ -360,23 +289,27 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
     else:
         results = {name: ESTIMATORS[name](cfg) for name in names}
 
-    writer = write_series_csv if cfg.output_format == "csv" else write_series_json
-    suffix = "csv" if cfg.output_format == "csv" else "json"
+    suffix = cfg.output_format
     for name, series in results.items():
-        writer(series, out_dir / f"{name}.{suffix}")
-    if "exact" in results and len(results) > 1:
-        _write_comparison(results, out_dir, cfg.output_format)
+        write_series(series, out_dir / f"{name}.{suffix}")
+    exact = results.get("exact")
+    if exact is not None and len(results) > 1:
+        devs = {n: s.deviation_from(exact) for n, s in results.items() if n != "exact"}
+        write_table(out_dir / f"comparison.{suffix}", {
+            "step": np.arange(len(exact)), "time": exact.times,
+            **{f"abs_dev_{n}": dev for n, dev in devs.items()},
+        })
+        summary = {n: float(np.max(dev)) for n, dev in devs.items()}
+        (out_dir / "comparison_max.json").write_text(
+            json.dumps(summary, indent=1, sort_keys=True) + "\n"
+        )
     if cfg.spectrum_damping_time is not None:
         for name, series in results.items():
             spec = spectrum(series, cfg.spectrum_damping_time)
-            lines = ["frequency,intensity"]
-            lines += [
-                (_FLOAT_FMT + "," + _FLOAT_FMT) % (w, i)
-                for w, i in zip(spec.frequencies, spec.intensities)
-            ]
-            (out_dir / f"spectrum_{name}.csv").write_text("\n".join(lines) + "\n")
+            write_table(out_dir / f"spectrum_{name}.csv", {
+                "frequency": spec.frequencies, "intensity": spec.intensities,
+            })
 
-    est = cfg.estimator_config
     metadata = {
         "package": "loschmidt",
         "version": __version__,
@@ -386,11 +319,7 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
         "label": cfg.label,
         "scenario": cfg.scenario,
         "estimators": names,
-        "seed": est.seed,
-        "n_traj": est.n_traj,
-        "tau": est.tau,
-        "n_steps": est.n_steps,
-        "hbar": est.hbar,
+        **cfg.estimator_config.run_meta,
         "reference": cfg.reference,
         "output_format": cfg.output_format,
     }
@@ -405,6 +334,9 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
 
 
 def _cmd_run(args) -> int:
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_CONFIG
     config_path = Path(args.config)
     if not config_path.is_file():
         print(f"error: config file not found: {config_path}", file=sys.stderr)

@@ -22,13 +22,14 @@ so errors are correlated across time (flagged in the metadata).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import check_escape, map_step
 from .hamiltonians import HamiltonianPair
+from .series import FidelitySeries
 from .states import InitialState, sample
 
 DEFAULT_ERROR_BATCHES = 32
@@ -37,41 +38,6 @@ _SINGULAR_RTOL = 1e-12
 
 class SingularExponentError(RuntimeError):
     """Raised when a pivot of the chain's Gaussian integrals is numerically zero."""
-
-
-@dataclass(frozen=True)
-class FidelitySeries:
-    """Complex fidelity amplitude on a uniform time grid.
-
-    ``stderr`` holds the statistical error per time step (zero for
-    deterministic evaluations).  ``meta`` records estimator name, trajectory
-    count, seed and related run parameters.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    stderr: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        stderr = np.asarray(self.stderr, dtype=float)
-        if not (times.shape == values.shape == stderr.shape):
-            raise ValueError("times, values and stderr must have equal length")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "stderr", stderr)
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-    @property
-    def abs_sq(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
-
-    def deviation_from(self, other: "FidelitySeries") -> np.ndarray:
-        return np.abs(self.values - other.values)
 
 
 @dataclass(frozen=True)
@@ -101,6 +67,12 @@ class EstimatorConfig:
     @property
     def times(self) -> np.ndarray:
         return self.tau * np.arange(self.n_steps + 1)
+
+    @property
+    def run_meta(self) -> dict:
+        """The run fields every series records in its meta, in this order."""
+        return {"n_traj": self.n_traj, "seed": self.seed, "tau": self.tau,
+                "n_steps": self.n_steps, "hbar": self.hbar}
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +157,7 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
     times = config.times
     meta = {
         "estimator": "f0",
-        "n_traj": config.n_traj,
-        "seed": config.seed,
-        "tau": config.tau,
-        "n_steps": config.n_steps,
-        "hbar": config.hbar,
+        **config.run_meta,
         "correlated_time_steps": True,
     }
     if pair.delta.is_zero:
@@ -258,11 +226,7 @@ def f1_dr(
     meta = {
         "estimator": "f1",
         "reference": reference,
-        "n_traj": config.n_traj,
-        "seed": config.seed,
-        "tau": config.tau,
-        "n_steps": config.n_steps,
-        "hbar": config.hbar,
+        **config.run_meta,
         "correlated_time_steps": True,
     }
     return FidelitySeries(config.times, values, stderr, meta)
@@ -353,11 +317,7 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
         )
     meta = {
         "estimator": "f2_mc",
-        "n_traj": n,
-        "seed": config.seed,
-        "tau": tau,
-        "n_steps": config.n_steps,
-        "hbar": hbar,
+        **config.run_meta,
         "proposal_width_factor": config.proposal_width_factor,
         "degenerate_a_threshold": config.degenerate_a_threshold,
         "effective_sample_size": float(ess),
@@ -484,11 +444,9 @@ def f2_gaussian_chain(
             min_ratio = min(min_ratio, r_eta)
     meta = {
         "estimator": "f2_gaussian",
-        "n_traj": None,
+        **config.run_meta,
+        "n_traj": None,  # deterministic: no ensemble and no seed
         "seed": None,
-        "tau": tau,
-        "n_steps": config.n_steps,
-        "hbar": hbar,
         "degenerate_chain": bool(degenerate),
         "chain_min_pivot_ratio": float(min_ratio),
     }

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FidelitySeries
 from .hamiltonians import SeparableHamiltonian, HamiltonianPair
+from .series import FidelitySeries
 from .states import GaussianComponent, InitialState
 
 DEFAULT_POINTS = 4096

@@ -1,0 +1,108 @@
+"""The fidelity series and the tables it is written to.
+
+Every output table of a run (series, comparison, spectrum) goes through
+``write_table``, which picks the format from the path suffix:
+
+- ``.csv``: a header line of column names, then one comma-separated row per
+  line; integer columns as ``%d``, float columns with 17 significant digits;
+- ``.json``: one object, indented by one space, holding an optional leading
+  ``meta`` object and then one list per column, floats in their shortest
+  round-trip form.
+
+Either way a float parses back to the same bits, so ``read_series`` returns
+the in-memory series exactly.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+SERIES_COLUMNS = ("step", "time", "re_f", "im_f", "abs_f_sq", "stderr")
+
+
+@dataclass(frozen=True)
+class FidelitySeries:
+    """Complex fidelity amplitude on a uniform time grid.
+
+    ``stderr`` holds the statistical error per time step (zero for
+    deterministic evaluations).  ``meta`` records estimator name, trajectory
+    count, seed and related run parameters.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    stderr: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=complex)
+        stderr = np.asarray(self.stderr, dtype=float)
+        if not (times.shape == values.shape == stderr.shape):
+            raise ValueError("times, values and stderr must have equal length")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "stderr", stderr)
+
+    def __len__(self) -> int:
+        return self.times.shape[0]
+
+    @property
+    def abs_sq(self) -> np.ndarray:
+        return np.abs(self.values) ** 2
+
+    def deviation_from(self, other: "FidelitySeries") -> np.ndarray:
+        return np.abs(self.values - other.values)
+
+
+def write_table(path, columns: dict, meta: dict | None = None) -> None:
+    """Write named, equally long columns as CSV or JSON by the suffix of ``path``.
+
+    ``meta`` goes into a JSON file only, ahead of the columns.
+    """
+    path = Path(path)
+    cols = {name: np.asarray(col) for name, col in columns.items()}
+    if path.suffix == ".json":
+        payload = {} if meta is None else {"meta": meta}
+        payload.update({name: col.tolist() for name, col in cols.items()})
+        path.write_text(json.dumps(payload, indent=1, default=repr) + "\n")
+    elif path.suffix == ".csv":
+        row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols.values())
+        lines = [",".join(cols)]
+        lines += [row % cells for cells in zip(*(c.tolist() for c in cols.values()))]
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        raise ValueError(f"unknown table format {path.suffix!r} in {path.name}")
+
+
+def write_series(series: FidelitySeries, path) -> None:
+    """Write ``series`` with the columns of SERIES_COLUMNS (and its meta in JSON)."""
+    values = series.values
+    columns = (np.arange(len(series)), series.times, values.real, values.imag,
+               series.abs_sq, series.stderr)
+    write_table(path, dict(zip(SERIES_COLUMNS, columns)), meta=series.meta)
+
+
+def read_series(path) -> FidelitySeries:
+    """Read a file written by ``write_series``; every bit of the values survives."""
+    path = Path(path)
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        meta = payload.get("meta", {})
+        cols = {name: np.array(payload[name], dtype=float) for name in SERIES_COLUMNS}
+    elif path.suffix == ".csv":
+        lines = path.read_text().strip().splitlines()
+        if lines[0].split(",") != list(SERIES_COLUMNS):
+            raise ValueError(f"unexpected series header in {path}")
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        meta = {}
+        cols = dict(zip(SERIES_COLUMNS, np.array(rows).T))
+    else:
+        raise ValueError(f"unknown series format {path.suffix!r} in {path.name}")
+    # assigned part by part: re + 1j * im would turn an imaginary -0.0 into +0.0
+    values = np.empty(len(cols["time"]), dtype=complex)
+    values.real, values.imag = cols["re_f"], cols["im_f"]
+    return FidelitySeries(cols["time"], values, cols["stderr"], meta)

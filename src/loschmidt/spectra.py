@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FidelitySeries
+from .series import FidelitySeries
 
 MIN_SERIES_LENGTH = 9  # N >= 8 steps
 

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from loschmidt.cli import (
@@ -12,14 +11,9 @@ from loschmidt.cli import (
     build_run_config,
     main,
     parse_config_text,
-    read_series_csv,
-    read_series_json,
     run,
-    write_series_csv,
-    write_series_json,
 )
-from loschmidt.estimators import EstimatorConfig, f1_dr
-from loschmidt.presets import load
+from loschmidt.estimators import f1_dr
 
 DISPLACED_CFG = """
 # comparison run on the displaced-oscillator scenario
@@ -98,37 +92,6 @@ def test_inline_system_validates_invariants():
     bad = INLINE_CFG.replace("state_sigma = 1", "state_sigma = -1")
     with pytest.raises(ConfigError, match="sigma"):
         build_run_config(parse_config_text(bad))
-
-
-# ---------------------------------------------------------------------------
-# series file round trips
-
-
-def series_fixture():
-    sc = load("displaced_ho")
-    cfg = EstimatorConfig(n_traj=300, seed=3, tau=sc.tau, n_steps=25)
-    return f1_dr(sc.state, sc.pair, cfg)
-
-
-def test_csv_round_trip_exact(tmp_path):
-    series = series_fixture()
-    path = tmp_path / "f1.csv"
-    write_series_csv(series, path)
-    back = read_series_csv(path)
-    assert np.array_equal(back.times, series.times)
-    assert np.array_equal(back.values, series.values)
-    assert np.array_equal(back.stderr, series.stderr)
-
-
-def test_json_round_trip_exact(tmp_path):
-    series = series_fixture()
-    path = tmp_path / "f1.json"
-    write_series_json(series, path)
-    back = read_series_json(path)
-    assert np.array_equal(back.times, series.times)
-    assert np.array_equal(back.values, series.values)
-    assert np.array_equal(back.stderr, series.stderr)
-    assert back.meta["estimator"] == "f1"
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +191,32 @@ def test_main_invalid_config_exit_two(tmp_path, capsys):
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     assert "invalid config" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+    capsys.readouterr()
+    cfg_path = write_cfg(tmp_path, INLINE_CFG + "potential_double_prime_cos = abc\n")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert "potential_double_prime_cos" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["spectrum_damping_time = -1\n", "spectrum_damping_time = 4\nn_steps = 4\n"],
+    ids=["negative_damping", "too_few_steps"],
+)
+def test_main_rejects_spectrum_request_before_running(tmp_path, capsys, extra):
+    text = DISPLACED_CFG.replace("n_steps = 40\n", "") + extra
+    cfg_path = write_cfg(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_CONFIG
+    assert "invalid config" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_main_rejects_threads_below_one(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, DISPLACED_CFG)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir), "--threads", "0"]) == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_main_numerical_abort_exit_three(tmp_path, capsys):

@@ -1,0 +1,66 @@
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loschmidt.estimators import EstimatorConfig, f1_dr
+from loschmidt.presets import load
+from loschmidt.series import FidelitySeries, read_series, write_series
+
+
+def series_fixture():
+    sc = load("displaced_ho")
+    cfg = EstimatorConfig(n_traj=300, seed=3, tau=sc.tau, n_steps=25)
+    return f1_dr(sc.state, sc.pair, cfg)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_series_round_trip_exact(tmp_path, suffix):
+    series = series_fixture()
+    path = tmp_path / f"f1.{suffix}"
+    write_series(series, path)
+    back = read_series(path)
+    assert np.array_equal(back.times, series.times)
+    assert np.array_equal(back.values, series.values)
+    assert np.array_equal(back.stderr, series.stderr)
+    assert back.meta == (series.meta if suffix == "json" else {})
+
+
+def test_csv_and_json_write_the_same_abs_f_sq(tmp_path):
+    series = series_fixture()
+    write_series(series, tmp_path / "f1.csv")
+    write_series(series, tmp_path / "f1.json")
+    rows = (tmp_path / "f1.csv").read_text().splitlines()
+    column = rows[0].split(",").index("abs_f_sq")
+    from_csv = [float(row.split(",")[column]) for row in rows[1:]]
+    from_json = json.loads((tmp_path / "f1.json").read_text())["abs_f_sq"]
+    assert np.array_equal(bits(from_csv), bits(from_json))
+    assert np.array_equal(bits(from_json), bits(series.abs_sq))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=12))
+def test_round_trip_keeps_every_bit(tmp_path_factory, suffix, rows):
+    # drawn values include +-0.0, subnormals and exponents near the limits
+    times, re, im, stderr = (np.array(col) for col in zip(*rows))
+    values = np.empty(len(rows), dtype=complex)
+    values.real, values.imag = re, im
+    series = FidelitySeries(times, values, stderr)
+    path = tmp_path_factory.mktemp("series") / f"s.{suffix}"
+    with np.errstate(over="ignore"):  # abs_f_sq of huge values is inf
+        write_series(series, path)
+    back = read_series(path)
+    assert np.array_equal(bits(back.times), bits(times))
+    assert np.array_equal(bits(back.values.real), bits(re))
+    assert np.array_equal(bits(back.values.imag), bits(im))
+    assert np.array_equal(bits(back.stderr), bits(stderr))
