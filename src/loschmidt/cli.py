@@ -76,18 +76,28 @@ _ESTIMATOR_DEFAULTS = {"tau": 0.05, "n_steps": 252, "n_traj": 10000, "seed": 7}
 _ESTIMATOR_FIELDS = {f.name for f in fields(EstimatorConfig)}
 
 
-def _floats(value: str) -> list:
+def _floats(value: str, key: str) -> list:
     try:
         return [float(tok) for tok in value.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {value!r}") from exc
+        raise ConfigError(f"{key}: expected numbers, got {value!r}") from exc
 
 
 def _extent(value: str) -> tuple:
-    ext = _floats(value)
+    ext = _floats(value, "grid_extent")
     if len(ext) != 2:
         raise ValueError("needs two numbers")
     return (ext[0], ext[1])
+
+
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _flag(value: str) -> bool:
+    try:
+        return _FLAGS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, yes/no or 1/0, got {value!r}") from None
 
 
 # scalar settings: key -> parser; keys naming an EstimatorConfig field go
@@ -105,6 +115,7 @@ _SETTINGS = {
     "spectrum_damping_time": float,
     "grid_points": int,
     "grid_extent": _extent,
+    "periodic": _flag,
     "label": str,
 }
 
@@ -141,7 +152,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def _term(entries: dict, key: str) -> CoordFunction:
-    coeffs = _floats(entries.get(key, "0"))
+    coeffs = _floats(entries.get(key, "0"), key)
     try:
         cos_amp = float(entries.get(key + "_cos") or 0.0)
     except ValueError as exc:
@@ -161,10 +172,10 @@ def _inline_system(entries: dict):
         (_term(entries, "kinetic_double_prime"),),
         (_term(entries, "potential_double_prime"),),
     )
-    qs = _floats(entries.get("state_q", "0"))
-    ps = _floats(entries.get("state_p", "0"))
-    sigmas = _floats(entries.get("state_sigma", "1"))
-    weights = _floats(entries.get("state_weights", " ".join(["1"] * len(qs))))
+    qs = _floats(entries.get("state_q", "0"), "state_q")
+    ps = _floats(entries.get("state_p", "0"), "state_p")
+    sigmas = _floats(entries.get("state_sigma", "1"), "state_sigma")
+    weights = _floats(entries.get("state_weights", " ".join(["1"] * len(qs))), "state_weights")
     if not len(qs) == len(ps) == len(sigmas) == len(weights):
         raise ConfigError("state_q, state_p, state_sigma, state_weights lengths differ")
     try:
@@ -215,6 +226,8 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
         if key in entries:
             try:
                 settings[key] = parse(entries[key])
+            except ConfigError:
+                raise
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
     est_settings = {k: settings.pop(k) for k in list(settings) if k in _ESTIMATOR_FIELDS}
@@ -231,6 +244,8 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown output format {cfg.output_format!r}")
     if cfg.reference not in ("average", "h_prime"):
         raise ConfigError(f"unknown reference {cfg.reference!r}")
+    if cfg.periodic and cfg.grid_extent is None:
+        raise ConfigError("periodic: needs grid_extent, which sets the period")
     if cfg.spectrum_damping_time is not None:
         if not cfg.spectrum_damping_time > 0.0:
             raise ConfigError("spectrum_damping_time must be positive")

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from loschmidt.cli import (
@@ -14,6 +15,8 @@ from loschmidt.cli import (
     run,
 )
 from loschmidt.estimators import f1_dr
+from loschmidt.qgrid import Grid, fidelity_exact
+from loschmidt.series import read_series
 
 DISPLACED_CFG = """
 # comparison run on the displaced-oscillator scenario
@@ -195,6 +198,71 @@ def test_main_invalid_config_exit_two(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, INLINE_CFG + "potential_double_prime_cos = abc\n")
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     assert "potential_double_prime_cos" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "kinetic_prime",
+        "potential_double_prime",
+        "state_q",
+        "state_p",
+        "state_sigma",
+        "state_weights",
+        "grid_extent",
+    ],
+)
+def test_main_bad_number_names_its_key(tmp_path, capsys, key):
+    lines = [line for line in INLINE_CFG.splitlines() if not line.startswith(key + " ")]
+    cfg_path = write_cfg(tmp_path, "\n".join(lines) + f"\n{key} = abc\n")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert f"invalid config: {key}: expected numbers, got 'abc'" in capsys.readouterr().err
+
+
+KICKED_ROTOR_INLINE_CFG = """
+estimators = exact
+kinetic_prime = 0 0 0.5
+kinetic_double_prime = 0 0 0.5
+potential_prime_cos = 4.975
+potential_double_prime_cos = 5.025
+state_q = 3.141592653589793
+state_sigma = 0.5
+tau = 1
+n_steps = 50
+grid_extent = 0 6.283185307179586
+grid_points = 1024
+"""
+
+
+@pytest.mark.parametrize("value", ["true", "yes", "1"])
+def test_periodic_key_sets_a_periodic_grid(tmp_path, value):
+    text = KICKED_ROTOR_INLINE_CFG + f"periodic = {value}\n"
+    cfg = build_run_config(parse_config_text(text))
+    run(cfg, tmp_path / "out")
+    written = read_series(tmp_path / "out" / "exact.csv")
+    grid = Grid(((0.0, 2.0 * np.pi),), (1024,), periodic=True)
+    expected = fidelity_exact(cfg.state, cfg.pair, 50, 1.0, grid=grid)
+    assert written.values.view(np.uint64).tobytes() == expected.values.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("value", ["false", "no", "0"])
+def test_periodic_key_false_keeps_the_edge_check(tmp_path, capsys, value):
+    # the kicked packet reaches the edges of [0, 2 pi]; only a periodic grid
+    # may let it wrap
+    cfg_path = write_cfg(tmp_path, KICKED_ROTOR_INLINE_CFG + f"periodic = {value}\n")
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == EXIT_NUMERIC
+    assert "position probability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [KICKED_ROTOR_INLINE_CFG + "periodic = maybe\n", INLINE_CFG + "periodic = true\n"],
+    ids=["bad_value", "no_grid_extent"],
+)
+def test_main_rejects_bad_periodic(tmp_path, capsys, text):
+    cfg_path = write_cfg(tmp_path, text)
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "invalid config: periodic:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
