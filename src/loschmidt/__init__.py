@@ -20,7 +20,7 @@ from .hamiltonians import (
 )
 from .states import GaussianComponent, InitialState, sample, wigner_density
 from .dynamics import Trajectory, TrajectoryEscapeError, map_step, trajectory
-from .series import FidelitySeries
+from .series import FidelitySeries, NonFiniteSeriesError
 from .estimators import (
     EstimatorConfig,
     SingularExponentError,
@@ -55,6 +55,7 @@ __all__ = [
     "GridWavefunction",
     "HamiltonianPair",
     "InitialState",
+    "NonFiniteSeriesError",
     "SCENARIO_NAMES",
     "Scenario",
     "SeparableHamiltonian",

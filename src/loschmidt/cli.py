@@ -10,6 +10,7 @@ import argparse
 import json
 import platform
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -29,7 +30,7 @@ from .estimators import (
 from .hamiltonians import CoordFunction, SeparableHamiltonian, make_pair
 from .presets import SCENARIO_NAMES, load
 from .qgrid import AliasingError, Grid, GridLeakError, fidelity_exact
-from .series import FidelitySeries, write_series, write_table
+from .series import FidelitySeries, NonFiniteSeriesError, write_series, write_table
 from .spectra import MIN_SERIES_LENGTH, spectrum
 from .states import GaussianComponent, InitialState
 
@@ -297,13 +298,21 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = list(cfg.estimators)
+
+    def timed(name):
+        start = time.perf_counter()
+        series = ESTIMATORS[name](cfg)
+        return series, time.perf_counter() - start
+
     if threads > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            series_list = list(pool.map(lambda n: ESTIMATORS[n](cfg), names))
-        results = dict(zip(names, series_list))
+            outcomes = list(pool.map(timed, names))
     else:
-        results = {name: ESTIMATORS[name](cfg) for name in names}
+        outcomes = [timed(name) for name in names]
+    results = {name: series for name, (series, _) in zip(names, outcomes)}
+    timings = {name: seconds for name, (_, seconds) in zip(names, outcomes)}
 
+    start = time.perf_counter()
     suffix = cfg.output_format
     for name, series in results.items():
         write_series(series, out_dir / f"{name}.{suffix}")
@@ -324,6 +333,7 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
             write_table(out_dir / f"spectrum_{name}.csv", {
                 "frequency": spec.frequencies, "intensity": spec.intensities,
             })
+    timings["outputs"] = time.perf_counter() - start
 
     metadata = {
         "package": "loschmidt",
@@ -337,6 +347,7 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
         **cfg.estimator_config.run_meta,
         "reference": cfg.reference,
         "output_format": cfg.output_format,
+        "timings_s": timings,
     }
     (out_dir / "run_metadata.json").write_text(
         json.dumps(metadata, indent=1, sort_keys=True) + "\n"
@@ -376,6 +387,7 @@ def _cmd_run(args) -> int:
         GridLeakError,
         AliasingError,
         SingularExponentError,
+        NonFiniteSeriesError,
     ) as exc:
         print(f"error: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 MAX_POLY_DEGREE = 4
 
@@ -21,6 +20,17 @@ def _trimmed(coeffs) -> tuple[float, ...]:
     while len(out) > 1 and out[-1] == 0.0:
         out.pop()
     return tuple(out) if out else (0.0,)
+
+
+def _horner(x, c):
+    """numpy's ``polyval(x, c)`` bit for bit: the same seed ``c[-1] + x * 0``
+    and steps ``c0 * x + c[k]``, but done in place on one array.  The dtype of
+    ``x`` is kept (float64 at least, as with polyval's float64 coefficients)."""
+    out = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        out *= x
+        out += ck
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,27 +53,29 @@ class CoordFunction:
             )
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "cos_amp", float(self.cos_amp))
+        # Horner coefficients of the value and of both derivatives, computed
+        # once, as the float64 scalars polyval would have built per call
+        d1 = [k * coeffs[k] for k in range(1, len(coeffs))] or [0.0]
+        d2 = [k * (k - 1) * coeffs[k] for k in range(2, len(coeffs))] or [0.0]
+        for name, c in (("_c0", coeffs), ("_c1", d1), ("_c2", d2)):
+            object.__setattr__(self, name, tuple(np.float64(ck) for ck in c))
 
     def value(self, x):
-        out = npoly.polyval(x, self.coeffs)
+        out = _horner(x, self._c0)
         if self.cos_amp:
-            out = out + self.cos_amp * np.cos(x)
+            out += self.cos_amp * np.cos(x)
         return out
 
     def d1(self, x):
-        c = self.coeffs
-        dc = [k * c[k] for k in range(1, len(c))] or [0.0]
-        out = npoly.polyval(x, dc)
+        out = _horner(x, self._c1)
         if self.cos_amp:
-            out = out - self.cos_amp * np.sin(x)
+            out -= self.cos_amp * np.sin(x)
         return out
 
     def d2(self, x):
-        c = self.coeffs
-        d2c = [k * (k - 1) * c[k] for k in range(2, len(c))] or [0.0]
-        out = npoly.polyval(x, d2c)
+        out = _horner(x, self._c2)
         if self.cos_amp:
-            out = out - self.cos_amp * np.cos(x)
+            out -= self.cos_amp * np.cos(x)
         return out
 
     @property
@@ -173,29 +185,24 @@ class SeparableHamiltonian:
     def value(self, q, p):
         return self.kinetic_value(p) + self.potential_value(q)
 
+    def _per_coord(self, terms, derivative, x):
+        """Stack ``derivative`` of each term at its coordinate on the last axis."""
+        x = self._coords(x)
+        cols = [derivative(t, x[..., d]) for d, t in enumerate(terms)]
+        # one coordinate: a view of the fresh column, not a stacked copy
+        return cols[0][..., None] if len(cols) == 1 else np.stack(cols, axis=-1)
+
     def kinetic_d1(self, p):
-        p = self._coords(p)
-        return np.stack(
-            [t.d1(p[..., d]) for d, t in enumerate(self.kinetic)], axis=-1
-        )
+        return self._per_coord(self.kinetic, CoordFunction.d1, p)
 
     def potential_d1(self, q):
-        q = self._coords(q)
-        return np.stack(
-            [t.d1(q[..., d]) for d, t in enumerate(self.potential)], axis=-1
-        )
+        return self._per_coord(self.potential, CoordFunction.d1, q)
 
     def kinetic_d2(self, p):
-        p = self._coords(p)
-        return np.stack(
-            [t.d2(p[..., d]) for d, t in enumerate(self.kinetic)], axis=-1
-        )
+        return self._per_coord(self.kinetic, CoordFunction.d2, p)
 
     def potential_d2(self, q):
-        q = self._coords(q)
-        return np.stack(
-            [t.d2(q[..., d]) for d, t in enumerate(self.potential)], axis=-1
-        )
+        return self._per_coord(self.potential, CoordFunction.d2, q)
 
     @property
     def is_zero(self) -> bool:

@@ -23,13 +23,19 @@ import numpy as np
 SERIES_COLUMNS = ("step", "time", "re_f", "im_f", "abs_f_sq", "stderr")
 
 
+class NonFiniteSeriesError(RuntimeError):
+    """Raised when a series would hold a NaN or infinite value."""
+
+
 @dataclass(frozen=True)
 class FidelitySeries:
     """Complex fidelity amplitude on a uniform time grid.
 
     ``stderr`` holds the statistical error per time step (zero for
     deterministic evaluations).  ``meta`` records estimator name, trajectory
-    count, seed and related run parameters.
+    count, seed and related run parameters.  Every value must be finite
+    (``NonFiniteSeriesError`` otherwise); an infinite ``stderr`` is allowed,
+    since it is how ``f2_mc``'s bootstrap reports an error bar it cannot size.
     """
 
     times: np.ndarray
@@ -43,6 +49,13 @@ class FidelitySeries:
         stderr = np.asarray(self.stderr, dtype=float)
         if not (times.shape == values.shape == stderr.shape):
             raise ValueError("times, values and stderr must have equal length")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteSeriesError(
+                f"estimator {self.meta.get('estimator', '?')} produced a non-finite "
+                f"value {values[bad[0]]} at step {bad[0]} of {len(values) - 1}; "
+                "use a smaller tau, fewer steps or another estimator"
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "stderr", stderr)

@@ -16,7 +16,7 @@ from loschmidt.cli import (
 )
 from loschmidt.estimators import f1_dr
 from loschmidt.qgrid import Grid, fidelity_exact
-from loschmidt.series import read_series
+from loschmidt.series import FidelitySeries, read_series
 
 DISPLACED_CFG = """
 # comparison run on the displaced-oscillator scenario
@@ -303,6 +303,32 @@ tau = 0.5
     cfg_path = write_cfg(tmp_path, text)
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == EXIT_NUMERIC
     assert "numerical abort" in capsys.readouterr().err
+
+
+def test_main_non_finite_series_exit_three(tmp_path, capsys, monkeypatch):
+    # an estimator whose values turn NaN aborts the run before any series is written
+    def nan_f0(state, pair, config):
+        values = np.ones(len(config.times), dtype=complex)
+        values[-1] = np.nan
+        return FidelitySeries(config.times, values, np.zeros(len(values)), {"estimator": "f0"})
+
+    monkeypatch.setattr("loschmidt.cli.f0", nan_f0)
+    out_dir = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path, INLINE_CFG)
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "estimator f0" in err and "step 30" in err
+    assert not list(out_dir.glob("f0.*"))
+
+
+def test_run_metadata_records_stage_timings(tmp_path):
+    text = DISPLACED_CFG.replace("exact, f1", "exact, f0, f1")
+    cfg = build_run_config(parse_config_text(text))
+    run(cfg, tmp_path / "out")
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
+    timings = meta["timings_s"]
+    assert set(timings) == {"exact", "f0", "f1", "outputs"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
 
 
 def test_main_scenarios_lists_all(capsys):

@@ -24,7 +24,7 @@ from loschmidt.hamiltonians import (
 )
 from loschmidt.presets import displaced_ho_pair, load
 from loschmidt.qgrid import fidelity_exact
-from loschmidt.states import GaussianComponent, InitialState, wigner_density
+from loschmidt.states import GaussianComponent, InitialState, sample, wigner_density
 
 STD_GAUSSIAN = InitialState.gaussian([0.0], [0.0], [1.0])
 
@@ -378,6 +378,32 @@ def test_chain_matches_exact_on_random_quadratic_pairs(system):
     exact = fidelity_exact(state, pair, 60, cfg.tau, pad_sigmas=16.0)
     chain = f2_gaussian_chain(state, pair, cfg)
     assert np.max(np.abs(chain.values - exact.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["cubic_perturbation", "morse_like"])
+def test_f0_recurrence_tracks_direct_phasors(name):
+    # f0 multiplies its phasors by one step's factor and recomputes them every
+    # 64 steps; the reference recomputes exp(-i t dH / hbar) at every step
+    sc = load(name)
+    cfg = config(n_traj=4000, tau=sc.tau, n_steps=1000, seed=3)
+    series = f0(sc.state, sc.pair, cfg)
+    q, p = sample(sc.state, cfg.n_traj, cfg.seed, cfg.hbar)
+    phi = sc.pair.delta.value(q, p)
+    direct = np.array([np.exp(-1j * t / cfg.hbar * phi).mean() for t in cfg.times])
+    assert np.max(np.abs(series.values - direct)) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(system=quadratic_systems())
+def test_f0_f1_invariants_on_random_quadratic_pairs(system):
+    state, h_a, h_b = system
+    cfg = config(n_traj=500, n_steps=100)
+    for est in (f0, f1_dr):
+        f = est(state, make_pair(h_a, h_b), cfg).values
+        swapped = est(state, make_pair(h_b, h_a), cfg).values
+        assert f[0] == 1.0
+        assert np.all(np.abs(f) <= 1.0 + 1e-12)
+        assert np.max(np.abs(swapped - np.conj(f))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

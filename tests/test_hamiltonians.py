@@ -249,3 +249,67 @@ def test_remainder_rejects_bad_order():
     x = (np.array([0.0]), np.array([0.0]))
     with pytest.raises(ValueError, match="order"):
         expansion_remainder(pair, x, x, 3)
+
+
+# ---------------------------------------------------------------------------
+# Horner evaluation against numpy's polyval
+
+
+def _polyval_reference(term, x):
+    """value, d1, d2 as polyval of per-call coefficient lists, cos term added."""
+    from numpy.polynomial import polynomial as npoly
+
+    c = term.coeffs
+    dc = [k * c[k] for k in range(1, len(c))] or [0.0]
+    d2c = [k * (k - 1) * c[k] for k in range(2, len(c))] or [0.0]
+    value, d1, d2 = npoly.polyval(x, c), npoly.polyval(x, dc), npoly.polyval(x, d2c)
+    if term.cos_amp:
+        value = value + term.cos_amp * np.cos(x)
+        d1 = d1 - term.cos_amp * np.sin(x)
+        d2 = d2 - term.cos_amp * np.cos(x)
+    return value, d1, d2
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+_COEFF = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+_POINT = st.floats(-20.0, 20.0) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(_COEFF, min_size=1, max_size=5),
+    cos_amp=st.sampled_from([0.0, 0.7]) | st.floats(-3.0, 3.0),
+    points=st.lists(_POINT, min_size=1, max_size=8),
+    shape=st.sampled_from(["scalar", "vector", "column"]),
+)
+def test_coord_function_matches_polyval_bit_for_bit(coeffs, cos_amp, points, shape):
+    term = CoordFunction(tuple(coeffs), cos_amp)
+    x = {
+        "scalar": points[0],
+        "vector": np.array(points),
+        "column": np.array(points)[:, None],
+    }[shape]
+    got = (term.value(x), term.d1(x), term.d2(x))
+    for ours, ref in zip(got, _polyval_reference(term, x)):
+        assert _same_bits(ours, ref)
+
+
+def test_coord_function_keeps_signed_zero_of_polyval():
+    # polyval seeds with c[-1] + x * 0: a -0.0 constant at x >= 0 gives +0.0
+    term = CoordFunction((-0.0,))
+    for x in (0.0, -0.0, 2.0, -2.0, np.array([0.0, -0.0, 2.0, -2.0])):
+        assert _same_bits(term.value(x), _polyval_reference(term, x)[0])
+
+
+def test_coord_function_keeps_complex_input():
+    term = CoordFunction((0.5, -1.0, 0.25, 0.1), cos_amp=0.3)
+    z = np.array([0.3 + 0.2j, -1.1 - 0.4j])
+    for ours, ref in zip((term.value(z), term.d1(z), term.d2(z)), _polyval_reference(term, z)):
+        assert ours.dtype == np.complex128
+        assert _same_bits(ours, ref)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from loschmidt.estimators import EstimatorConfig, f1_dr
 from loschmidt.presets import load
-from loschmidt.series import FidelitySeries, read_series, write_series
+from loschmidt.series import FidelitySeries, NonFiniteSeriesError, read_series, write_series
 
 
 def series_fixture():
@@ -42,6 +42,21 @@ def test_csv_and_json_write_the_same_abs_f_sq(tmp_path):
     from_json = json.loads((tmp_path / "f1.json").read_text())["abs_f_sq"]
     assert np.array_equal(bits(from_csv), bits(from_json))
     assert np.array_equal(bits(from_json), bits(series.abs_sq))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_series_rejects_non_finite_values(bad):
+    values = np.ones(5, dtype=complex)
+    values[3] = bad
+    with pytest.raises(NonFiniteSeriesError, match=r"estimator f1 .* at step 3 of 4"):
+        FidelitySeries(np.arange(5.0), values, np.zeros(5), {"estimator": "f1"})
+
+
+def test_series_allows_infinite_stderr():
+    # f2_mc's batch bootstrap reports an error bar it cannot size as inf
+    stderr = np.array([0.0, np.inf])
+    series = FidelitySeries(np.arange(2.0), np.ones(2, complex), stderr)
+    assert np.isinf(series.stderr[1])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
