@@ -318,7 +318,7 @@ def test_main_non_finite_series_exit_three(tmp_path, capsys, monkeypatch):
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numerical abort" in err and "estimator f0" in err and "step 30" in err
-    assert not list(out_dir.glob("f0.*"))
+    assert not list(out_dir.iterdir())
 
 
 def test_run_metadata_records_stage_timings(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from loschmidt.hamiltonians import (
     CoordFunction,
@@ -257,8 +258,6 @@ def test_remainder_rejects_bad_order():
 
 def _polyval_reference(term, x):
     """value, d1, d2 as polyval of per-call coefficient lists, cos term added."""
-    from numpy.polynomial import polynomial as npoly
-
     c = term.coeffs
     dc = [k * c[k] for k in range(1, len(c))] or [0.0]
     d2c = [k * (k - 1) * c[k] for k in range(2, len(c))] or [0.0]
