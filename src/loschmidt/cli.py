@@ -28,8 +28,8 @@ from .estimators import (
     f2_mc,
 )
 from .hamiltonians import CoordFunction, SeparableHamiltonian, make_pair
-from .presets import SCENARIO_NAMES, load
-from .qgrid import AliasingError, Grid, GridLeakError, fidelity_exact
+from .presets import SCENARIO_NAMES, Scenario, load
+from .qgrid import AliasingError, Grid, GridLeakError, _is_power_of_two, fidelity_exact
 from .series import FidelitySeries, NonFiniteSeriesError, write_series, write_table
 from .spectra import MIN_SERIES_LENGTH, spectrum
 from .states import GaussianComponent, InitialState
@@ -72,8 +72,8 @@ _INLINE_TERM_KEYS = (
     "potential_double_prime",
 )
 
-# defaults of the EstimatorConfig fields that have none of their own
-_ESTIMATOR_DEFAULTS = {"tau": 0.05, "n_steps": 252, "n_traj": 10000, "seed": 7}
+# defaults of the EstimatorConfig fields that neither it nor a Scenario sets
+_ESTIMATOR_DEFAULTS = {"n_traj": 10000, "seed": 7}
 _ESTIMATOR_FIELDS = {f.name for f in fields(EstimatorConfig)}
 
 
@@ -88,6 +88,8 @@ def _extent(value: str) -> tuple:
     ext = _floats(value, "grid_extent")
     if len(ext) != 2:
         raise ValueError("needs two numbers")
+    if not ext[0] < ext[1]:
+        raise ValueError(f"expected an increasing pair, got {value!r}")
     return (ext[0], ext[1])
 
 
@@ -110,7 +112,6 @@ _SETTINGS = {
     "n_traj": int,
     "seed": int,
     "reference": str,
-    "proposal_width_factor": float,
     "degenerate_a_threshold": float,
     "output_format": str,
     "spectrum_damping_time": float,
@@ -127,11 +128,7 @@ _KNOWN_KEYS = set(_SETTINGS) | {
     "state_p",
     "state_sigma",
     "state_weights",
-    "kinetic_prime_cos",
-    "kinetic_double_prime_cos",
-    "potential_prime_cos",
-    "potential_double_prime_cos",
-} | set(_INLINE_TERM_KEYS)
+} | set(_INLINE_TERM_KEYS) | {key + "_cos" for key in _INLINE_TERM_KEYS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -164,8 +161,8 @@ def _term(entries: dict, key: str) -> CoordFunction:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _inline_system(entries: dict):
-    """One-dimensional pair + state from inline definition keys."""
+def _inline_system(entries: dict) -> Scenario:
+    """One-dimensional scenario named ``inline`` from inline definition keys."""
     h_prime = SeparableHamiltonian(
         (_term(entries, "kinetic_prime"),), (_term(entries, "potential_prime"),)
     )
@@ -176,7 +173,10 @@ def _inline_system(entries: dict):
     qs = _floats(entries.get("state_q", "0"), "state_q")
     ps = _floats(entries.get("state_p", "0"), "state_p")
     sigmas = _floats(entries.get("state_sigma", "1"), "state_sigma")
-    weights = _floats(entries.get("state_weights", " ".join(["1"] * len(qs))), "state_weights")
+    if "state_weights" in entries:
+        weights = _floats(entries["state_weights"], "state_weights")
+    else:
+        weights = [1.0 / len(qs)] * len(qs)
     if not len(qs) == len(ps) == len(sigmas) == len(weights):
         raise ConfigError("state_q, state_p, state_sigma, state_weights lengths differ")
     try:
@@ -188,7 +188,7 @@ def _inline_system(entries: dict):
         state = InitialState(comps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return pair, state
+    return Scenario("inline", pair, state)
 
 
 def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
@@ -211,17 +211,15 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
         if scenario_name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {scenario_name!r}")
         sc = load(scenario_name)
-        pair, state = sc.pair, sc.state
-        settings = {
-            "scenario": sc.name, "label": sc.name, "tau": sc.tau,
-            "n_steps": sc.n_steps, "hbar": sc.hbar, "grid_points": sc.grid_points,
-            "grid_extent": sc.grid_extent, "periodic": sc.periodic,
-        }
     else:
         if not any(key in entries for key in _INLINE_TERM_KEYS):
             raise ConfigError("config needs either a scenario or an inline system")
-        pair, state = _inline_system(entries)
-        settings = {"label": "inline"}
+        sc = _inline_system(entries)
+    settings = {
+        "scenario": scenario_name, "label": sc.name, "tau": sc.tau,
+        "n_steps": sc.n_steps, "hbar": sc.hbar, "grid_points": sc.grid_points,
+        "grid_extent": sc.grid_extent, "periodic": sc.periodic,
+    }
 
     for key, parse in _SETTINGS.items():
         if key in entries:
@@ -237,7 +235,7 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg = RunConfig(
-        estimators=estimators, estimator_config=est_cfg, pair=pair, state=state,
+        estimators=estimators, estimator_config=est_cfg, pair=sc.pair, state=sc.state,
         raw=dict(entries), **settings,
     )
 
@@ -245,6 +243,8 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown output format {cfg.output_format!r}")
     if cfg.reference not in ("average", "h_prime"):
         raise ConfigError(f"unknown reference {cfg.reference!r}")
+    if not _is_power_of_two(cfg.grid_points):
+        raise ConfigError(f"grid_points: expected a power of two, got {cfg.grid_points}")
     if cfg.periodic and cfg.grid_extent is None:
         raise ConfigError("periodic: needs grid_extent, which sets the period")
     if cfg.spectrum_damping_time is not None:

@@ -43,6 +43,8 @@ from .series import FidelitySeries
 from .states import InitialState, sample
 
 DEFAULT_ERROR_BATCHES = 32
+# f2_mc proposal width in units of hbar * sqrt(pi * |a_n|)
+PROPOSAL_WIDTH_FACTOR = 2.0
 # f0 advances its phasors by one step's factor and recomputes them directly
 # every this many steps, so rounding cannot accumulate beyond it
 _F0_REANCHOR_STEPS = 64
@@ -62,20 +64,18 @@ class EstimatorConfig:
     tau: float
     n_steps: int
     hbar: float = 1.0
-    proposal_width_factor: float = 2.0
     degenerate_a_threshold: float = 1e-10
-    n_error_batches: int = DEFAULT_ERROR_BATCHES
 
     def __post_init__(self) -> None:
         if self.n_traj < 1:
             raise ValueError("n_traj must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        for name in ("tau", "hbar", "proposal_width_factor", "degenerate_a_threshold"):
+        for name in ("tau", "hbar", "degenerate_a_threshold"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_error_batches < 2:
-            raise ValueError("n_error_batches must be at least 2")
 
     @property
     def times(self) -> np.ndarray:
@@ -180,7 +180,7 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
                               np.zeros_like(times), meta)
     q, p = sample(state, config.n_traj, config.seed, config.hbar)
     phi = pair.delta.value(q, p)
-    starts = _batch_starts(config.n_traj, config.n_error_batches)
+    starts = _batch_starts(config.n_traj, DEFAULT_ERROR_BATCHES)
     values = np.empty(len(times), dtype=complex)
     stderr = np.empty(len(times))
     # the direct form of step 1, whose t = times[1] is tau as a float64
@@ -208,7 +208,7 @@ def _orbit_loop(state, pair, config, h, reduce, kick=None):
     """
     tau, hbar = config.tau, config.hbar
     q, p = sample(state, config.n_traj, config.seed, hbar)
-    starts = _batch_starts(config.n_traj, config.n_error_batches)
+    starts = _batch_starts(config.n_traj, DEFAULT_ERROR_BATCHES)
     phi = np.zeros(config.n_traj)
     theta = np.empty(config.n_traj)
     z = np.empty(config.n_traj, dtype=complex)
@@ -279,8 +279,8 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     representation path by path.
 
     The proposal width is calibrated so the Fresnel phase b**2/(4a) sweeps
-    at least 4*pi across +-2 sigma at the default width factor of 2:
-    sigma_prop = proposal_width_factor * hbar * sqrt(pi * |a_n|).
+    at least 4*pi across +-2 sigma at a width factor of 2:
+    sigma_prop = PROPOSAL_WIDTH_FACTOR * hbar * sqrt(pi * |a_n|).
     """
     _require_position_perturbation(state, pair)
     tau, hbar = config.tau, config.hbar
@@ -301,7 +301,7 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
             return p
         a_safe = np.where(smear, a, 1.0)
         abs_a = np.abs(a_safe)
-        sigma_prop = config.proposal_width_factor * hbar * np.sqrt(np.pi * abs_a)
+        sigma_prop = PROPOSAL_WIDTH_FACTOR * hbar * np.sqrt(np.pi * abs_a)
         # the drawn momentum is the classical one plus sigma_prop * xi, so the
         # offset b and the proposal density come from xi without cancellation
         xi = rng.standard_normal(n)
@@ -346,7 +346,6 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     meta = {
         "estimator": "f2_mc",
         **config.run_meta,
-        "proposal_width_factor": config.proposal_width_factor,
         "degenerate_a_threshold": config.degenerate_a_threshold,
         "effective_sample_size": float(ess),
         "correlated_time_steps": True,

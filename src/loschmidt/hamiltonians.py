@@ -13,6 +13,9 @@ import numpy as np
 
 MAX_POLY_DEGREE = 4
 
+EXACT = "exact"
+APPROXIMATE = "approximate"
+
 
 def _trimmed(coeffs) -> tuple[float, ...]:
     """Canonical coefficient tuple: floats, trailing zeros removed."""
@@ -315,3 +318,26 @@ def expansion_remainder(pair: HamiltonianPair, x, dx, order: int):
         trunc = trunc + np.sum(delta.kinetic_d2(p) * dp**2, axis=-1) / 8.0
         trunc = trunc + np.sum(delta.potential_d2(q) * dq**2, axis=-1) / 8.0
     return lhs - trunc
+
+
+def predicted_exactness(pair: HamiltonianPair) -> dict:
+    """Verdict ``EXACT`` or ``APPROXIMATE`` of each estimator on ``pair``.
+
+    The order-k estimator is exact when the order-k ``expansion_remainder``
+    vanishes identically.  For terms of degree <= 4 plus a cosine, that is
+    when no term carries a cosine and the degrees of the average Hamiltonian
+    and of delta-H meet the bounds below; ``f2_gaussian`` also needs delta-H
+    quadratic, as its closed form does.
+    """
+    avg_terms = pair.average.kinetic + pair.average.potential
+    delta_terms = pair.delta.kinetic + pair.delta.potential
+    polynomial = all(t.cos_amp == 0.0 for t in avg_terms + delta_terms)
+    avg = max(t.degree for t in avg_terms)
+    delta = max(t.degree for t in delta_terms)
+    exact = {
+        "f0": avg == 0 and delta <= 1,
+        "f1": avg <= 2 and delta <= 1,
+        "f2_mc": avg <= 2 and delta <= 3,
+        "f2_gaussian": avg <= 2 and delta <= 2,
+    }
+    return {name: EXACT if polynomial and ok else APPROXIMATE for name, ok in exact.items()}

@@ -1,16 +1,22 @@
 """Named scenarios: Hamiltonian pair, initial state and run parameters.
 
-Each scenario records which estimators are predicted to be exact on it, a
-prediction that is tied to the order at which the average/difference
-expansion terminates for that pair.
+Each scenario's exactness predictions are derived from its Hamiltonian pair
+by ``hamiltonians.predicted_exactness``: the order-k estimator is exact when
+the average/difference expansion terminates at order k.  With degrees taken
+over the average Hamiltonian and delta-H, f0 needs a constant average and an
+affine delta-H, f1 an average of degree <= 2 and an affine delta-H, f2_mc an
+average of degree <= 2 and a delta-H of degree <= 3, f2_gaussian both of
+degree <= 2; a cosine term makes every estimator approximate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import (
+from .hamiltonians import (  # EXACT and APPROXIMATE name the verdicts
+    APPROXIMATE,
+    EXACT,
     HamiltonianPair,
     SeparableHamiltonian,
     cosine_potential,
@@ -18,22 +24,11 @@ from .hamiltonians import (
     harmonic_potential,
     make_pair,
     polynomial_term,
+    predicted_exactness,
     quadratic_kinetic,
     ZERO_TERM,
 )
 from .states import InitialState
-
-SCENARIO_NAMES = (
-    "linear_gradient",
-    "displaced_ho",
-    "ho_diff_k",
-    "cubic_perturbation",
-    "kicked_rotor",
-    "morse_like",
-)
-
-EXACT = "exact"
-APPROXIMATE = "approximate"
 
 
 @dataclass(frozen=True)
@@ -43,15 +38,19 @@ class Scenario:
     name: str
     pair: HamiltonianPair
     state: InitialState
-    tau: float
-    n_steps: int
-    hbar: float
-    exactness: dict = field(default_factory=dict)
+    tau: float = 0.05
+    n_steps: int = 252
+    hbar: float = 1.0
     description: str = ""
     # grid hints for the exact reference
     grid_extent: tuple[float, float] | None = None
     grid_points: int = 4096
     periodic: bool = False
+
+    @property
+    def exactness(self) -> dict:
+        """Estimator name -> ``EXACT`` or ``APPROXIMATE``, from the pair."""
+        return predicted_exactness(self.pair)
 
 
 def displaced_ho_pair(
@@ -70,160 +69,85 @@ def displaced_ho_pair(
     )
 
 
-def _linear_gradient() -> Scenario:
-    delta_beta = 1.0
-    h_lo = hamiltonian_1d(ZERO_TERM, polynomial_term(0.0, -0.5 * delta_beta))
-    h_hi = hamiltonian_1d(ZERO_TERM, polynomial_term(0.0, +0.5 * delta_beta))
-    state = InitialState.gaussian([0.0], [0.0], [1.0])
-    return Scenario(
-        name="linear_gradient",
-        pair=make_pair(h_lo, h_hi),
-        state=state,
-        tau=0.05,
-        n_steps=252,
-        hbar=1.0,
-        exactness={"f0": EXACT, "f1": EXACT, "f2_mc": EXACT, "f2_gaussian": EXACT},
+_KIN = quadratic_kinetic(1.0)
+_STANDARD_STATE = InitialState.gaussian([0.0], [0.0], [1.0])
+_DELTA_BETA = 1.0  # linear_gradient: difference of the gradients
+_DELTA_PHI = 0.05  # cubic_perturbation: difference of the cubic coefficients
+_KICK = 5.0  # kicked_rotor: mean kick strength, perturbed by 1%
+
+_SCENARIOS = {sc.name: sc for sc in (
+    Scenario(
+        "linear_gradient",
+        make_pair(
+            hamiltonian_1d(ZERO_TERM, polynomial_term(0.0, -0.5 * _DELTA_BETA)),
+            hamiltonian_1d(ZERO_TERM, polynomial_term(0.0, +0.5 * _DELTA_BETA)),
+        ),
+        _STANDARD_STATE,
         description="opposite linear gradients, vanishing average Hamiltonian",
-    )
-
-
-def _displaced_ho() -> Scenario:
-    pair = displaced_ho_pair(k=1.0, mass=1.0, displacement=1.0)
-    # ground state of the unperturbed well (centred at +a/2, width 1)
-    state = InitialState.gaussian([0.5], [0.0], [1.0])
-    return Scenario(
-        name="displaced_ho",
-        pair=pair,
-        state=state,
-        tau=0.05,
-        n_steps=252,
-        hbar=1.0,
-        exactness={
-            "f0": APPROXIMATE,
-            "f1": EXACT,
-            "f2_mc": EXACT,
-            "f2_gaussian": EXACT,
-        },
+    ),
+    Scenario(
+        "displaced_ho",
+        displaced_ho_pair(k=1.0, mass=1.0, displacement=1.0),
+        # ground state of the unperturbed well (centred at +a/2, width 1)
+        InitialState.gaussian([0.5], [0.0], [1.0]),
         description="displaced harmonic oscillators, m = k = displacement = 1",
-    )
-
-
-def _ho_diff_k() -> Scenario:
-    kin = quadratic_kinetic(1.0)
-    h_lo = hamiltonian_1d(kin, harmonic_potential(1.0))
-    h_hi = hamiltonian_1d(kin, harmonic_potential(1.21))
-    state = InitialState.gaussian([0.0], [0.0], [1.0])
-    return Scenario(
-        name="ho_diff_k",
-        pair=make_pair(h_lo, h_hi),
-        state=state,
-        tau=0.05,
+    ),
+    Scenario(
+        "ho_diff_k",
+        make_pair(
+            hamiltonian_1d(_KIN, harmonic_potential(1.0)),
+            hamiltonian_1d(_KIN, harmonic_potential(1.21)),
+        ),
+        _STANDARD_STATE,
         n_steps=100,
-        hbar=1.0,
-        exactness={
-            "f0": APPROXIMATE,
-            "f1": APPROXIMATE,
-            "f2_mc": EXACT,
-            "f2_gaussian": EXACT,
-        },
         description="harmonic oscillators with force constants 1 and 1.21",
-    )
-
-
-def _cubic_perturbation() -> Scenario:
-    delta_phi = 0.05
-    kin = quadratic_kinetic(1.0)
-    h_lo = hamiltonian_1d(
-        kin, harmonic_potential(1.0) + polynomial_term(0.0, 0.0, 0.0, -0.5 * delta_phi)
-    )
-    h_hi = hamiltonian_1d(
-        kin, harmonic_potential(1.0) + polynomial_term(0.0, 0.0, 0.0, +0.5 * delta_phi)
-    )
-    state = InitialState.gaussian([0.0], [0.0], [1.0])
-    return Scenario(
-        name="cubic_perturbation",
-        pair=make_pair(h_lo, h_hi),
-        state=state,
-        tau=0.05,
-        n_steps=252,
-        hbar=1.0,
-        exactness={
-            "f0": APPROXIMATE,
-            "f1": APPROXIMATE,
-            "f2_mc": EXACT,
-            "f2_gaussian": APPROXIMATE,  # closed form needs a quadratic perturbation
-        },
+    ),
+    Scenario(
+        "cubic_perturbation",
+        make_pair(
+            hamiltonian_1d(_KIN, harmonic_potential(1.0)
+                           + polynomial_term(0.0, 0.0, 0.0, -0.5 * _DELTA_PHI)),
+            hamiltonian_1d(_KIN, harmonic_potential(1.0)
+                           + polynomial_term(0.0, 0.0, 0.0, +0.5 * _DELTA_PHI)),
+        ),
+        _STANDARD_STATE,
         description="harmonic average with a weak cubic perturbation",
-    )
-
-
-def _kicked_rotor() -> Scenario:
-    kick = 5.0
-    delta_kick = 0.01 * kick
-    kin = quadratic_kinetic(1.0)
-    h_lo = hamiltonian_1d(kin, cosine_potential(kick - delta_kick / 2.0))
-    h_hi = hamiltonian_1d(kin, cosine_potential(kick + delta_kick / 2.0))
-    state = InitialState.gaussian([np.pi], [0.0], [0.5])
-    return Scenario(
-        name="kicked_rotor",
-        pair=make_pair(h_lo, h_hi),
-        state=state,
+    ),
+    Scenario(
+        "kicked_rotor",
+        make_pair(
+            hamiltonian_1d(_KIN, cosine_potential(_KICK - 0.01 * _KICK / 2.0)),
+            hamiltonian_1d(_KIN, cosine_potential(_KICK + 0.01 * _KICK / 2.0)),
+        ),
+        InitialState.gaussian([np.pi], [0.0], [0.5]),
         tau=1.0,
         n_steps=50,
-        hbar=1.0,
-        exactness={
-            "f0": APPROXIMATE,
-            "f1": APPROXIMATE,
-            "f2_mc": APPROXIMATE,
-            "f2_gaussian": APPROXIMATE,
-        },
         description="kicked rotor, K = 5 with a 1% kick-strength perturbation",
         grid_extent=(0.0, 2.0 * np.pi),
         grid_points=1024,
         periodic=True,
-    )
-
-
-def _morse_like() -> Scenario:
-    # quartic-truncated anharmonic wells; quartic coefficients keep both
-    # branches confining
-    kin = quadratic_kinetic(1.0)
-    v_lo = polynomial_term(0.0, 0.0, 0.5, -0.10, 0.05)
-    v_hi = polynomial_term(0.0, 0.0, 0.55, -0.12, 0.055)
-    state = InitialState.gaussian([0.0], [0.0], [1.0])
-    return Scenario(
-        name="morse_like",
-        pair=make_pair(hamiltonian_1d(kin, v_lo), hamiltonian_1d(kin, v_hi)),
-        state=state,
-        tau=0.05,
-        n_steps=252,
-        hbar=1.0,
-        exactness={
-            "f0": APPROXIMATE,
-            "f1": APPROXIMATE,
-            "f2_mc": APPROXIMATE,
-            "f2_gaussian": APPROXIMATE,
-        },
+    ),
+    Scenario(
+        "morse_like",
+        # quartic-truncated anharmonic wells; quartic coefficients keep both
+        # branches confining
+        make_pair(
+            hamiltonian_1d(_KIN, polynomial_term(0.0, 0.0, 0.5, -0.10, 0.05)),
+            hamiltonian_1d(_KIN, polynomial_term(0.0, 0.0, 0.55, -0.12, 0.055)),
+        ),
+        _STANDARD_STATE,
         description="anharmonic (quartic-truncated) wells, all orders approximate",
-    )
+    ),
+)}
 
-
-_BUILDERS = {
-    "linear_gradient": _linear_gradient,
-    "displaced_ho": _displaced_ho,
-    "ho_diff_k": _ho_diff_k,
-    "cubic_perturbation": _cubic_perturbation,
-    "kicked_rotor": _kicked_rotor,
-    "morse_like": _morse_like,
-}
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def load(name: str) -> Scenario:
     """Load a named scenario; raises KeyError for unknown names."""
     try:
-        builder = _BUILDERS[name]
+        return _SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         ) from None
-    return builder()

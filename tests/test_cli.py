@@ -73,9 +73,7 @@ def test_build_requires_estimators_and_system():
         build_run_config({"scenario": "nope", "estimators": "f1"})
 
 
-@pytest.mark.parametrize(
-    "key, value", [("proposal_width_factor", "0"), ("degenerate_a_threshold", "-1")]
-)
+@pytest.mark.parametrize("key, value", [("degenerate_a_threshold", "-1")])
 def test_build_validates_estimator_settings(key, value):
     # rejected while parsing, before any estimator (exact included) has run
     entries = {"scenario": "cubic_perturbation", "estimators": "exact, f2_mc", key: value}
@@ -89,6 +87,16 @@ def test_inline_system_round_trip():
     assert cfg.label == "gradient_inline"
     assert cfg.pair.delta.potential[0].coeffs == (0.0, 1.0)
     assert cfg.state.dims == 1
+
+
+def test_inline_mixture_defaults_to_equal_weights():
+    text = (
+        INLINE_CFG.replace("state_q = 0", "state_q = -1 0.5 2")
+        .replace("state_p = 0", "state_p = 0 0 0")
+        .replace("state_sigma = 1", "state_sigma = 1 1 1")
+    )
+    cfg = build_run_config(parse_config_text(text))
+    assert [c.weight for c in cfg.state.components] == [1.0 / 3.0] * 3
 
 
 def test_inline_system_validates_invariants():
@@ -276,6 +284,25 @@ def test_main_rejects_spectrum_request_before_running(tmp_path, capsys, extra):
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_CONFIG
     assert "invalid config" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, args, key",
+    [
+        ("grid_points = 1000\n", [], "grid_points"),
+        ("grid_extent = 5 -5\n", [], "grid_extent"),
+        ("", ["--seed", "-1"], "seed"),
+    ],
+    ids=["grid_points_not_power_of_two", "grid_extent_decreasing", "negative_seed"],
+)
+def test_main_rejects_bad_settings_before_running(tmp_path, capsys, extra, args, key):
+    # f1 would run before exact; the bad setting must stop the run first
+    text = DISPLACED_CFG.replace("exact, f1", "f1, exact") + extra
+    cfg_path = write_cfg(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir), *args]) == EXIT_CONFIG
+    assert f"invalid config: {key}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -56,8 +56,8 @@ def test_estimator_config_validation():
         config(n_traj=0)
     with pytest.raises(ValueError, match="tau"):
         config(tau=-0.1)
-    with pytest.raises(ValueError, match="proposal_width_factor"):
-        config(proposal_width_factor=0.0)
+    with pytest.raises(ValueError, match="seed"):
+        config(seed=-1)
 
 
 def test_series_shape_validation():
@@ -380,17 +380,30 @@ def test_chain_matches_exact_on_random_quadratic_pairs(system):
     assert np.max(np.abs(chain.values - exact.values)) <= 1e-9
 
 
-@pytest.mark.parametrize("name", ["cubic_perturbation", "morse_like"])
-def test_f0_recurrence_tracks_direct_phasors(name):
+@pytest.mark.parametrize(
+    "name, n_traj, seed, bound",
+    [
+        pytest.param("cubic_perturbation", 4000, 3, 1e-13, id="cubic_perturbation"),
+        pytest.param("morse_like", 4000, 3, 1e-13, id="morse_like"),
+    ]
+    # one trajectory: no averaging hides the rounding of the products, which
+    # reaches about 5e-14 by N = 1000 without the re-anchor
+    + [
+        pytest.param(name, 1, seed, 2e-14, id=f"{name}-one_traj-seed{seed}")
+        for name in ("cubic_perturbation", "morse_like", "kicked_rotor")
+        for seed in range(1, 6)
+    ],
+)
+def test_f0_recurrence_tracks_direct_phasors(name, n_traj, seed, bound):
     # f0 multiplies its phasors by one step's factor and recomputes them every
     # 64 steps; the reference recomputes exp(-i t dH / hbar) at every step
     sc = load(name)
-    cfg = config(n_traj=4000, tau=sc.tau, n_steps=1000, seed=3)
+    cfg = config(n_traj=n_traj, tau=sc.tau, n_steps=1000, seed=seed)
     series = f0(sc.state, sc.pair, cfg)
     q, p = sample(sc.state, cfg.n_traj, cfg.seed, cfg.hbar)
     phi = sc.pair.delta.value(q, p)
     direct = np.array([np.exp(-1j * t / cfg.hbar * phi).mean() for t in cfg.times])
-    assert np.max(np.abs(series.values - direct)) <= 1e-13
+    assert np.max(np.abs(series.values - direct)) <= bound
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loschmidt.dynamics import trajectory
 from loschmidt.estimators import EstimatorConfig, f1_dr
-from loschmidt.hamiltonians import expansion_remainder
-from loschmidt.presets import EXACT, SCENARIO_NAMES, load
+from loschmidt.hamiltonians import (
+    CoordFunction,
+    expansion_remainder,
+    hamiltonian_1d,
+    make_pair,
+    predicted_exactness,
+)
+from loschmidt.presets import APPROXIMATE, EXACT, SCENARIO_NAMES, load
 from loschmidt.qgrid import fidelity_exact
 from loschmidt.states import sample
 
@@ -81,6 +89,60 @@ def test_exactness_entries_consistent_with_remainder(name):
             # the closed-form chain whose extra precondition is structural
             if estimator != "f2_gaussian":
                 assert max(rems) > 1e-10, (estimator, name)
+
+
+def test_derived_exactness_matches_the_recorded_ladder():
+    # the exactness ladder of the presets, in the order f0, f1, f2_mc, f2_gaussian
+    E, A = EXACT, APPROXIMATE
+    recorded = {
+        "linear_gradient": (E, E, E, E),
+        "displaced_ho": (A, E, E, E),
+        "ho_diff_k": (A, A, E, E),
+        "cubic_perturbation": (A, A, E, A),
+        "kicked_rotor": (A, A, A, A),
+        "morse_like": (A, A, A, A),
+    }
+    assert set(recorded) == set(SCENARIO_NAMES)
+    for name, verdicts in recorded.items():
+        assert load(name).exactness == dict(zip(ESTIMATOR_ORDER, verdicts)), name
+
+
+_NONZERO = st.one_of(st.floats(0.1, 2.0), st.floats(-2.0, -0.1))
+_COEFF = st.one_of(st.just(0.0), _NONZERO)
+
+
+@st.composite
+def _hamiltonians(draw, cosine):
+    """1-D Hamiltonian whose potential has degree 0-4 and whose kinetic term
+    has at most that degree; with ``cosine`` either may carry a cosine."""
+    degree = draw(st.integers(0, 4))
+    pot = draw(st.lists(_COEFF, min_size=degree, max_size=degree)) + [draw(_NONZERO)]
+    kin = draw(st.lists(_COEFF, min_size=1, max_size=degree + 1))
+    kin_cos, pot_cos = draw(st.tuples(_COEFF, _COEFF)) if cosine else (0.0, 0.0)
+    return hamiltonian_1d(CoordFunction(tuple(kin), kin_cos), CoordFunction(tuple(pot), pot_cos))
+
+
+@st.composite
+def _pairs(draw):
+    """1-D pair from an average and a delta-H drawn directly."""
+    cosine = draw(st.booleans())
+    average, delta = draw(_hamiltonians(cosine)), draw(_hamiltonians(cosine))
+    return make_pair(average - delta * 0.5, average + delta * 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_pairs())
+def test_predicted_exactness_agrees_with_remainder_on_random_pairs(pair):
+    rng = np.random.default_rng(8)
+    x = (rng.normal(size=(16, 1)), rng.normal(size=(16, 1)))
+    dx = (rng.normal(scale=0.5, size=(16, 1)), rng.normal(scale=0.5, size=(16, 1)))
+    for estimator, verdict in predicted_exactness(pair).items():
+        rem = np.max(np.abs(expansion_remainder(pair, x, dx, ESTIMATOR_ORDER[estimator])))
+        if verdict == EXACT:
+            assert rem < 1e-12, estimator
+        elif estimator != "f2_gaussian":
+            # the closed-form chain's extra precondition is structural
+            assert rem > 1e-10, estimator
 
 
 @pytest.mark.parametrize("name", ["cubic_perturbation", "morse_like"])
