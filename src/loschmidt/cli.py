@@ -12,7 +12,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +45,18 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Parsed configuration of one batch run."""
+    """Parsed configuration of one batch run.
+
+    ``system`` is the preset or inline scenario with the run's step, grid
+    hints and label (as its name) applied.
+    """
 
     estimators: list
+    system: Scenario
     estimator_config: EstimatorConfig
-    scenario: str | None = None
-    pair: object = None
-    state: object = None
     reference: str = "average"
     output_format: str = "csv"
     spectrum_damping_time: float | None = None
-    grid_points: int = 4096
-    grid_extent: tuple | None = None
-    periodic: bool = False
-    label: str = "run"
     raw: dict = field(default_factory=dict)
 
 
@@ -74,7 +72,6 @@ _INLINE_TERM_KEYS = (
 
 # defaults of the EstimatorConfig fields that neither it nor a Scenario sets
 _ESTIMATOR_DEFAULTS = {"n_traj": 10000, "seed": 7}
-_ESTIMATOR_FIELDS = {f.name for f in fields(EstimatorConfig)}
 
 
 def _floats(value: str, key: str) -> list:
@@ -103,25 +100,16 @@ def _flag(value: str) -> bool:
         raise ValueError(f"expected true/false, yes/no or 1/0, got {value!r}") from None
 
 
-# scalar settings: key -> parser; keys naming an EstimatorConfig field go
-# there, the rest are RunConfig fields
-_SETTINGS = {
-    "tau": float,
-    "n_steps": int,
-    "hbar": float,
-    "n_traj": int,
-    "seed": int,
-    "reference": str,
-    "degenerate_a_threshold": float,
-    "output_format": str,
-    "spectrum_damping_time": float,
-    "grid_points": int,
-    "grid_extent": _extent,
-    "periodic": _flag,
-    "label": str,
+# scalar settings, key -> parser, by where they go: the run's Scenario
+# (``label`` becomes its name), its EstimatorConfig, the RunConfig itself
+_SYSTEM_SETTINGS = {
+    "tau": float, "n_steps": int, "hbar": float, "grid_points": int,
+    "grid_extent": _extent, "periodic": _flag, "label": str,
 }
+_ESTIMATOR_SETTINGS = {"n_traj": int, "seed": int, "degenerate_a_threshold": float}
+_RUN_SETTINGS = {"reference": str, "output_format": str, "spectrum_damping_time": float}
 
-_KNOWN_KEYS = set(_SETTINGS) | {
+_KNOWN_KEYS = {*_SYSTEM_SETTINGS, *_ESTIMATOR_SETTINGS, *_RUN_SETTINGS} | {
     "scenario",
     "estimators",
     "state_q",
@@ -171,12 +159,14 @@ def _inline_system(entries: dict) -> Scenario:
         (_term(entries, "potential_double_prime"),),
     )
     qs = _floats(entries.get("state_q", "0"), "state_q")
-    ps = _floats(entries.get("state_p", "0"), "state_p")
-    sigmas = _floats(entries.get("state_sigma", "1"), "state_sigma")
-    if "state_weights" in entries:
-        weights = _floats(entries["state_weights"], "state_weights")
-    else:
-        weights = [1.0 / len(qs)] * len(qs)
+    if not qs:
+        raise ConfigError("state_q: needs at least one centre")
+    # a missing key gives each of the K = len(qs) components its default
+    defaults = (("state_p", 0.0), ("state_sigma", 1.0), ("state_weights", 1.0 / len(qs)))
+    ps, sigmas, weights = (
+        _floats(entries[key], key) if key in entries else [value] * len(qs)
+        for key, value in defaults
+    )
     if not len(qs) == len(ps) == len(sigmas) == len(weights):
         raise ConfigError("state_q, state_p, state_sigma, state_weights lengths differ")
     try:
@@ -189,6 +179,20 @@ def _inline_system(entries: dict) -> Scenario:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return Scenario("inline", pair, state)
+
+
+def _parse_settings(entries: dict, parsers: dict) -> dict:
+    """Parse the ``entries`` that ``parsers`` names, naming the key of a bad value."""
+    settings = {}
+    for key, parse in parsers.items():
+        if key in entries:
+            try:
+                settings[key] = parse(entries[key])
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+    return settings
 
 
 def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
@@ -215,37 +219,28 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
         if not any(key in entries for key in _INLINE_TERM_KEYS):
             raise ConfigError("config needs either a scenario or an inline system")
         sc = _inline_system(entries)
-    settings = {
-        "scenario": scenario_name, "label": sc.name, "tau": sc.tau,
-        "n_steps": sc.n_steps, "hbar": sc.hbar, "grid_points": sc.grid_points,
-        "grid_extent": sc.grid_extent, "periodic": sc.periodic,
-    }
 
-    for key, parse in _SETTINGS.items():
-        if key in entries:
-            try:
-                settings[key] = parse(entries[key])
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-    est_settings = {k: settings.pop(k) for k in list(settings) if k in _ESTIMATOR_FIELDS}
+    system_settings, est_settings, run_settings = (
+        _parse_settings(entries, parsers)
+        for parsers in (_SYSTEM_SETTINGS, _ESTIMATOR_SETTINGS, _RUN_SETTINGS)
+    )
+    system = replace(sc, name=system_settings.pop("label", sc.name), **system_settings)
     try:
-        est_cfg = EstimatorConfig(**{**_ESTIMATOR_DEFAULTS, **est_settings})
+        est_cfg = EstimatorConfig(
+            tau=system.tau, n_steps=system.n_steps, hbar=system.hbar,
+            **{**_ESTIMATOR_DEFAULTS, **est_settings},
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(
-        estimators=estimators, estimator_config=est_cfg, pair=sc.pair, state=sc.state,
-        raw=dict(entries), **settings,
-    )
+    cfg = RunConfig(estimators, system, est_cfg, raw=dict(entries), **run_settings)
 
     if cfg.output_format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.output_format!r}")
     if cfg.reference not in ("average", "h_prime"):
         raise ConfigError(f"unknown reference {cfg.reference!r}")
-    if not _is_power_of_two(cfg.grid_points):
-        raise ConfigError(f"grid_points: expected a power of two, got {cfg.grid_points}")
-    if cfg.periodic and cfg.grid_extent is None:
+    if not _is_power_of_two(system.grid_points):
+        raise ConfigError(f"grid_points: expected a power of two, got {system.grid_points}")
+    if system.periodic and system.grid_extent is None:
         raise ConfigError("periodic: needs grid_extent, which sets the period")
     if cfg.spectrum_damping_time is not None:
         if not cfg.spectrum_damping_time > 0.0:
@@ -260,17 +255,13 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
 
 
 def _exact(cfg: RunConfig) -> FidelitySeries:
-    est = cfg.estimator_config
+    sc = cfg.system
     grid = None
-    if cfg.grid_extent is not None:
-        grid = Grid(
-            (cfg.grid_extent,) * cfg.state.dims,
-            (cfg.grid_points,) * cfg.state.dims,
-            periodic=cfg.periodic,
-        )
+    if sc.grid_extent is not None:
+        dims = sc.state.dims
+        grid = Grid((sc.grid_extent,) * dims, (sc.grid_points,) * dims, periodic=sc.periodic)
     return fidelity_exact(
-        cfg.state, cfg.pair, est.n_steps, est.tau, hbar=est.hbar,
-        grid=grid, points=cfg.grid_points,
+        sc.state, sc.pair, sc.n_steps, sc.tau, hbar=sc.hbar, grid=grid, points=sc.grid_points
     )
 
 
@@ -279,12 +270,14 @@ def _exact(cfg: RunConfig) -> FidelitySeries:
 # test double) is seen.
 ESTIMATORS = {
     "exact": _exact,
-    "f0": lambda cfg: f0(cfg.state, cfg.pair, cfg.estimator_config),
+    "f0": lambda cfg: f0(cfg.system.state, cfg.system.pair, cfg.estimator_config),
     "f1": lambda cfg: f1_dr(
-        cfg.state, cfg.pair, cfg.estimator_config, reference=cfg.reference
+        cfg.system.state, cfg.system.pair, cfg.estimator_config, reference=cfg.reference
     ),
-    "f2_mc": lambda cfg: f2_mc(cfg.state, cfg.pair, cfg.estimator_config),
-    "f2_gaussian": lambda cfg: f2_gaussian_chain(cfg.state, cfg.pair, cfg.estimator_config),
+    "f2_mc": lambda cfg: f2_mc(cfg.system.state, cfg.system.pair, cfg.estimator_config),
+    "f2_gaussian": lambda cfg: f2_gaussian_chain(
+        cfg.system.state, cfg.system.pair, cfg.estimator_config
+    ),
 }
 
 
@@ -293,10 +286,10 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
 
     Independent estimators may run on a thread pool; each one is computed by
     single-threaded deterministic reductions, so results do not depend on
-    ``threads``.  Returns the mapping estimator name -> FidelitySeries.
+    ``threads``.  ``out_dir`` is created only once every estimator has
+    returned, so a run that aborts leaves no directory behind.  Returns the
+    mapping estimator name -> FidelitySeries.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = list(cfg.estimators)
 
     def timed(name):
@@ -313,6 +306,8 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
     timings = {name: seconds for name, (_, seconds) in zip(names, outcomes)}
 
     start = time.perf_counter()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     suffix = cfg.output_format
     for name, series in results.items():
         write_series(series, out_dir / f"{name}.{suffix}")
@@ -341,8 +336,8 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "config": cfg.raw,
-        "label": cfg.label,
-        "scenario": cfg.scenario,
+        "label": cfg.system.name,
+        "scenario": cfg.raw.get("scenario"),
         "estimators": names,
         **cfg.estimator_config.run_meta,
         "reference": cfg.reference,

@@ -57,9 +57,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.qs.shape[0]
 
-    def point(self, n: int):
-        return self.qs[n], self.ps[n]
-
 
 def trajectory(
     x0, h: SeparableHamiltonian, n_steps: int, tau: float

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,9 +86,9 @@ def test_build_validates_estimator_settings(key, value):
 def test_inline_system_round_trip():
     entries = parse_config_text(INLINE_CFG)
     cfg = build_run_config(entries)
-    assert cfg.label == "gradient_inline"
-    assert cfg.pair.delta.potential[0].coeffs == (0.0, 1.0)
-    assert cfg.state.dims == 1
+    assert cfg.system.name == "gradient_inline"
+    assert cfg.system.pair.delta.potential[0].coeffs == (0.0, 1.0)
+    assert cfg.system.state.dims == 1
 
 
 def test_inline_mixture_defaults_to_equal_weights():
@@ -96,7 +98,34 @@ def test_inline_mixture_defaults_to_equal_weights():
         .replace("state_sigma = 1", "state_sigma = 1 1 1")
     )
     cfg = build_run_config(parse_config_text(text))
-    assert [c.weight for c in cfg.state.components] == [1.0 / 3.0] * 3
+    assert [c.weight for c in cfg.system.state.components] == [1.0 / 3.0] * 3
+
+
+def test_inline_state_q_alone_sets_every_component(tmp_path, capsys):
+    # state_q = -1 1 alone is an equal mixture of two unit-width packets at rest
+    text = (
+        INLINE_CFG.replace("state_q = 0", "state_q = -1 1")
+        .replace("state_p = 0\n", "")
+        .replace("state_sigma = 1\n", "")
+    )
+    cfg = build_run_config(parse_config_text(text))
+    comps = cfg.system.state.components
+    assert [(c.center_q[0], c.center_p[0], c.sigma[0], c.weight) for c in comps] == [
+        (-1.0, 0.0, 1.0, 0.5), (1.0, 0.0, 1.0, 0.5),
+    ]
+    explicit = text + "state_p = 0 0\nstate_sigma = 1 1\nstate_weights = 0.5 0.5\n"
+    for name, config in (("short", text), ("explicit", explicit)):
+        cfg_path = write_cfg(tmp_path, config, name=f"{name}.cfg")
+        assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / name)]) == 0
+    assert (tmp_path / "short" / "f0.csv").read_bytes() == (
+        tmp_path / "explicit" / "f0.csv"
+    ).read_bytes()
+
+
+def test_inline_state_q_needs_a_centre():
+    text = INLINE_CFG.replace("state_q = 0", "state_q =")
+    with pytest.raises(ConfigError, match="state_q"):
+        build_run_config(parse_config_text(text))
 
 
 def test_inline_system_validates_invariants():
@@ -249,7 +278,7 @@ def test_periodic_key_sets_a_periodic_grid(tmp_path, value):
     run(cfg, tmp_path / "out")
     written = read_series(tmp_path / "out" / "exact.csv")
     grid = Grid(((0.0, 2.0 * np.pi),), (1024,), periodic=True)
-    expected = fidelity_exact(cfg.state, cfg.pair, 50, 1.0, grid=grid)
+    expected = fidelity_exact(cfg.system.state, cfg.system.pair, 50, 1.0, grid=grid)
     assert written.values.view(np.uint64).tobytes() == expected.values.view(np.uint64).tobytes()
 
 
@@ -333,7 +362,8 @@ tau = 0.5
 
 
 def test_main_non_finite_series_exit_three(tmp_path, capsys, monkeypatch):
-    # an estimator whose values turn NaN aborts the run before any series is written
+    # an estimator whose values turn NaN aborts the run before its output
+    # directory is created
     def nan_f0(state, pair, config):
         values = np.ones(len(config.times), dtype=complex)
         values[-1] = np.nan
@@ -345,7 +375,18 @@ def test_main_non_finite_series_exit_three(tmp_path, capsys, monkeypatch):
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numerical abort" in err and "estimator f0" in err and "step 30" in err
-    assert not list(out_dir.iterdir())
+    assert not out_dir.exists()
+
+
+def test_main_refused_estimator_creates_no_output_directory(tmp_path, capsys):
+    # exact returns, then the chain refuses the cosine kick: nothing is written
+    cfg_path = write_cfg(
+        tmp_path, "scenario = kicked_rotor\nestimators = exact, f2_gaussian\n"
+    )
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_CONFIG
+    assert "invalid config" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_run_metadata_records_stage_timings(tmp_path):
@@ -401,3 +442,15 @@ def test_comparison_reports_dephasing_band(tmp_path):
     summary = json.loads((tmp_path / "out" / "comparison_max.json").read_text())
     band = 3 * results["f1"].stderr + 1e-6
     assert summary["f1"] <= band.max()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_examples_build():
+    # every ```ini block of the README is a config that builds as written
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    configs = [build_run_config(parse_config_text(text)) for text in blocks]
+    assert [(cfg.system.name, cfg.estimators) for cfg in configs] == [
+        ("displaced_ho", ["exact", "f1"]), ("inline", ["exact", "f1"]),
+    ]
