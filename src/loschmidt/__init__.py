@@ -15,11 +15,10 @@ from .hamiltonians import (
     harmonic_potential,
     make_pair,
     polynomial_term,
-    product_hamiltonian,
     quadratic_kinetic,
 )
 from .states import GaussianComponent, InitialState, sample, wigner_density
-from .dynamics import Trajectory, TrajectoryEscapeError, map_step, trajectory
+from .dynamics import TrajectoryEscapeError, map_step
 from .series import FidelitySeries, NonFiniteSeriesError
 from .estimators import (
     EstimatorConfig,
@@ -33,11 +32,8 @@ from .qgrid import (
     AliasingError,
     Grid,
     GridLeakError,
-    GridWavefunction,
     fidelity_exact,
-    gaussian_wavefunction,
     grid_for_state,
-    kick_step,
 )
 from .spectra import Spectrum, spectrum
 from .presets import SCENARIO_NAMES, Scenario, displaced_ho_pair, load
@@ -52,7 +48,6 @@ __all__ = [
     "GaussianComponent",
     "Grid",
     "GridLeakError",
-    "GridWavefunction",
     "HamiltonianPair",
     "InitialState",
     "NonFiniteSeriesError",
@@ -61,7 +56,6 @@ __all__ = [
     "SeparableHamiltonian",
     "SingularExponentError",
     "Spectrum",
-    "Trajectory",
     "TrajectoryEscapeError",
     "cosine_potential",
     "displaced_ho_pair",
@@ -71,19 +65,15 @@ __all__ = [
     "f2_gaussian_chain",
     "f2_mc",
     "fidelity_exact",
-    "gaussian_wavefunction",
     "grid_for_state",
     "hamiltonian_1d",
     "harmonic_potential",
-    "kick_step",
     "load",
     "make_pair",
     "map_step",
     "polynomial_term",
-    "product_hamiltonian",
     "quadratic_kinetic",
     "sample",
     "spectrum",
-    "trajectory",
     "wigner_density",
 ]

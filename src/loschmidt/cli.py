@@ -63,11 +63,13 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # config parsing
 
-_INLINE_TERM_KEYS = (
-    "kinetic_prime",
-    "kinetic_double_prime",
-    "potential_prime",
-    "potential_double_prime",
+# the keys that define an inline system; a config names a scenario or these
+_TERM_KEYS = (
+    "kinetic_prime", "kinetic_double_prime", "potential_prime", "potential_double_prime"
+)
+_INLINE_KEYS = (
+    *_TERM_KEYS, *(key + "_cos" for key in _TERM_KEYS),
+    "state_q", "state_p", "state_sigma", "state_weights",
 )
 
 # defaults of the EstimatorConfig fields that neither it nor a Scenario sets
@@ -109,14 +111,10 @@ _SYSTEM_SETTINGS = {
 _ESTIMATOR_SETTINGS = {"n_traj": int, "seed": int, "degenerate_a_threshold": float}
 _RUN_SETTINGS = {"reference": str, "output_format": str, "spectrum_damping_time": float}
 
-_KNOWN_KEYS = {*_SYSTEM_SETTINGS, *_ESTIMATOR_SETTINGS, *_RUN_SETTINGS} | {
-    "scenario",
-    "estimators",
-    "state_q",
-    "state_p",
-    "state_sigma",
-    "state_weights",
-} | set(_INLINE_TERM_KEYS) | {key + "_cos" for key in _INLINE_TERM_KEYS}
+_KNOWN_KEYS = {
+    *_SYSTEM_SETTINGS, *_ESTIMATOR_SETTINGS, *_RUN_SETTINGS, *_INLINE_KEYS,
+    "scenario", "estimators",
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -209,16 +207,24 @@ def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(
                 f"unknown estimator {name!r}; known: {', '.join(ESTIMATORS)}"
             )
+        if estimators.count(name) > 1:
+            raise ConfigError(f"duplicate estimator {name!r}")
 
     scenario_name = entries.get("scenario")
+    inline_keys = [key for key in _INLINE_KEYS if key in entries]
     if scenario_name is not None:
         if scenario_name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {scenario_name!r}")
+        if inline_keys:
+            raise ConfigError(
+                f"scenario {scenario_name!r} takes no inline system keys; "
+                f"got {', '.join(inline_keys)}"
+            )
         sc = load(scenario_name)
-    else:
-        if not any(key in entries for key in _INLINE_TERM_KEYS):
-            raise ConfigError("config needs either a scenario or an inline system")
+    elif inline_keys:
         sc = _inline_system(entries)
+    else:
+        raise ConfigError("config needs either a scenario or an inline system")
 
     system_settings, est_settings, run_settings = (
         _parse_settings(entries, parsers)

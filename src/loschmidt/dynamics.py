@@ -7,8 +7,6 @@ stay step-for-step comparable; no symmetric variant is offered.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hamiltonians import SeparableHamiltonian
@@ -43,33 +41,3 @@ def check_escape(q, p) -> None:
             f"trajectory escaped: |x| exceeded {ESCAPE_LIMIT:g} "
             "(unbounded potential or too large a step)"
         )
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Kick-map orbit x_0 .. x_N with the step and generating Hamiltonian."""
-
-    qs: np.ndarray  # (n_steps + 1, dims)
-    ps: np.ndarray
-    tau: float
-    hamiltonian: SeparableHamiltonian
-
-    def __len__(self) -> int:
-        return self.qs.shape[0]
-
-
-def trajectory(
-    x0, h: SeparableHamiltonian, n_steps: int, tau: float
-) -> Trajectory:
-    """Iterate the map from ``x0 = (q0, p0)`` for ``n_steps`` steps."""
-    q0, p0 = x0
-    q = h._coords(q0).astype(float)
-    p = h._coords(p0).astype(float)
-    qs = np.empty((n_steps + 1, h.dims))
-    ps = np.empty((n_steps + 1, h.dims))
-    qs[0], ps[0] = q, p
-    for n in range(1, n_steps + 1):
-        q, p = map_step(q, p, h, tau)
-        check_escape(q, p)
-        qs[n], ps[n] = q, p
-    return Trajectory(qs, ps, tau, h)

@@ -239,13 +239,6 @@ def hamiltonian_1d(kinetic: CoordFunction, potential: CoordFunction) -> Separabl
     return SeparableHamiltonian((kinetic,), (potential,))
 
 
-def product_hamiltonian(h: SeparableHamiltonian, dims: int) -> SeparableHamiltonian:
-    """Replicate a one-dimensional Hamiltonian over ``dims`` uncoupled coordinates."""
-    if h.dims != 1:
-        raise ValueError("product_hamiltonian expects a one-dimensional Hamiltonian")
-    return SeparableHamiltonian(h.kinetic * dims, h.potential * dims)
-
-
 @dataclass(frozen=True)
 class HamiltonianPair:
     """Unperturbed/perturbed pair with derived average and difference.

@@ -6,10 +6,10 @@ the discrete periodic grid; there is no additional splitting error.  Grids
 are uniform with power-of-two point counts in one or two dimensions.  Every
 Hamiltonian is separable and every Gaussian component a product over
 coordinates, so the step is a product of commuting one-axis steps, which
-``kick_step`` applies along each axis of a full array and ``fidelity_exact``
-applies to 1-D wavefunctions per axis.  Probability near the position edges
-or the Nyquist edge of the momentum grid aborts the run rather than silently
-aliasing; the check reads only those bands.
+``fidelity_exact`` applies to stacks of 1-D wavefunctions, one stack per
+axis.  Probability near the position edges or the Nyquist edge of the
+momentum grid aborts the run rather than silently aliasing; the check reads
+only those bands.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .hamiltonians import SeparableHamiltonian, HamiltonianPair
+from .hamiltonians import HamiltonianPair
 from .series import FidelitySeries
 from .states import GaussianComponent, InitialState
 
@@ -76,10 +76,6 @@ class Grid:
     def wavenumbers(self, d: int) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.points[d], d=self.spacing(d))
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod([self.spacing(d) for d in range(self.dims)]))
-
 
 def grid_for_state(
     state: InitialState,
@@ -96,33 +92,6 @@ def grid_for_state(
     return Grid(tuple(extents), (points,) * dims)
 
 
-@dataclass(frozen=True)
-class GridWavefunction:
-    """Complex amplitudes on a grid, normalised at construction."""
-
-    values: np.ndarray
-    grid: Grid
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.points:
-            raise ValueError("value array does not match the grid")
-        object.__setattr__(self, "values", values)
-
-    def norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume)
-        )
-
-    def overlap(self, other: "GridWavefunction") -> complex:
-        if other.grid != self.grid:
-            raise ValueError("overlap requires a shared grid")
-        return complex(
-            np.sum(np.conj(self.values) * other.values) * self.grid.cell_volume
-        )
-
-
 def _gaussian_factor(
     comp: GaussianComponent, grid: Grid, d: int, hbar: float
 ) -> np.ndarray:
@@ -135,52 +104,21 @@ def _gaussian_factor(
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.spacing(d))
 
 
-def gaussian_wavefunction(
-    comp: GaussianComponent, grid: Grid, hbar: float = 1.0
-) -> GridWavefunction:
-    """Gaussian wavepacket on the grid: the outer product of its per-axis
-    factors, each with discrete norm one, so the product has norm one."""
-    if comp.dims != grid.dims:
-        raise ValueError("component and grid dimensions differ")
-    factors = [_gaussian_factor(comp, grid, d, hbar) for d in range(grid.dims)]
-    return GridWavefunction(reduce(np.multiply.outer, factors), grid, hbar)
-
-
 def _axis_factors(hs, grid: Grid, tau: float, hbar: float, d: int):
     """exp(-i tau T_d / hbar) on the momenta and exp(-i tau V_d / hbar) on
-    the positions of axis d, one row per Hamiltonian in ``hs``."""
+    the positions of axis d, one row per Hamiltonian in ``hs``, shaped to
+    broadcast over the components of a (branch, component, point) stack."""
     t = np.array([h.kinetic[d].value(hbar * grid.wavenumbers(d)) for h in hs])
     v = np.array([h.potential[d].value(grid.axis(d)) for h in hs])
-    return np.exp(-1j * tau * t / hbar), np.exp(-1j * tau * v / hbar)
+    return np.exp(-1j * tau * t / hbar)[:, None], np.exp(-1j * tau * v / hbar)[:, None]
 
 
-def _axis_step(values, exp_t, exp_v, axis):
-    """One kicked step along ``axis``: returns the momentum amplitudes before
-    the kinetic factor (orthonormal FFT) and the stepped values."""
-    phat = np.fft.fft(values, axis=axis, norm="ortho")
-    return phat, exp_v * np.fft.ifft(exp_t * phat, axis=axis, norm="ortho")
-
-
-def kick_step(
-    psi: GridWavefunction, h: SeparableHamiltonian, tau: float
-) -> GridWavefunction:
-    """One kicked-map step exp(-i tau V/hbar) F^-1 exp(-i tau T/hbar) F psi.
-
-    For separable H this is the product of the one-axis steps, applied along
-    each axis in turn.  tau = 0 returns the input amplitudes unchanged (exact
-    identity, no transform round-trip noise).
-    """
-    grid = psi.grid
-    if h.dims != grid.dims:
-        raise ValueError("Hamiltonian and grid dimensions differ")
-    if tau == 0.0:
-        return GridWavefunction(psi.values.copy(), grid, psi.hbar)
-    values = psi.values
-    for d in range(grid.dims):
-        shape = (-1,) + (1,) * (grid.dims - 1 - d)  # broadcast along axis d
-        exp_t, exp_v = (f.reshape(shape) for f in _axis_factors((h,), grid, tau, psi.hbar, d))
-        values = _axis_step(values, exp_t, exp_v, d)[1]
-    return GridWavefunction(values, grid, psi.hbar)
+def _axis_step(stack, exp_t, exp_v):
+    """One kicked step of a stack along its last axis: returns the momentum
+    amplitudes before the kinetic factor (orthonormal FFT) and the stepped
+    stack."""
+    phat = np.fft.fft(stack, norm="ortho")
+    return phat, exp_v * np.fft.ifft(exp_t * phat, norm="ortho")
 
 
 def _band_mass(values: np.ndarray, band: slice) -> np.ndarray:
@@ -253,12 +191,12 @@ def fidelity_exact(
     for d in range(grid.dims):
         psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
         stacks.append(np.stack([psi0, psi0]))
-        factors.append([f[:, None] for f in _axis_factors(hs, grid, tau, hbar, d)])
+        factors.append(_axis_factors(hs, grid, tau, hbar, d))
 
     values = np.empty(n_steps + 1, dtype=complex)
     values[0] = 1.0
     for n in range(1, n_steps + 1):
-        steps = [_axis_step(s, *f, axis=-1) for s, f in zip(stacks, factors)]
+        steps = [_axis_step(s, *f) for s, f in zip(stacks, factors)]
         stacks = [psi for _, psi in steps]
         if check_leaks:
             _check_leaks(grid, dx, [phat for phat, _ in steps], stacks)

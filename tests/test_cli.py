@@ -75,6 +75,35 @@ def test_build_requires_estimators_and_system():
         build_run_config({"scenario": "nope", "estimators": "f1"})
 
 
+@pytest.mark.parametrize(
+    "extra, keys",
+    [
+        ("potential_prime = 0 0 9\nstate_q = 5\n", "potential_prime, state_q"),
+        ("kinetic_double_prime_cos = 1\n", "kinetic_double_prime_cos"),
+    ],
+    ids=["term_and_state", "cos_term"],
+)
+def test_main_rejects_scenario_with_inline_keys(tmp_path, capsys, extra, keys):
+    # a preset defines the whole system; an inline key beside it is not applied
+    cfg_path = write_cfg(tmp_path, DISPLACED_CFG + extra)
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"takes no inline system keys; got {keys}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cos_key_alone_defines_an_inline_system():
+    cfg = build_run_config({"estimators": "f0", "potential_prime_cos": "1"})
+    assert cfg.system.name == "inline"
+    assert cfg.system.pair.h_prime.potential[0].cos_amp == 1.0
+
+
+def test_main_rejects_repeated_estimator(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, DISPLACED_CFG.replace("exact, f1", "f1, exact, f1"))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "duplicate estimator 'f1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("degenerate_a_threshold", "-1")])
 def test_build_validates_estimator_settings(key, value):
     # rejected while parsing, before any estimator (exact included) has run
@@ -454,3 +483,15 @@ def test_readme_config_examples_build():
     assert [(cfg.system.name, cfg.estimators) for cfg in configs] == [
         ("displaced_ho", ["exact", "f1"]), ("inline", ["exact", "f1"]),
     ]
+
+
+def test_readme_python_examples_run(capsys):
+    # the ```python blocks of the README run in order in one namespace
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for text in blocks:
+        exec(compile(text, str(README), "exec"), namespace)
+    assert namespace["pair"].dims == namespace["state"].dims == 1
+    printed = [float(line) for line in capsys.readouterr().out.split()]
+    assert printed[0] < 1e-12  # the closed-form chain is exact on ho_diff_k

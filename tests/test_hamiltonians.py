@@ -13,7 +13,6 @@ from loschmidt.hamiltonians import (
     harmonic_potential,
     make_pair,
     polynomial_term,
-    product_hamiltonian,
     quadratic_kinetic,
     ZERO_TERM,
 )
@@ -131,7 +130,7 @@ def test_make_pair_different_force_constants():
 
 def test_make_pair_dimension_mismatch():
     h1 = hamiltonian_1d(quadratic_kinetic(), harmonic_potential())
-    h2 = product_hamiltonian(h1, 2)
+    h2 = SeparableHamiltonian(h1.kinetic * 2, h1.potential * 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         make_pair(h1, h2)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loschmidt.hamiltonians import (
     ZERO_TERM,
@@ -15,10 +17,9 @@ from loschmidt.qgrid import (
     AliasingError,
     Grid,
     GridLeakError,
+    _gaussian_factor,
     fidelity_exact,
-    gaussian_wavefunction,
     grid_for_state,
-    kick_step,
 )
 from loschmidt.states import GaussianComponent, InitialState
 
@@ -47,10 +48,15 @@ FREE = hamiltonian_1d(quadratic_kinetic(1.0), ZERO_TERM)
 HARMONIC = hamiltonian_1d(quadratic_kinetic(1.0), harmonic_potential(1.0))
 
 
-def ground_state(grid=None, center=0.0):
-    state = InitialState.gaussian([center], [0.0], [1.0])
-    g = grid or grid_for_state(state)
-    return gaussian_wavefunction(state.components[0], g)
+# the identity step: f of the pair (ZERO, h) is the autocorrelation
+# <psi0|psi(t)> under h, and f of the pair (h, h) the squared norm of the
+# state stepped by h
+ZERO = hamiltonian_1d(ZERO_TERM, ZERO_TERM)
+GROUND = InitialState.gaussian([0.0], [0.0], [1.0])
+
+
+def squared_norms(state, h, n_steps, tau, **kw):
+    return fidelity_exact(state, make_pair(h, h), n_steps, tau, **kw).values
 
 
 # ---------------------------------------------------------------------------
@@ -74,57 +80,80 @@ def test_grid_for_state_covers_eight_sigma():
 
 
 def test_wavefunction_normalised_on_construction():
-    psi = ground_state()
-    assert psi.norm() == pytest.approx(1.0, abs=1e-10)
+    # every axis factor of the initial product state has discrete norm one,
+    # which the overlaps and the leak checks rely on
+    comp = GaussianComponent([0.3, -1.0], [0.5, 0.0], [1.0, 0.7])
+    grid = grid_for_state(InitialState((comp,)), points=512)
+    for d in range(2):
+        psi = _gaussian_factor(comp, grid, d, 1.0)
+        assert np.sum(np.abs(psi) ** 2) * grid.spacing(d) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# kick_step
+# unitarity and the single-branch dynamics
 
 
-def test_kick_step_free_spreading_preserves_norm():
-    psi = ground_state()
-    for _ in range(50):
-        psi = kick_step(psi, FREE, 0.1)
-    assert abs(psi.norm() - 1.0) < 1e-12
-    # packet has spread: peak density below the initial one
-    assert np.max(np.abs(psi.values)) < 0.9 * (np.pi) ** -0.25
-
-
-def test_kick_step_zero_tau_is_identity():
-    psi = ground_state()
-    out = kick_step(psi, HARMONIC, 0.0)
-    assert np.array_equal(out.values, psi.values)
-
-
-def test_kick_step_dimension_mismatch():
-    psi = ground_state()
-    h2 = make_pair(displaced_ho_pair(dims=2).h_prime, displaced_ho_pair(dims=2).h_prime)
-    with pytest.raises(ValueError, match="dimensions"):
-        kick_step(psi, h2.h_prime, 0.1)
+def test_free_spreading_preserves_norm():
+    # the default +-8 sigma grid is too narrow: before t = 5 the spreading
+    # packet puts more than the leak tolerance into the edge bands
+    grid = Grid(((-40.0, 40.0),), (4096,))
+    assert np.max(np.abs(squared_norms(GROUND, FREE, 50, 0.1, grid=grid) - 1.0)) < 1e-12
+    # the packet spreads as the free Gaussian, whose autocorrelation is
+    # (1 + i t / 2)^(-1/2) at unit width, mass and hbar
+    auto = fidelity_exact(GROUND, make_pair(ZERO, FREE), 50, 0.1, grid=grid)
+    free = (1.0 + 0.5j * auto.times) ** -0.5
+    np.testing.assert_allclose(auto.values, free, rtol=0, atol=1e-12)
 
 
 def test_harmonic_autocorrelation_returns_after_period():
     # |<psi0|psi(T)>| returns to 1; the deviation vanishes at least first
     # order in tau under halving (measured: second order, since the modulus
     # is stationary at the recurrence)
+    state = InitialState.gaussian([1.0], [0.0], [1.0])
     devs = []
     for tau in (0.05, 0.025):
-        psi0 = ground_state(center=1.0)
-        psi = psi0
         n = round(2 * np.pi / tau)
-        for _ in range(n):
-            psi = kick_step(psi, HARMONIC, tau)
-        devs.append(1.0 - abs(psi0.overlap(psi)))
+        auto = fidelity_exact(state, make_pair(ZERO, HARMONIC), n, tau)
+        devs.append(1.0 - abs(auto.values[-1]))
     assert devs[0] < 0.05 * 0.05  # well within O(tau)
     assert devs[0] / devs[1] > 1.7  # at least first order
 
 
 def test_norm_drift_thousand_steps():
-    psi = ground_state()
-    for _ in range(1000):
-        psi = kick_step(psi, HARMONIC, 0.05)
-    assert abs(psi.norm() - 1.0) < 1e-12
+    assert np.max(np.abs(squared_norms(GROUND, HARMONIC, 1000, 0.05) - 1.0)) < 1e-12
+
+
+@st.composite
+def separable_systems(draw):
+    """A harmonic separable Hamiltonian and a one- or two-component product
+    state in one or two dimensions, in the ranges of the chain property
+    tests."""
+    unit = st.floats(0.7, 1.4)
+    centre = st.floats(-1.0, 1.0)
+    dims = draw(st.integers(1, 2))
+    h = SeparableHamiltonian(
+        tuple(quadratic_kinetic(draw(unit)) for _ in range(dims)),
+        tuple(harmonic_potential(draw(unit), draw(centre)) for _ in range(dims)),
+    )
+    k = draw(st.integers(1, 2))
+    comps = tuple(
+        GaussianComponent(
+            [draw(centre) for _ in range(dims)],
+            [draw(centre) for _ in range(dims)],
+            [draw(st.floats(0.8, 1.25)) for _ in range(dims)],
+            1.0 / k,
+        )
+        for _ in range(k)
+    )
+    return h, InitialState(comps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(system=separable_systems())
+def test_identical_branches_keep_unit_fidelity_on_random_systems(system):
+    h, state = system
+    f = squared_norms(state, h, 100, 0.05, points=512, pad_sigmas=16.0)
+    assert np.max(np.abs(f - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +258,12 @@ def test_fidelity_rejects_dimension_mismatch():
         fidelity_exact(state, displaced_ho_pair(dims=2), 10, 0.05)
 
 
+def test_fidelity_rejects_grid_dimension_mismatch():
+    grid = Grid(((-8.0, 8.0),) * 2, (64, 64))
+    with pytest.raises(ValueError, match="grid dimensions"):
+        fidelity_exact(GROUND, displaced_ho_pair(), 10, 0.05, grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # the per-axis factorisation against full 2-D propagation
 
@@ -269,10 +304,11 @@ def full_grid_fidelity_2d(state, pair, n_steps, tau, grid, hbar=1.0):
     for c in state.components:
         dq = [q[d] - c.center_q[d] for d in (0, 1)]
         psi = np.exp(sum(-(dq[d] ** 2) / (2 * c.sigma[d] ** 2) + 1j * c.center_p[d] * dq[d] / hbar for d in (0, 1)))
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
+        cell = grid.spacing(0) * grid.spacing(1)
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * cell)
         branches = [psi, psi]
         for n in range(n_steps + 1):
-            values[n] += c.weight * np.sum(np.conj(branches[0]) * branches[1]) * grid.cell_volume
+            values[n] += c.weight * np.sum(np.conj(branches[0]) * branches[1]) * cell
             branches = [ev * np.fft.ifftn(et * np.fft.fftn(b)) for b, (et, ev) in zip(branches, props)]
     return values
 
@@ -282,14 +318,6 @@ def test_factorised_exact_matches_full_2d_propagation():
     reference = full_grid_fidelity_2d(MIXTURE_2D, PAIR_2D, 60, 0.05, GRID_2D)
     assert np.max(np.abs(series.values - reference)) < 1e-12
     assert abs(series.values[-1]) < 0.99  # the perturbation acts
-
-
-def test_kick_step_two_dimensional_matches_full_grid_step():
-    psi = gaussian_wavefunction(MIXTURE_2D.components[0], GRID_2D)
-    h = PAIR_2D.h_double_prime
-    exp_t, exp_v = full_grid_phases(h, GRID_2D, 0.05)
-    reference = exp_v * np.fft.ifftn(exp_t * np.fft.fftn(psi.values))
-    assert np.max(np.abs(kick_step(psi, h, 0.05).values - reference)) < 1e-14
 
 
 @pytest.mark.parametrize(
