@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -76,20 +77,26 @@ _INLINE_KEYS = (
 _ESTIMATOR_DEFAULTS = {"n_traj": 10000, "seed": 7}
 
 
+def _number(text: str) -> float:
+    """Parse any config number; nan and inf are refused before a run starts."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _floats(value: str, key: str) -> list:
     try:
-        return [float(tok) for tok in value.replace(",", " ").split()]
+        return [_number(tok) for tok in value.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected numbers, got {value!r}") from exc
+        raise ConfigError(f"{key}: expected finite numbers, got {value!r}") from exc
 
 
 def _extent(value: str) -> tuple:
     ext = _floats(value, "grid_extent")
-    if len(ext) != 2:
-        raise ValueError("needs two numbers")
-    if not ext[0] < ext[1]:
+    if len(ext) != 2 or not ext[0] < ext[1]:
         raise ValueError(f"expected an increasing pair, got {value!r}")
-    return (ext[0], ext[1])
+    return tuple(ext)
 
 
 _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -105,11 +112,11 @@ def _flag(value: str) -> bool:
 # scalar settings, key -> parser, by where they go: the run's Scenario
 # (``label`` becomes its name), its EstimatorConfig, the RunConfig itself
 _SYSTEM_SETTINGS = {
-    "tau": float, "n_steps": int, "hbar": float, "grid_points": int,
+    "tau": _number, "n_steps": int, "hbar": _number, "grid_points": int,
     "grid_extent": _extent, "periodic": _flag, "label": str,
 }
-_ESTIMATOR_SETTINGS = {"n_traj": int, "seed": int, "degenerate_a_threshold": float}
-_RUN_SETTINGS = {"reference": str, "output_format": str, "spectrum_damping_time": float}
+_ESTIMATOR_SETTINGS = {"n_traj": int, "seed": int}
+_RUN_SETTINGS = {"reference": str, "output_format": str, "spectrum_damping_time": _number}
 
 _KNOWN_KEYS = {
     *_SYSTEM_SETTINGS, *_ESTIMATOR_SETTINGS, *_RUN_SETTINGS, *_INLINE_KEYS,
@@ -138,7 +145,7 @@ def parse_config_text(text: str) -> dict:
 def _term(entries: dict, key: str) -> CoordFunction:
     coeffs = _floats(entries.get(key, "0"), key)
     try:
-        cos_amp = float(entries.get(key + "_cos") or 0.0)
+        cos_amp = _number(entries.get(key + "_cos") or "0")
     except ValueError as exc:
         raise ConfigError(f"{key}_cos: {exc}") from exc
     try:
@@ -193,11 +200,7 @@ def _parse_settings(entries: dict, parsers: dict) -> dict:
     return settings
 
 
-def build_run_config(entries: dict, overrides: dict | None = None) -> RunConfig:
-    entries = dict(entries)
-    if overrides:
-        entries.update({k: str(v) for k, v in overrides.items() if v is not None})
-
+def build_run_config(entries: dict) -> RunConfig:
     est_raw = entries.get("estimators", "")
     estimators = [tok for tok in est_raw.replace(",", " ").split() if tok]
     if not estimators:
@@ -370,8 +373,9 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         entries = parse_config_text(config_path.read_text())
-        overrides = {"seed": args.seed}
-        cfg = build_run_config(entries, overrides)
+        if args.seed is not None:
+            entries["seed"] = str(args.seed)
+        cfg = build_run_config(entries)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,12 +7,13 @@ the reference Hamiltonian), and ``f2_mc`` replaces the deterministic momentum
 update by a stochastic draw weighted with a smeared (complex Gaussian) delta
 function.  ``f1_dr`` and ``f2_mc`` share one orbit loop over
 ``dynamics.map_step`` and differ only in the kick: the classical momentum
-update (a delta function) at first order, the smeared draw at second order.
-``f2_gaussian_chain`` evaluates the same second-order object in
-closed form when the dynamics is quadratic and the perturbation is a
-quadratic potential: one forward pass carries a complex 2x2 Gaussian in
-(q, p) through the steps, so all N values cost O(N), and each Gaussian
-integral takes the principal-branch log of a pivot with positive real part.
+update (a delta function) at first order, the smeared draw at second order
+wherever the curvature of the perturbing potential is not an exact zero.
+``f2_gaussian_chain`` evaluates the same second-order object in closed form
+when the dynamics is quadratic and the perturbation is a quadratic
+potential: one forward pass carries a complex 2x2 Gaussian in (q, p)
+through the steps, so all N values cost O(N), and each Gaussian integral
+takes the principal-branch log of a pivot with positive real part.
 
 All Monte Carlo reductions run over fixed, index-ordered batches so results
 are reproducible bit-for-bit for a given seed regardless of how work is
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import check_escape, map_step
-from .hamiltonians import HamiltonianPair
+from .hamiltonians import EXACT, HamiltonianPair, predicted_exactness
 from .series import FidelitySeries
 from .states import InitialState, sample
 
@@ -64,7 +65,6 @@ class EstimatorConfig:
     tau: float
     n_steps: int
     hbar: float = 1.0
-    degenerate_a_threshold: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.n_traj < 1:
@@ -73,9 +73,9 @@ class EstimatorConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        for name in ("tau", "hbar", "degenerate_a_threshold"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("tau", "hbar"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def times(self) -> np.ndarray:
@@ -99,8 +99,6 @@ def _batch_starts(n: int, n_batches: int) -> np.ndarray:
 
 def _ordered_sum(x: np.ndarray, starts: np.ndarray):
     """Sum in fixed index order via per-batch partial sums."""
-    if len(starts) == 1:
-        return x.sum()
     return np.add.reduceat(x, starts).sum()
 
 
@@ -136,13 +134,8 @@ def _weighted_mean_stderr(w: np.ndarray, z: np.ndarray, starts: np.ndarray):
     per-batch partial sums (a batch bootstrap of the ratio), which tracks the
     skewed sampling distribution better than the per-batch spread alone.
     """
-    wz = w * z
-    if len(starts) > 1:
-        num = np.add.reduceat(wz, starts)
-        den = np.add.reduceat(w, starts)
-    else:
-        num = np.array([wz.sum()])
-        den = np.array([w.sum()])
+    num = np.add.reduceat(w * z, starts)
+    den = np.add.reduceat(w, starts)
     value = num.sum() / den.sum()
     b = len(starts)
     if b < 2:
@@ -175,9 +168,6 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
         **config.run_meta,
         "correlated_time_steps": True,
     }
-    if pair.delta.is_zero:
-        return FidelitySeries(times, np.ones_like(times, dtype=complex),
-                              np.zeros_like(times), meta)
     q, p = sample(state, config.n_traj, config.seed, config.hbar)
     phi = pair.delta.value(q, p)
     starts = _batch_starts(config.n_traj, DEFAULT_ERROR_BATCHES)
@@ -270,13 +260,13 @@ def _require_position_perturbation(state, pair):
 def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> FidelitySeries:
     """Second-order estimator with stochastic (smeared) momentum propagation.
 
-    Positions advance classically.  Whenever the local curvature of the
-    perturbing potential matters (|a_n| above the degeneracy threshold) the
-    momentum is drawn from a Gaussian proposal centred on the classical
-    update and the path weight picks up the ratio of the smeared delta
-    function to the proposal density; otherwise the momentum update is the
-    classical one with unit weight, which reproduces the dephasing
-    representation path by path.
+    Positions advance classically.  Wherever the local curvature of the
+    perturbing potential is nonzero (a_n != 0) the momentum is drawn from a
+    Gaussian proposal centred on the classical update and the path weight
+    picks up the ratio of the smeared delta function to the proposal density.
+    Where a_n is an exact zero the smeared delta function is the delta
+    function itself: the momentum update is the classical one with unit
+    weight, which reproduces the dephasing representation path by path.
 
     The proposal width is calibrated so the Fresnel phase b**2/(4a) sweeps
     at least 4*pi across +-2 sigma at a width factor of 2:
@@ -296,7 +286,7 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     def smeared_kick(q, p):
         nonlocal weight
         a = tau / (8.0 * hbar) * pair.delta.potential_d2(q)[..., 0]
-        smear = np.abs(a) >= config.degenerate_a_threshold
+        smear = a != 0.0
         if not np.any(smear):
             return p
         a_safe = np.where(smear, a, 1.0)
@@ -346,7 +336,6 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     meta = {
         "estimator": "f2_mc",
         **config.run_meta,
-        "degenerate_a_threshold": config.degenerate_a_threshold,
         "effective_sample_size": float(ess),
         "correlated_time_steps": True,
     }
@@ -357,11 +346,8 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
 # second order, closed form for quadratic chains
 
 
-def _quadratic_coeffs(term, what: str, max_degree: int = 2):
-    if term.cos_amp != 0.0 or term.degree > max_degree:
-        raise ValueError(f"{what} must be polynomial of degree <= {max_degree}")
-    c = term.coeffs + (0.0,) * (max_degree + 1 - len(term.coeffs))
-    return c[: max_degree + 1]
+def _quadratic_coeffs(term):
+    return (term.coeffs + (0.0, 0.0))[:3]
 
 
 def _substitute(a, b, c, m, s):
@@ -383,7 +369,7 @@ def _integrate_out(a, b, c, j, step, scale=None):
     if not ratio > _SINGULAR_RTOL:
         raise SingularExponentError(
             f"singular exponent matrix at step {step}: pivot ratio {ratio:.3e} "
-            f"<= {_SINGULAR_RTOL:g}; change tau or degenerate_a_threshold"
+            f"<= {_SINGULAR_RTOL:g}; change tau or the initial width"
         )
     keep = [i for i in range(len(b)) if i != j]
     col = a[keep, j]
@@ -398,14 +384,15 @@ def f2_gaussian_chain(
 ) -> FidelitySeries:
     """Closed-form second-order fidelity for quadratic chains.
 
-    Requires a single Gaussian initial state, quadratic kinetic and potential
-    parts of the average Hamiltonian and a quadratic perturbing potential.
+    Accepts a pair iff ``predicted_exactness`` calls ``f2_gaussian`` exact on
+    it, in one degree of freedom, with a single Gaussian initial state.
     The integrand is then a Markov chain in (q_k, p_k), and one forward pass
     carries the Gaussian g(q, p) = exp(-x^T A x / 2 + b . x + c) of the
     current phase-space point, with A complex symmetric 2x2.  Each step
     shears q by the drift, multiplies in the perturbation phase, reads f(n)
     as the integral of g (two 1-D Gaussian integrals), shears p by the
-    classical kick and, unless the chain is degenerate, convolves p with the
+    classical kick and, unless the curvature d2 of the perturbing potential is
+    an exact zero (``meta["degenerate_chain"]``), convolves p with the
     normalised Fresnel kernel of the smeared momentum update.  All N values
     cost O(N); each 1-D integral has a pivot with positive real part, whose
     principal-branch log gives the square-root branch.  The result is exact
@@ -415,16 +402,16 @@ def f2_gaussian_chain(
     _require_position_perturbation(state, pair)
     if len(state.components) != 1:
         raise ValueError("closed-form chain needs a single Gaussian component")
+    if predicted_exactness(pair)["f2_gaussian"] != EXACT:
+        raise ValueError("closed-form chain needs polynomial terms of degree <= 2")
     comp = state.components[0]
-    _, t1, t2 = _quadratic_coeffs(pair.average.kinetic[0], "kinetic part")
-    _, v1, v2 = _quadratic_coeffs(pair.average.potential[0], "average potential")
-    d0, d1, d2 = _quadratic_coeffs(pair.delta.potential[0], "perturbing potential")
-    # both branch potentials must individually be quadratic as well
-    _quadratic_coeffs(pair.h_prime.potential[0], "unperturbed potential")
+    _, t1, t2 = _quadratic_coeffs(pair.average.kinetic[0])
+    _, v1, v2 = _quadratic_coeffs(pair.average.potential[0])
+    d0, d1, d2 = _quadratic_coeffs(pair.delta.potential[0])
 
     tau, hbar = config.tau, config.hbar
     a_fresnel = tau * d2 / (4.0 * hbar)
-    degenerate = abs(a_fresnel) < config.degenerate_a_threshold
+    degenerate = d2 == 0.0
 
     # initial Wigner density exp(-(q-qbar)^2/sq^2 - (p-pbar)^2/sp^2) / (pi hbar)
     x0 = np.array([comp.center_q[0], comp.center_p[0]])

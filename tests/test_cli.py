@@ -11,6 +11,7 @@ from loschmidt.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_NUMERIC,
+    _KNOWN_KEYS,
     build_run_config,
     main,
     parse_config_text,
@@ -102,14 +103,6 @@ def test_main_rejects_repeated_estimator(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "duplicate estimator 'f1'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("key, value", [("degenerate_a_threshold", "-1")])
-def test_build_validates_estimator_settings(key, value):
-    # rejected while parsing, before any estimator (exact included) has run
-    entries = {"scenario": "cubic_perturbation", "estimators": "exact, f2_mc", key: value}
-    with pytest.raises(ConfigError, match=key):
-        build_run_config(entries)
 
 
 def test_inline_system_round_trip():
@@ -282,7 +275,30 @@ def test_main_bad_number_names_its_key(tmp_path, capsys, key):
     lines = [line for line in INLINE_CFG.splitlines() if not line.startswith(key + " ")]
     cfg_path = write_cfg(tmp_path, "\n".join(lines) + f"\n{key} = abc\n")
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
-    assert f"invalid config: {key}: expected numbers, got 'abc'" in capsys.readouterr().err
+    assert f"invalid config: {key}: expected finite numbers, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau", "nan"),
+        ("tau", "inf"),
+        ("hbar", "nan"),
+        ("state_sigma", "nan"),
+        ("potential_prime", "0 0 nan"),
+        ("potential_prime_cos", "nan"),
+        ("grid_extent", "-inf 8"),
+        ("spectrum_damping_time", "inf"),
+    ],
+)
+def test_main_rejects_non_finite_number_before_running(tmp_path, capsys, key, value):
+    lines = [line for line in INLINE_CFG.splitlines() if not line.startswith(key + " ")]
+    cfg_path = write_cfg(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"invalid config: {key}: expected " in err and "finite number" in err
+    assert not out_dir.exists()
 
 
 KICKED_ROTOR_INLINE_CFG = """
@@ -483,6 +499,17 @@ def test_readme_config_examples_build():
     assert [(cfg.system.name, cfg.estimators) for cfg in configs] == [
         ("displaced_ho", ["exact", "f1"]), ("inline", ["exact", "f1"]),
     ]
+
+
+def test_readme_documents_every_config_key():
+    # the *_cos forms are documented together by README's `*_cos` note
+    text = README.read_text()
+    assert "`*_cos`" in text
+    missing = [
+        key for key in _KNOWN_KEYS
+        if not key.endswith("_cos") and not re.search(rf"\b{key}\b", text)
+    ]
+    assert missing == []
 
 
 def test_readme_python_examples_run(capsys):

@@ -54,8 +54,10 @@ def gradient_pair(delta_beta=1.0):
 def test_estimator_config_validation():
     with pytest.raises(ValueError, match="n_traj"):
         config(n_traj=0)
-    with pytest.raises(ValueError, match="tau"):
-        config(tau=-0.1)
+    for name in ("tau", "hbar"):
+        for value in (-0.1, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                config(**{name: value})
     with pytest.raises(ValueError, match="seed"):
         config(seed=-1)
 
@@ -69,7 +71,7 @@ def test_series_shape_validation():
 # zeroth order
 
 
-def test_f0_zero_perturbation_short_circuits():
+def test_f0_zero_perturbation_is_one():
     series = f0(STD_GAUSSIAN, zero_pair(), config())
     assert np.all(series.values == 1.0 + 0.0j)
     assert np.all(series.stderr == 0.0)
@@ -183,18 +185,11 @@ def test_f1_stderr_scales_inverse_root_n():
 
 
 def test_f2_mc_reduces_to_f1_for_linear_perturbation():
-    # linear delta V: every step takes the degenerate branch, so paths,
-    # phases and reductions coincide with the dephasing representation.
-    # The same holds for a nonzero curvature a_n held below the threshold:
-    # both estimators then run one orbit loop with the classical kick.
-    cases = [
-        ("displaced_ho", 1e-10),
-        ("cubic_perturbation", 1e300),
-        ("morse_like", 1e300),
-    ]
-    for name, threshold in cases:
+    # linear delta V: a_n is an exact zero at every step, so paths, phases
+    # and reductions coincide with the dephasing representation
+    for name in ("displaced_ho", "linear_gradient"):
         sc = load(name)
-        cfg = config(n_traj=3000, tau=sc.tau, n_steps=100, degenerate_a_threshold=threshold)
+        cfg = config(n_traj=3000, tau=sc.tau, n_steps=100)
         dr = f1_dr(sc.state, sc.pair, cfg)
         mc = f2_mc(sc.state, sc.pair, cfg)
         assert np.array_equal(mc.values, dr.values), name
@@ -327,11 +322,30 @@ def test_chain_error_against_exact_stays_flat_in_n(name, n_steps, bound):
     assert 0.0 < series.meta["chain_min_pivot_ratio"] <= 1.0
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-11])
+def test_chain_near_degenerate_curvature_takes_the_fresnel_step(eps):
+    # displaced wells plus a tiny curvature difference: the Fresnel step is
+    # decided by d2 != 0 exactly, so a small d2 costs no accuracy
+    sc = load("displaced_ho")
+    pair = make_pair(
+        hamiltonian_1d(quadratic_kinetic(1.0), harmonic_potential(1.0, center=0.5)),
+        hamiltonian_1d(
+            quadratic_kinetic(1.0),
+            harmonic_potential(1.0, center=-0.5) + polynomial_term(0.0, 0.0, eps / 2),
+        ),
+    )
+    cfg = config(tau=sc.tau, n_steps=500)
+    exact = fidelity_exact(sc.state, pair, cfg.n_steps, sc.tau)
+    series = f2_gaussian_chain(sc.state, pair, cfg)
+    assert series.meta["degenerate_chain"] is False
+    assert np.max(np.abs(series.values - exact.values)) <= 5e-12
+
+
 def test_chain_singular_pivot_names_step_and_remedy():
     a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(
         SingularExponentError,
-        match=r"step 7: pivot ratio 0\.000e\+00 .*change tau or degenerate_a_threshold",
+        match=r"step 7: pivot ratio 0\.000e\+00 .*change tau or the initial width",
     ):
         _integrate_out(a, np.zeros(2, dtype=complex), 0.0, 1, 7)
 
