@@ -64,15 +64,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # config parsing
 
-# the keys that define an inline system; a config names a scenario or these
-_TERM_KEYS = (
-    "kinetic_prime", "kinetic_double_prime", "potential_prime", "potential_double_prime"
-)
-_INLINE_KEYS = (
-    *_TERM_KEYS, *(key + "_cos" for key in _TERM_KEYS),
-    "state_q", "state_p", "state_sigma", "state_weights",
-)
-
 # defaults of the EstimatorConfig fields that neither it nor a Scenario sets
 _ESTIMATOR_DEFAULTS = {"n_traj": 10000, "seed": 7}
 
@@ -85,43 +76,94 @@ def _number(text: str) -> float:
     return value
 
 
-def _floats(value: str, key: str) -> list:
+def _floats(text: str) -> list:
+    """One or more finite numbers, separated by spaces or commas."""
     try:
-        return [_number(tok) for tok in value.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected finite numbers, got {value!r}") from exc
+        values = [_number(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        values = []  # reported below, like a value with no numbers
+    if not values:
+        raise ValueError(f"expected finite numbers, got {text!r}")
+    return values
 
 
-def _extent(value: str) -> tuple:
-    ext = _floats(value, "grid_extent")
-    if len(ext) != 2 or not ext[0] < ext[1]:
-        raise ValueError(f"expected an increasing pair, got {value!r}")
-    return tuple(ext)
+def _checked(parse, ok, expected: str):
+    """``parse``, refusing a value for which ``ok`` is false."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"expected {expected}, got {text!r}")
+        return value
+    return parse_checked
+
+
+def _one_of(*options: str):
+    return _checked(str, options.__contains__, " or ".join(options))
 
 
 _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _flag(value: str) -> bool:
+def _flag(text: str) -> bool:
     try:
-        return _FLAGS[value.lower()]
+        return _FLAGS[text.lower()]
     except KeyError:
-        raise ValueError(f"expected true/false, yes/no or 1/0, got {value!r}") from None
+        raise ValueError(f"expected true/false, yes/no or 1/0, got {text!r}") from None
 
 
-# scalar settings, key -> parser, by where they go: the run's Scenario
-# (``label`` becomes its name), its EstimatorConfig, the RunConfig itself
-_SYSTEM_SETTINGS = {
-    "tau": _number, "n_steps": int, "hbar": _number, "grid_points": int,
-    "grid_extent": _extent, "periodic": _flag, "label": str,
+def _estimator_names(text: str) -> list:
+    names = text.replace(",", " ").split()
+    for name in names or [text]:  # a value of commas only is an unknown name
+        if name not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATORS)}")
+        if names.count(name) > 1:
+            raise ValueError(f"duplicate estimator {name!r}")
+    return names
+
+
+def _scenario(text: str) -> Scenario:
+    if text not in SCENARIO_NAMES:
+        raise ValueError(f"unknown scenario {text!r}")
+    return load(text)
+
+
+def _polynomial(text: str) -> CoordFunction:
+    return CoordFunction(tuple(_floats(text)))
+
+
+_TERM_KEYS = (
+    "kinetic_prime", "kinetic_double_prime", "potential_prime", "potential_double_prime"
+)
+
+# every config key -> (where its value goes, its parser).  A config names a
+# ``scenario`` or defines an ``inline`` system; ``system`` values go into the
+# run's Scenario (``label`` becomes its name), ``estimator`` values into its
+# EstimatorConfig and ``run`` values into the RunConfig itself.  A parser
+# takes the value's text and raises a plain ValueError; build_run_config puts
+# the key in front of its message.
+_KEYS = {
+    "scenario": ("scenario", _scenario),
+    **{key: ("inline", _polynomial) for key in _TERM_KEYS},
+    **{key + "_cos": ("inline", _number) for key in _TERM_KEYS},
+    **{f"state_{name}": ("inline", _floats) for name in ("q", "p", "sigma", "weights")},
+    "tau": ("system", _number),
+    "n_steps": ("system", int),
+    "hbar": ("system", _number),
+    "grid_points": ("system", _checked(int, _is_power_of_two, "a power of two")),
+    "grid_extent": ("system", _checked(
+        lambda text: tuple(_floats(text)), lambda ext: len(ext) == 2 and ext[0] < ext[1],
+        "an increasing pair",
+    )),
+    "periodic": ("system", _flag),
+    "label": ("system", str),
+    "n_traj": ("estimator", int),
+    "seed": ("estimator", int),
+    "estimators": ("run", _estimator_names),
+    "reference": ("run", _one_of("average", "h_prime")),
+    "output_format": ("run", _one_of("csv", "json")),
+    "spectrum_damping_time": ("run", _checked(_number, lambda t: t > 0.0, "a positive number")),
 }
-_ESTIMATOR_SETTINGS = {"n_traj": int, "seed": int}
-_RUN_SETTINGS = {"reference": str, "output_format": str, "spectrum_damping_time": _number}
-
-_KNOWN_KEYS = {
-    *_SYSTEM_SETTINGS, *_ESTIMATOR_SETTINGS, *_RUN_SETTINGS, *_INLINE_KEYS,
-    "scenario", "estimators",
-}
+_KNOWN_KEYS = set(_KEYS)
 
 
 def parse_config_text(text: str) -> dict:
@@ -142,36 +184,20 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-def _term(entries: dict, key: str) -> CoordFunction:
-    coeffs = _floats(entries.get(key, "0"), key)
-    try:
-        cos_amp = _number(entries.get(key + "_cos") or "0")
-    except ValueError as exc:
-        raise ConfigError(f"{key}_cos: {exc}") from exc
-    try:
-        return CoordFunction(tuple(coeffs), cos_amp)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+def _term(inline: dict, key: str) -> CoordFunction:
+    return replace(inline.get(key, CoordFunction()), cos_amp=inline.get(key + "_cos", 0.0))
 
 
-def _inline_system(entries: dict) -> Scenario:
-    """One-dimensional scenario named ``inline`` from inline definition keys."""
-    h_prime = SeparableHamiltonian(
-        (_term(entries, "kinetic_prime"),), (_term(entries, "potential_prime"),)
+def _inline_system(inline: dict) -> Scenario:
+    """One-dimensional scenario named ``inline`` from the parsed inline keys."""
+    h_prime, h_double = (
+        SeparableHamiltonian((_term(inline, "kinetic" + h),), (_term(inline, "potential" + h),))
+        for h in ("_prime", "_double_prime")
     )
-    h_double = SeparableHamiltonian(
-        (_term(entries, "kinetic_double_prime"),),
-        (_term(entries, "potential_double_prime"),),
-    )
-    qs = _floats(entries.get("state_q", "0"), "state_q")
-    if not qs:
-        raise ConfigError("state_q: needs at least one centre")
+    qs = inline.get("state_q", [0.0])
     # a missing key gives each of the K = len(qs) components its default
     defaults = (("state_p", 0.0), ("state_sigma", 1.0), ("state_weights", 1.0 / len(qs)))
-    ps, sigmas, weights = (
-        _floats(entries[key], key) if key in entries else [value] * len(qs)
-        for key, value in defaults
-    )
+    ps, sigmas, weights = (inline.get(key, [value] * len(qs)) for key, value in defaults)
     if not len(qs) == len(ps) == len(sigmas) == len(weights):
         raise ConfigError("state_q, state_p, state_sigma, state_weights lengths differ")
     try:
@@ -186,76 +212,44 @@ def _inline_system(entries: dict) -> Scenario:
     return Scenario("inline", pair, state)
 
 
-def _parse_settings(entries: dict, parsers: dict) -> dict:
-    """Parse the ``entries`` that ``parsers`` names, naming the key of a bad value."""
-    settings = {}
-    for key, parse in parsers.items():
-        if key in entries:
-            try:
-                settings[key] = parse(entries[key])
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-    return settings
-
-
 def build_run_config(entries: dict) -> RunConfig:
-    est_raw = entries.get("estimators", "")
-    estimators = [tok for tok in est_raw.replace(",", " ").split() if tok]
-    if not estimators:
+    """Parse each of the ``entries`` (from ``parse_config_text``) once, by
+    its key's parser, and check the values that depend on one another."""
+    parsed = {dest: {} for dest, _ in _KEYS.values()}
+    for key, text in entries.items():
+        dest, parse = _KEYS[key]
+        try:
+            if not text:
+                raise ValueError("needs a value")
+            parsed[dest][key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    inline, settings, run_settings = parsed["inline"], parsed["system"], parsed["run"]
+    if "estimators" not in run_settings:
         raise ConfigError("at least one estimator must be requested")
-    for name in estimators:
-        if name not in ESTIMATORS:
-            raise ConfigError(
-                f"unknown estimator {name!r}; known: {', '.join(ESTIMATORS)}"
-            )
-        if estimators.count(name) > 1:
-            raise ConfigError(f"duplicate estimator {name!r}")
-
-    scenario_name = entries.get("scenario")
-    inline_keys = [key for key in _INLINE_KEYS if key in entries]
-    if scenario_name is not None:
-        if scenario_name not in SCENARIO_NAMES:
-            raise ConfigError(f"unknown scenario {scenario_name!r}")
-        if inline_keys:
-            raise ConfigError(
-                f"scenario {scenario_name!r} takes no inline system keys; "
-                f"got {', '.join(inline_keys)}"
-            )
-        sc = load(scenario_name)
-    elif inline_keys:
-        sc = _inline_system(entries)
-    else:
+    sc = parsed["scenario"].get("scenario")
+    if sc is None and not inline:
         raise ConfigError("config needs either a scenario or an inline system")
+    if sc is not None and inline:
+        raise ConfigError(
+            f"scenario {sc.name!r} takes no inline system keys; got {', '.join(inline)}"
+        )
+    sc = sc or _inline_system(inline)
 
-    system_settings, est_settings, run_settings = (
-        _parse_settings(entries, parsers)
-        for parsers in (_SYSTEM_SETTINGS, _ESTIMATOR_SETTINGS, _RUN_SETTINGS)
-    )
-    system = replace(sc, name=system_settings.pop("label", sc.name), **system_settings)
+    system = replace(sc, name=settings.pop("label", sc.name), **settings)
     try:
         est_cfg = EstimatorConfig(
             tau=system.tau, n_steps=system.n_steps, hbar=system.hbar,
-            **{**_ESTIMATOR_DEFAULTS, **est_settings},
+            **{**_ESTIMATOR_DEFAULTS, **parsed["estimator"]},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(estimators, system, est_cfg, raw=dict(entries), **run_settings)
+    cfg = RunConfig(system=system, estimator_config=est_cfg, raw=dict(entries), **run_settings)
 
-    if cfg.output_format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {cfg.output_format!r}")
-    if cfg.reference not in ("average", "h_prime"):
-        raise ConfigError(f"unknown reference {cfg.reference!r}")
-    if not _is_power_of_two(system.grid_points):
-        raise ConfigError(f"grid_points: expected a power of two, got {system.grid_points}")
     if system.periodic and system.grid_extent is None:
         raise ConfigError("periodic: needs grid_extent, which sets the period")
-    if cfg.spectrum_damping_time is not None:
-        if not cfg.spectrum_damping_time > 0.0:
-            raise ConfigError("spectrum_damping_time must be positive")
-        if est_cfg.n_steps + 1 < MIN_SERIES_LENGTH:
-            raise ConfigError(f"spectra need n_steps >= {MIN_SERIES_LENGTH - 1}")
+    if cfg.spectrum_damping_time is not None and est_cfg.n_steps + 1 < MIN_SERIES_LENGTH:
+        raise ConfigError(f"spectra need n_steps >= {MIN_SERIES_LENGTH - 1}")
     return cfg
 
 
@@ -371,19 +365,14 @@ def _cmd_run(args) -> int:
     if not config_path.is_file():
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        entries = parse_config_text(config_path.read_text())
-        if args.seed is not None:
-            entries["seed"] = str(args.seed)
-        cfg = build_run_config(entries)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     out_dir = Path(args.output_dir) if args.output_dir else config_path.parent / (
         config_path.stem + "_out"
     )
     try:
-        results = run(cfg, out_dir, threads=args.threads)
+        entries = parse_config_text(config_path.read_text())
+        if args.seed is not None:
+            entries["seed"] = str(args.seed)
+        results = run(build_run_config(entries), out_dir, threads=args.threads)
     except (ConfigError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -168,7 +168,9 @@ class SeparableHamiltonian:
         return len(self.kinetic)
 
     def _coords(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        if x.dtype != float and x.dtype.kind != "c":  # a complexified orbit stays complex
+            x = x.astype(float)
         if x.ndim == 0:
             x = x.reshape(1)
         if x.shape[-1] != self.dims:

@@ -301,6 +301,30 @@ def test_main_rejects_non_finite_number_before_running(tmp_path, capsys, key, va
     assert not out_dir.exists()
 
 
+
+_LIST_KEYS = (
+    "kinetic_prime", "kinetic_double_prime", "potential_prime", "potential_double_prime",
+    "state_q", "state_p", "state_sigma", "state_weights", "grid_extent",
+)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, "") for key in sorted(_KNOWN_KEYS)] + [(key, ",") for key in _LIST_KEYS],
+)
+def test_main_rejects_empty_value_naming_its_key(tmp_path, capsys, monkeypatch, key, value):
+    # an empty value would otherwise run as a default (a zero term, say);
+    # every key is refused before any estimator runs
+    calls = []
+    monkeypatch.setattr("loschmidt.cli.f0", lambda *args: calls.append(args))
+    lines = [line for line in INLINE_CFG.splitlines() if not line.startswith(key + " ")]
+    cfg_path = write_cfg(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_CONFIG
+    assert f"invalid config: {key}: " in capsys.readouterr().err
+    assert not calls and not out_dir.exists()
+
+
 KICKED_ROTOR_INLINE_CFG = """
 estimators = exact
 kinetic_prime = 0 0 0.5

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from loschmidt.dynamics import map_step
 from loschmidt.hamiltonians import (
     CoordFunction,
     SeparableHamiltonian,
@@ -16,6 +17,7 @@ from loschmidt.hamiltonians import (
     quadratic_kinetic,
     ZERO_TERM,
 )
+from loschmidt.presets import load
 
 
 def displaced_ho_pair_raw():
@@ -311,3 +313,28 @@ def test_coord_function_keeps_complex_input():
     for ours, ref in zip((term.value(z), term.d1(z), term.d2(z)), _polyval_reference(term, z)):
         assert ours.dtype == np.complex128
         assert _same_bits(ours, ref)
+
+
+def test_separable_hamiltonian_keeps_complex_input():
+    # a complexified orbit evaluates the pair at complex (q, p); casting to
+    # real would drop the imaginary part (pair.delta.value read 0.00625 here)
+    pair = load("cubic_perturbation").pair
+    q = np.array([[0.5 + 0.2j], [-1.2 + 0.0j]])  # two points, one coordinate
+    p = np.array([[0.1 - 0.3j], [0.7 + 0.4j]])
+    for h in (pair.delta, pair.average, pair.h_prime):
+        (kin,), (pot,) = h.kinetic, h.potential
+        x, y = q[:, 0], p[:, 0]
+        np.testing.assert_array_equal(h.value(q, p), kin.value(y) + pot.value(x))
+        np.testing.assert_array_equal(h.kinetic_d1(p), kin.d1(y)[:, None])
+        np.testing.assert_array_equal(h.potential_d1(q), pot.d1(x)[:, None])
+        np.testing.assert_array_equal(h.kinetic_d2(p), kin.d2(y)[:, None])
+        np.testing.assert_array_equal(h.potential_d2(q), pot.d2(x)[:, None])
+    assert pair.delta.value(q, p)[0] == pytest.approx(0.00325 + 0.0071j, abs=1e-12)
+
+    tau, avg = 0.05, pair.average
+    q_new, p_new = map_step(q, p, avg, tau)
+    expected_q = q + tau * avg.kinetic[0].d1(p)
+    expected_p = p - tau * avg.potential[0].d1(expected_q)
+    np.testing.assert_array_equal(q_new, expected_q)
+    np.testing.assert_array_equal(p_new, expected_p)
+    assert np.all(q_new.imag != 0.0) and np.all(p_new.imag != 0.0)
