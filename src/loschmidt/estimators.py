@@ -3,12 +3,16 @@
 Three approximations of increasing order are provided: ``f0`` averages static
 phases of the perturbation over the initial Wigner density, ``f1_dr`` is the
 dephasing representation (phases accumulated along classical trajectories of
-the reference Hamiltonian), and ``f2_mc`` replaces the deterministic momentum
-update by a stochastic draw weighted with a smeared (complex Gaussian) delta
-function.  ``f1_dr`` and ``f2_mc`` share one orbit loop over
-``dynamics.map_step`` and differ only in the kick: the classical momentum
-update (a delta function) at first order, the smeared draw at second order
-wherever the curvature of the perturbing potential is not an exact zero.
+the reference Hamiltonian), and ``f2_mc`` smears the deterministic momentum
+update with a Fresnel (complex Gaussian) kernel.  ``f1_dr`` and ``f2_mc``
+share one orbit loop over ``dynamics.map_step`` and differ only in the kick:
+the classical momentum update (a delta function) at first order, a smeared
+draw at second order wherever the curvature of the perturbing potential is
+not an exact zero.  When the average Hamiltonian is quadratic, ``f2_mc``
+draws each smear on the kernel's steepest-descent line (the Lefschetz
+thimble), so every path has weight one and the orbit continues at complex
+(q, p); other averages keep a real-axis sampler with complex importance
+weights.
 ``f2_gaussian_chain`` evaluates the same second-order object in closed form
 when the dynamics is quadratic and the perturbation is a quadratic
 potential: one forward pass carries a complex 2x2 Gaussian in (q, p)
@@ -28,7 +32,8 @@ recomputed directly as exp(-i t_n dH / hbar), so the rounding of the products
 never builds up over more than 64 of them; the mean then stays within a few
 1e-16 of the direct form.  The orbit loop builds exp(-i tau phi / hbar) from
 ``cos`` and ``sin`` of the real phase into one reused buffer, which gives the
-bits of the complex ``exp`` for less time.
+bits of the complex ``exp`` for less time; a complex phase also scales them by
+exp(tau Im phi / hbar).
 """
 from __future__ import annotations
 
@@ -194,7 +199,9 @@ def _orbit_loop(state, pair, config, h, reduce, kick=None):
     phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``.  ``reduce``
     receives one phasor buffer that the next step overwrites.
     ``kick(q, p)``, when given, replaces the classical momenta after each
-    step has been recorded.
+    step has been recorded.  A kick may return complex momenta; from then on
+    the orbit, phi and the phasor are complex, and the phasor is
+    exp(tau Im phi / hbar) (cos, sin)(-tau Re phi / hbar).
     """
     tau, hbar = config.tau, config.hbar
     q, p = sample(state, config.n_traj, config.seed, hbar)
@@ -211,14 +218,21 @@ def _orbit_loop(state, pair, config, h, reduce, kick=None):
         # rebind before the reduction so the old momenta are freed early
         q, p = q_new, p_new
         check_escape(q, p)
-        # z = exp(-1j * tau / hbar * phi), bit for bit: that argument has a
-        # zero real part and the imaginary part -tau / hbar * phi
-        np.multiply(phi, -tau / hbar, out=theta)
+        # z = exp(-1j * tau / hbar * phi), bit for bit for real phi: that
+        # argument has a zero real part and the imaginary part -tau / hbar * phi
+        np.multiply(phi.real, -tau / hbar, out=theta)
         np.cos(theta, out=z.real)
         np.sin(theta, out=z.imag)
+        if phi.dtype.kind == "c":
+            np.multiply(phi.imag, tau / hbar, out=theta)
+            np.exp(theta, out=theta)
+            np.multiply(z.real, theta, out=z.real)
+            np.multiply(z.imag, theta, out=z.imag)
         values[n], stderr[n] = reduce(z, starts)
         if kick is not None:
             p = kick(q, p)
+            if p.dtype.kind == "c" and phi.dtype.kind != "c":
+                phi = phi.astype(complex)  # the orbit leaves the real axis
     return values, stderr
 
 
@@ -257,22 +271,82 @@ def _require_position_perturbation(state, pair):
         raise ValueError("perturbation must be momentum independent")
 
 
-def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> FidelitySeries:
-    """Second-order estimator with stochastic (smeared) momentum propagation.
+def _thimble_kick(pair, config):
+    """The smeared momentum update drawn on its steepest-descent line.
 
-    Positions advance classically.  Wherever the local curvature of the
-    perturbing potential is nonzero (a_n != 0) the momentum is drawn from a
-    Gaussian proposal centred on the classical update and the path weight
-    picks up the ratio of the smeared delta function to the proposal density.
-    Where a_n is an exact zero the smeared delta function is the delta
-    function itself: the momentum update is the classical one with unit
-    weight, which reproduces the dephasing representation path by path.
+    One step smears the classical momentum with the normalised Fresnel
+    kernel C exp(i eta^2 / (4 a hbar^2)), a = tau V_delta''(q) / (8 hbar).
+    On the line eta = sqrt(i a) t that kernel is the normal density of t
+    with variance 2 hbar^2, so eta = sqrt(i a) sqrt(2) hbar xi with xi
+    standard normal, and every path weight is exactly one.  Either root
+    serves, since xi is symmetric.  Where a is an exact zero, eta is an
+    exact zero; while a is zero everywhere the momenta stay real.
 
-    The proposal width is calibrated so the Fresnel phase b**2/(4a) sweeps
-    at least 4*pi across +-2 sigma at a width factor of 2:
-    sigma_prop = PROPOSAL_WIDTH_FACTOR * hbar * sqrt(pi * |a_n|).
+    Draws come from one Philox stream per error batch, keyed
+    (seed, 1, batch), so they do not depend on how the ensemble is split.
     """
-    _require_position_perturbation(state, pair)
+    n = config.n_traj
+    starts = _batch_starts(n, DEFAULT_ERROR_BATCHES)
+    slices = [slice(s, e) for s, e in zip(starts, [*starts[1:], n])]
+    streams = [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 1, b])))
+        for b in range(len(slices))
+    ]
+    # reused buffers: a fresh ensemble-sized array costs more (page faults)
+    # than the arithmetic done on it here
+    sigma, t, s = np.empty(n), np.empty(n), np.empty(n)
+    # sqrt(a) sqrt(2) hbar = sqrt(V_delta'') sqrt(tau hbar) / 2
+    scale = 0.5 * np.sqrt(config.tau * config.hbar)
+
+    def kick(q, p):
+        u = pair.delta.potential_d2(q)[..., 0]
+        if not u.any():
+            return p
+        u = u.astype(complex, copy=False)
+        # a root of w = i u from real operations that cancel nothing: sigma w,
+        # sigma = -sign(Im u), has the real part |Im u| >= 0, so its principal
+        # root is r + i s with t = 2 r = sqrt(2 (|u| + |Im u|)) and
+        # s = sigma Re(u) / t.  A root of w is r + i s where sigma = 1 and
+        # i (r + i s) = -s + i r where sigma = -1.
+        np.copysign(1.0, np.negative(u.imag, out=sigma), out=sigma)
+        np.add(np.abs(u.imag, out=t), np.abs(u), out=t)
+        np.sqrt(np.multiply(t, 2.0, out=t), out=t)
+        with np.errstate(invalid="ignore"):
+            np.divide(np.multiply(sigma, u.real, out=s), t, out=s)
+        if not t.all():
+            s[t == 0.0] = 0.0  # 0 / 0 above: where u = 0, eta = 0
+        r = np.multiply(t, 0.5, out=t)
+        # select by g = (1 + sigma) / 2 in {0, 1}, whose products are exact
+        g = np.multiply(np.add(sigma, 1.0, out=sigma), 0.5, out=sigma)
+        root = np.empty(n, dtype=complex)  # becomes the new momenta
+        np.multiply(g, r, out=root.real)
+        np.multiply(g, s, out=root.imag)
+        g_not = np.subtract(1.0, g, out=sigma)
+        np.subtract(root.real, np.multiply(g_not, s, out=s), out=root.real)
+        np.add(root.imag, np.multiply(g_not, r, out=r), out=root.imag)
+        xi = t
+        for stream, sl in zip(streams, slices):
+            stream.standard_normal(out=xi[sl])
+        np.multiply(root, np.multiply(xi, scale, out=xi), out=root)
+        root += p[:, 0]
+        return root[:, None]
+
+    return kick
+
+
+def _real_axis_f2(state, pair, config):
+    """The momentum smear sampled on the real axis with complex path weights.
+
+    Wherever a_n != 0 the momentum is drawn from a Gaussian proposal centred
+    on the classical update and the path weight picks up the ratio of the
+    smeared delta function to the proposal density.  The proposal width is
+    calibrated so the Fresnel phase b**2/(4a) sweeps at least 4*pi across
+    +-2 sigma at a width factor of 2:
+    sigma_prop = PROPOSAL_WIDTH_FACTOR * hbar * sqrt(pi * |a_n|).
+    The weight modulus is heavy-tailed, so the reduction is a self-normalised
+    weighted mean with batch-bootstrap error bars.  Returns the values, the
+    errors and the effective sample size of the final weights.
+    """
     tau, hbar = config.tau, config.hbar
     n = config.n_traj
     # proposal draws come from a child stream so they can never collide with
@@ -331,12 +405,49 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
             f"second-order path weights degenerated: effective sample size "
             f"{ess:.1f} of {n}; the reported error bars are wide but honest",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    return values, stderr, float(ess)
+
+
+def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> FidelitySeries:
+    """Second-order estimator with stochastic (smeared) momentum propagation.
+
+    Positions advance classically along the average Hamiltonian.  Wherever
+    the local curvature of the perturbing potential is nonzero (a_n != 0)
+    the momentum update is smeared by a Fresnel kernel; where a_n is an
+    exact zero the smear is the delta function itself, which reproduces the
+    dephasing representation path by path.
+
+    The contour of the smear depends on the average Hamiltonian
+    (``meta["f2_contour"]``):
+
+    - ``"thimble"``, when every average term is a polynomial of degree <= 2:
+      each draw lies on the kernel's steepest-descent line
+      (``_thimble_kick``), every path weight is one, the orbit continues at
+      complex (q, p), and the reduction is the plain mean with its standard
+      error, as for ``f1_dr``.  By Cauchy's theorem this is the same
+      second-order integral, and the linear complexified flow cannot blow up.
+    - ``"real"`` otherwise: real momenta with complex importance weights
+      (``_real_axis_f2``), whose heavy tails call for a bootstrap and raise
+      a RuntimeWarning when the effective sample size falls below 1%.
+
+    ``meta["effective_sample_size"]`` is ``n_traj`` on the thimble.
+    """
+    _require_position_perturbation(state, pair)
+    average_terms = pair.average.kinetic + pair.average.potential
+    if all(t.cos_amp == 0.0 and t.degree <= 2 for t in average_terms):
+        kick = _thimble_kick(pair, config)
+        values, stderr = _orbit_loop(state, pair, config, pair.average, _mean_stderr, kick)
+        contour, ess = "thimble", float(config.n_traj)
+    else:
+        values, stderr, ess = _real_axis_f2(state, pair, config)
+        contour = "real"
     meta = {
         "estimator": "f2_mc",
         **config.run_meta,
-        "effective_sample_size": float(ess),
+        "f2_contour": contour,
+        "effective_sample_size": ess,
         "correlated_time_steps": True,
     }
     return FidelitySeries(config.times, values, stderr, meta)

@@ -26,11 +26,18 @@ def _trimmed(coeffs) -> tuple[float, ...]:
 
 
 def _horner(x, c):
-    """numpy's ``polyval(x, c)`` bit for bit: the same seed ``c[-1] + x * 0``
-    and steps ``c0 * x + c[k]``, but done in place on one array.  The dtype of
+    """numpy's ``polyval(x, c)`` bit for bit, done in place on one array.
+
+    polyval seeds with ``c[-1] + x * 0`` and steps ``c0 * x + c[k]``.  Past a
+    constant, a trimmed ``c[-1]`` is nonzero, so for finite x the seed
+    ``x * c[-1]`` gives the same bits one product sooner.  Every ``+ c[k]`` is
+    kept, zeros included, so signed zeros match polyval too.  The dtype of
     ``x`` is kept (float64 at least, as with polyval's float64 coefficients)."""
-    out = c[-1] + x * 0
-    for ck in c[-2::-1]:
+    if len(c) == 1:
+        return c[0] + x * 0
+    out = x * c[-1]
+    out += c[-2]
+    for ck in c[-3::-1]:
         out *= x
         out += ck
     return out
@@ -179,15 +186,25 @@ class SeparableHamiltonian:
             )
         return x
 
+    def _sum(self, terms, x):
+        """Sum of the nonzero ``terms`` at their coordinates (zeros if none)."""
+        x = self._coords(x)
+        parts = [t.value(x[..., d]) for d, t in enumerate(terms) if not t.is_zero]
+        return sum(parts[1:], parts[0]) if parts else ZERO_TERM.value(x[..., 0])
+
     def kinetic_value(self, p):
-        p = self._coords(p)
-        return sum(t.value(p[..., d]) for d, t in enumerate(self.kinetic))
+        return self._sum(self.kinetic, p)
 
     def potential_value(self, q):
-        q = self._coords(q)
-        return sum(t.value(q[..., d]) for d, t in enumerate(self.potential))
+        return self._sum(self.potential, q)
 
     def value(self, q, p):
+        """H(q, p).  A part whose terms are all zero is skipped, so a
+        momentum-independent delta-H costs one potential evaluation."""
+        if all(t.is_zero for t in self.kinetic):
+            return self.potential_value(q)
+        if all(t.is_zero for t in self.potential):
+            return self.kinetic_value(p)
         return self.kinetic_value(p) + self.potential_value(q)
 
     def _per_coord(self, terms, derivative, x):

@@ -5,6 +5,7 @@ below; the seeds are part of the frozen test definition, as for any
 fixed-realisation statistical criterion.
 """
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,7 @@ from loschmidt.presets import displaced_ho_pair
 from loschmidt.states import GaussianComponent, InitialState
 
 SEED = 7
-F2_MC_SEED = 11  # pinned realisation for the heavy-tailed second-order bands
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:second-order path weights degenerated"
-)
+F2_MC_SEEDS = range(1, 6)  # five realisations of the second-order band
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -103,10 +100,14 @@ def test_criterion_04_second_order_exact_on_diff_k(diff_k):
     chain_dev = np.max(np.abs(chain.values - exact100.values))
     ok_chain = chain_dev <= 1e-6
 
-    cfg_mc = estimator_config(sc, n_traj=100000, seed=F2_MC_SEED)
-    mc = lm.f2_mc(sc.state, sc.pair, cfg_mc)
-    mc_dev = np.abs(mc.values - exact100.values)
-    ok_mc = bool(np.all(mc_dev <= 3 * mc.stderr))
+    ok_mc = True
+    for seed in F2_MC_SEEDS:
+        cfg_mc = estimator_config(sc, n_traj=100000, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # unit path weights: no ESS warning
+            mc = lm.f2_mc(sc.state, sc.pair, cfg_mc)
+        mc_dev = np.abs(mc.values - exact100.values)
+        ok_mc = ok_mc and bool(np.all(mc_dev <= 3 * mc.stderr))
 
     f1 = lm.f1_dr(sc.state, sc.pair, estimator_config(sc, 10000, n_steps=252))
     period = 2 * np.pi / np.sqrt(1.105)
@@ -116,7 +117,7 @@ def test_criterion_04_second_order_exact_on_diff_k(diff_k):
     ok_f1 = bool(np.any(f1_dev[late] > f1_band[late]))
 
     report(4, ok_chain and ok_mc and ok_f1,
-           f"chain max dev {chain_dev:.2e} <= 1e-6; f2_mc within 3 stderr: "
+           f"chain max dev {chain_dev:.2e} <= 1e-6; f2_mc within 3 stderr for seeds 1-5: "
            f"{ok_mc}; f1 exceeds its band beyond one period: {ok_f1}")
 
 
@@ -125,8 +126,8 @@ def test_criterion_05_degeneracy_f2_equals_f1_on_linear_perturbation():
     cfg = estimator_config(sc, n_traj=10000, n_steps=252)
     dr = lm.f1_dr(sc.state, sc.pair, cfg)
     mc = lm.f2_mc(sc.state, sc.pair, cfg)
-    ok = bool(np.array_equal(mc.values, dr.values))
-    report(5, ok, "f2_mc equals f1 path-by-path (bitwise) on linear delta-V")
+    ok = bool(np.array_equal(mc.values, dr.values) and np.array_equal(mc.stderr, dr.stderr))
+    report(5, ok, "f2_mc equals f1 path-by-path (bitwise, values and stderr) on linear delta-V")
 
 
 def test_criterion_06_normalisation_and_trivial_limits():
@@ -271,8 +272,11 @@ def test_criterion_11_kicked_rotor_smoke(tmp_path):
         "seed": str(SEED),
     }
     cfg = build_run_config(entries)
-    results = cli_run(cfg, tmp_path / "out")
-    ok = all(np.all(np.isfinite(s.values)) for s in results.values())
+    # the cosine average keeps f2_mc on the real axis, whose weights degenerate
+    with pytest.warns(RuntimeWarning, match="second-order path weights degenerated"):
+        results = cli_run(cfg, tmp_path / "out")
+    ok = results["f2_mc"].meta["f2_contour"] == "real"
+    ok = ok and all(np.all(np.isfinite(s.values)) for s in results.values())
     ok = ok and all(len(s) == 51 for s in results.values())
     f1 = results["f1"]
     ok = ok and bool(np.all(np.abs(f1.values) <= 1.0 + f1.stderr + 1e-12))

@@ -182,12 +182,18 @@ def test_run_is_byte_deterministic(tmp_path):
 
 
 def test_run_thread_count_does_not_change_results(tmp_path):
-    text = DISPLACED_CFG.replace("exact, f1", "exact, f0, f1")
-    cfg = build_run_config(parse_config_text(text))
-    run(cfg, tmp_path / "t1", threads=1)
-    run(cfg, tmp_path / "t4", threads=4)
-    for name in ("exact.csv", "f0.csv", "f1.csv"):
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
+    displaced = DISPLACED_CFG.replace("exact, f1", "exact, f0, f1")
+    diff_k = DISPLACED_CFG.replace("displaced_ho", "ho_diff_k").replace("exact, f1", "f1, f2_mc")
+    for label, text, estimators in (
+        ("displaced", displaced, ("exact", "f0", "f1")),
+        ("diff_k", diff_k, ("f1", "f2_mc")),
+    ):
+        cfg = build_run_config(parse_config_text(text))
+        run(cfg, tmp_path / f"{label}_t1", threads=1)
+        run(cfg, tmp_path / f"{label}_t4", threads=4)
+        for est in estimators:
+            one, four = (tmp_path / f"{label}_t{k}" / f"{est}.csv" for k in (1, 4))
+            assert one.read_bytes() == four.read_bytes(), (label, est)
 
 
 def test_run_looks_estimators_up_at_call_time(tmp_path, monkeypatch):

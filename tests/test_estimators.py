@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from loschmidt.estimators import (
     FidelitySeries,
     SingularExponentError,
     _integrate_out,
+    _thimble_kick,
     f0,
     f1_dr,
     f2_gaussian_chain,
@@ -215,6 +218,7 @@ def test_f2_mc_reduces_to_f1_for_linear_perturbation():
         dr = f1_dr(sc.state, sc.pair, cfg)
         mc = f2_mc(sc.state, sc.pair, cfg)
         assert np.array_equal(mc.values, dr.values), name
+        assert np.array_equal(mc.stderr, dr.stderr), name
 
 
 def test_f2_mc_zero_steps():
@@ -226,11 +230,11 @@ def test_f2_mc_matches_exact_on_diff_k():
     sc = load("ho_diff_k")
     cfg = config(n_traj=50000, tau=sc.tau, n_steps=50, seed=11)
     exact = fidelity_exact(sc.state, sc.pair, cfg.n_steps, sc.tau)
-    with pytest.warns(RuntimeWarning, match="effective sample size"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # unit path weights: no ESS warning
         series = f2_mc(sc.state, sc.pair, cfg)
     assert np.all(np.abs(series.values - exact.values) <= 3 * series.stderr)
-    # the estimator is informative (not vacuous) at early times, before the
-    # complex weights disperse
+    # the estimator is informative (not vacuous) at early times
     assert series.stderr[1] < 1e-3
     assert np.median(series.stderr[:10]) < 0.1
 
@@ -250,6 +254,63 @@ def test_f2_mc_preconditions():
     )
     with pytest.raises(ValueError, match="momentum independent"):
         f2_mc(STD_GAUSSIAN, pair, cfg)
+
+
+@pytest.mark.parametrize(
+    "name, contour",
+    [("ho_diff_k", "thimble"), ("cubic_perturbation", "thimble"),
+     ("kicked_rotor", "real"), ("morse_like", "real")],
+)
+def test_f2_mc_contour_follows_the_average(name, contour):
+    # a polynomial average of degree <= 2 takes the thimble, with unit path
+    # weights; any other average keeps the real-axis sampler
+    sc = load(name)
+    cfg = config(n_traj=200, tau=sc.tau, n_steps=5)
+    meta = f2_mc(sc.state, sc.pair, cfg).meta
+    assert meta["f2_contour"] == contour
+    if contour == "thimble":
+        assert meta["effective_sample_size"] == cfg.n_traj
+
+
+def test_thimble_kick_draws_on_the_steepest_descent_line():
+    # eta^2 / (i a) = 2 hbar^2 xi^2 is real and nonnegative for real and
+    # complex a of either sign; eta is an exact zero where a is
+    hbar, tau = 0.7, 0.05
+    pair = load("cubic_perturbation").pair  # V_delta'' = 0.3 q
+    cfg = config(n_traj=8, tau=tau, hbar=hbar)
+    kick = _thimble_kick(pair, cfg)
+    p = np.linspace(-1.0, 1.0, 8)[:, None]
+    for q in (
+        np.array([0.0, 1.0, -2.0, 0.5, 3.0, -0.1, 0.0, 2.0]),
+        np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1e-9j, -1e-9j, 0.0, 4 - 3j]),
+    ):
+        eta = (kick(q[:, None], p) - p)[:, 0]
+        a = tau * 0.3 * q / (8.0 * hbar)
+        assert np.all(eta[q == 0] == 0)
+        ratio = eta[q != 0] ** 2 / (1j * a[q != 0]) / (2 * hbar**2)
+        assert np.all(ratio.real > 0)
+        assert np.all(np.abs(ratio.imag) <= 1e-14 * ratio.real)
+    # a linear delta-H has a = 0 everywhere: the momenta are returned as given
+    linear = _thimble_kick(load("displaced_ho").pair, cfg)
+    assert linear(np.linspace(-2.0, 2.0, 8)[:, None], p) is p
+
+
+@pytest.mark.parametrize("name, n_steps", [("ho_diff_k", 100), ("cubic_perturbation", 252)])
+def test_f2_mc_thimble_accuracy_gates(name, n_steps):
+    # f2 is exact on both presets: every step within 4 stderr of exact, a
+    # last-step stderr of at most 2e-3, and on the cubic perturbation a
+    # smaller largest deviation than the dephasing representation's
+    sc = load(name)
+    exact = fidelity_exact(sc.state, sc.pair, n_steps, sc.tau, points=4096)
+    for seed in range(1, 6):
+        cfg = config(n_traj=100000, tau=sc.tau, n_steps=n_steps, seed=seed)
+        mc = f2_mc(sc.state, sc.pair, cfg)
+        dev = np.abs(mc.values - exact.values)
+        assert np.all(dev <= 4 * mc.stderr), (seed, np.max(dev[1:] / mc.stderr[1:]))
+        assert mc.stderr[-1] <= 2e-3, seed
+        if name == "cubic_perturbation":
+            f1_dev = np.abs(f1_dr(sc.state, sc.pair, cfg).values - exact.values)
+            assert dev.max() < f1_dev.max(), seed
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +359,8 @@ def test_chain_agrees_with_monte_carlo_within_errors():
     sc = load("ho_diff_k")
     cfg = config(n_traj=50000, tau=sc.tau, n_steps=50, seed=11)
     chain = f2_gaussian_chain(sc.state, sc.pair, cfg)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # unit path weights: no ESS warning
         mc = f2_mc(sc.state, sc.pair, cfg)
     assert np.all(np.abs(chain.values - mc.values) <= 3 * mc.stderr)
 
@@ -402,6 +464,20 @@ def test_chain_invariants_on_random_quadratic_pairs(system):
     assert f[0] == 1.0
     assert np.all(np.abs(f) <= 1.0 + 1e-12)
     assert np.max(np.abs(swapped - np.conj(f))) <= 1e-12
+
+
+@settings(max_examples=6, deadline=None)
+@given(system=quadratic_systems())
+def test_thimble_matches_chain_on_random_quadratic_pairs(system):
+    # both evaluate the same second-order integral: the Monte Carlo thimble
+    # must lie within 5 of its standard errors of the closed form
+    state, h_a, h_b = system
+    pair = make_pair(h_a, h_b)
+    cfg = config(n_traj=20000, n_steps=100)
+    chain = f2_gaussian_chain(state, pair, cfg)
+    mc = f2_mc(state, pair, cfg)
+    assert mc.meta["f2_contour"] == "thimble"
+    assert np.all(np.abs(mc.values - chain.values) <= 5 * mc.stderr + 1e-12)
 
 
 @settings(max_examples=4, deadline=None)
@@ -527,7 +603,6 @@ def test_momentum_displacement_variant_exact_for_f0_f1():
         assert np.all(np.abs(series.values - exact.values) <= 3 * series.stderr + 1e-8)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_all_estimators_start_at_unity():
     sc = load("ho_diff_k")
     cfg = config(n_traj=2000, tau=sc.tau, n_steps=10)
