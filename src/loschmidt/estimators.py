@@ -11,35 +11,23 @@ draw at second order wherever the curvature of the perturbing potential is
 not an exact zero.  When the average Hamiltonian is quadratic, ``f2_mc``
 draws each smear on the kernel's steepest-descent line (the Lefschetz
 thimble), so every path has weight one and the orbit continues at complex
-(q, p); other averages keep a real-axis sampler with complex importance
-weights.
+(q, p); other averages keep a one-dimensional real-axis sampler with
+complex importance weights.
 ``f2_gaussian_chain`` evaluates the same second-order object in closed form
 when the dynamics is quadratic and the perturbation is a quadratic
-potential: one forward pass carries a complex 2x2 Gaussian in (q, p)
-through the steps, so all N values cost O(N), and each Gaussian integral
-takes the principal-branch log of a pivot with positive real part.
+potential, as one O(N) chain per coordinate and component.  Both refuse a
+perturbation with a kinetic part.
 
 All Monte Carlo reductions run over fixed, index-ordered batches so results
 are reproducible bit-for-bit for a given seed regardless of how work is
 scheduled.  Within one series the time steps reuse a single path ensemble,
 so errors are correlated across time (flagged in the metadata).
-
-Each step of a Monte Carlo estimator costs one phase factor per sample.
-``f0`` runs no orbit, so its phasors follow the recurrence
-z_n = z_{n-1} exp(-i tau dH / hbar): one complex product per sample and step
-instead of a complex ``exp``.  Every 64 steps (``_F0_REANCHOR_STEPS``) they are
-recomputed directly as exp(-i t_n dH / hbar), so the rounding of the products
-never builds up over more than 64 of them; the mean then stays within a few
-1e-16 of the direct form.  The orbit loop builds exp(-i tau phi / hbar) from
-``cos`` and ``sin`` of the real phase into one reused buffer, which gives the
-bits of the complex ``exp`` for less time; a complex phase also scales them by
-exp(tau Im phi / hbar).
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -164,8 +152,11 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
 
     No trajectories are run; the estimator is exact whenever the average
     Hamiltonian is constant and the perturbation affine in phase space.
-    The phasors advance by one step's factor and are recomputed directly
-    every ``_F0_REANCHOR_STEPS`` steps (see the module docstring).
+    The phasors follow z_n = z_{n-1} exp(-i tau dH / hbar), one complex
+    product per sample and step instead of a complex ``exp``, and are
+    recomputed directly every ``_F0_REANCHOR_STEPS`` steps, so the rounding
+    of the products never builds up over more than that many of them; the
+    mean stays within a few 1e-16 of the direct form.
     """
     times = config.times
     meta = {
@@ -265,8 +256,8 @@ def f1_dr(
 
 
 def _require_position_perturbation(state, pair):
-    if state.dims != 1 or pair.dims != 1:
-        raise ValueError("second-order estimators support one degree of freedom only")
+    if state.dims != pair.dims:
+        raise ValueError("state and Hamiltonian dimensions differ")
     if not all(t.is_zero for t in pair.delta.kinetic):
         raise ValueError("perturbation must be momentum independent")
 
@@ -274,12 +265,12 @@ def _require_position_perturbation(state, pair):
 def _thimble_kick(pair, config):
     """The smeared momentum update drawn on its steepest-descent line.
 
-    One step smears the classical momentum with the normalised Fresnel
-    kernel C exp(i eta^2 / (4 a hbar^2)), a = tau V_delta''(q) / (8 hbar).
-    On the line eta = sqrt(i a) t that kernel is the normal density of t
-    with variance 2 hbar^2, so eta = sqrt(i a) sqrt(2) hbar xi with xi
-    standard normal, and every path weight is exactly one.  Either root
-    serves, since xi is symmetric.  Where a is an exact zero, eta is an
+    One step smears each classical momentum with the normalised Fresnel
+    kernel C exp(i eta^2 / (4 a hbar^2)), a = tau V_delta''(q) / (8 hbar) of
+    its coordinate.  On the line eta = sqrt(i a) t that kernel is the normal
+    density of t with variance 2 hbar^2, so eta = sqrt(i a) sqrt(2) hbar xi
+    with xi standard normal, and every path weight is exactly one.  Either
+    root serves, since xi is symmetric.  Where a is an exact zero, eta is an
     exact zero; while a is zero everywhere the momenta stay real.
 
     Draws come from one Philox stream per error batch, keyed
@@ -294,42 +285,39 @@ def _thimble_kick(pair, config):
     ]
     # reused buffers: a fresh ensemble-sized array costs more (page faults)
     # than the arithmetic done on it here
-    sigma, t, s = np.empty(n), np.empty(n), np.empty(n)
+    t, small, g = np.empty((3, n, pair.dims))
     # sqrt(a) sqrt(2) hbar = sqrt(V_delta'') sqrt(tau hbar) / 2
     scale = 0.5 * np.sqrt(config.tau * config.hbar)
 
     def kick(q, p):
-        u = pair.delta.potential_d2(q)[..., 0]
+        u = pair.delta.potential_d2(q)
         if not u.any():
             return p
         u = u.astype(complex, copy=False)
-        # a root of w = i u from real operations that cancel nothing: sigma w,
-        # sigma = -sign(Im u), has the real part |Im u| >= 0, so its principal
-        # root is r + i s with t = 2 r = sqrt(2 (|u| + |Im u|)) and
-        # s = sigma Re(u) / t.  A root of w is r + i s where sigma = 1 and
-        # i (r + i s) = -s + i r where sigma = -1.
-        np.copysign(1.0, np.negative(u.imag, out=sigma), out=sigma)
+        # a root of i u from real operations that cancel nothing: with
+        # t = sqrt(2 (|u| + |Im u|)) it is t / 2 + i Re(u) / t where the sign
+        # bit of Im u is set and Re(u) / t + i t / 2 elsewhere
         np.add(np.abs(u.imag, out=t), np.abs(u), out=t)
         np.sqrt(np.multiply(t, 2.0, out=t), out=t)
         with np.errstate(invalid="ignore"):
-            np.divide(np.multiply(sigma, u.real, out=s), t, out=s)
+            np.divide(u.real, t, out=small)
         if not t.all():
-            s[t == 0.0] = 0.0  # 0 / 0 above: where u = 0, eta = 0
-        r = np.multiply(t, 0.5, out=t)
-        # select by g = (1 + sigma) / 2 in {0, 1}, whose products are exact
-        g = np.multiply(np.add(sigma, 1.0, out=sigma), 0.5, out=sigma)
-        root = np.empty(n, dtype=complex)  # becomes the new momenta
-        np.multiply(g, r, out=root.real)
-        np.multiply(g, s, out=root.imag)
-        g_not = np.subtract(1.0, g, out=sigma)
-        np.subtract(root.real, np.multiply(g_not, s, out=s), out=root.real)
-        np.add(root.imag, np.multiply(g_not, r, out=r), out=root.imag)
+            small[t == 0.0] = 0.0  # 0 / 0 above: where u = 0, eta = 0
+        larger = np.multiply(t, 0.5, out=t)
+        # select by g in {0, 1}: exact products, and no branch on a random sign
+        g[...] = np.signbit(u.imag)
+        root = np.empty_like(u)  # becomes the new momenta
+        np.multiply(g, larger, out=root.real)
+        np.multiply(g, small, out=root.imag)
+        g_not = np.subtract(1.0, g, out=g)
+        root.real += np.multiply(g_not, small, out=small)
+        root.imag += np.multiply(g_not, larger, out=larger)
         xi = t
         for stream, sl in zip(streams, slices):
             stream.standard_normal(out=xi[sl])
         np.multiply(root, np.multiply(xi, scale, out=xi), out=root)
-        root += p[:, 0]
-        return root[:, None]
+        root += p
+        return root
 
     return kick
 
@@ -347,6 +335,8 @@ def _real_axis_f2(state, pair, config):
     weighted mean with batch-bootstrap error bars.  Returns the values, the
     errors and the effective sample size of the final weights.
     """
+    if pair.dims != 1:
+        raise ValueError("f2_mc off the thimble supports one degree of freedom only")
     tau, hbar = config.tau, config.hbar
     n = config.n_traj
     # proposal draws come from a child stream so they can never collide with
@@ -429,8 +419,8 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
       error, as for ``f1_dr``.  By Cauchy's theorem this is the same
       second-order integral, and the linear complexified flow cannot blow up.
     - ``"real"`` otherwise: real momenta with complex importance weights
-      (``_real_axis_f2``), whose heavy tails call for a bootstrap and raise
-      a RuntimeWarning when the effective sample size falls below 1%.
+      (``_real_axis_f2``, one coordinate only), whose heavy tails call for a
+      bootstrap and a RuntimeWarning when the effective sample size is < 1%.
 
     ``meta["effective_sample_size"]`` is ``n_traj`` on the thimble.
     """
@@ -490,43 +480,28 @@ def _integrate_out(a, b, c, j, step, scale=None):
     return a_new, b_new, c_new, ratio
 
 
-def f2_gaussian_chain(
-    state: InitialState, pair: HamiltonianPair, config: EstimatorConfig
-) -> FidelitySeries:
-    """Closed-form second-order fidelity for quadratic chains.
-
-    Accepts a pair iff ``predicted_exactness`` calls ``f2_gaussian`` exact on
-    it, in one degree of freedom, with a single Gaussian initial state.
-    The integrand is then a Markov chain in (q_k, p_k), and one forward pass
-    carries the Gaussian g(q, p) = exp(-x^T A x / 2 + b . x + c) of the
-    current phase-space point, with A complex symmetric 2x2.  Each step
-    shears q by the drift, multiplies in the perturbation phase, reads f(n)
-    as the integral of g (two 1-D Gaussian integrals), shears p by the
-    classical kick and, unless the curvature d2 of the perturbing potential is
-    an exact zero (``meta["degenerate_chain"]``), convolves p with the
-    normalised Fresnel kernel of the smeared momentum update.  All N values
-    cost O(N); each 1-D integral has a pivot with positive real part, whose
-    principal-branch log gives the square-root branch.  The result is exact
-    (deterministic, stderr = 0), which makes this the reference the Monte
-    Carlo version is validated against.
+def _chain_1d(comp, pair, d, config):
+    """The chain of coordinate d for one component: its N + 1 values and its
+    smallest pivot ratio.  One forward pass carries the Gaussian
+    g = exp(-x^T A x / 2 + b . x + c) of x = (q, p), A complex symmetric 2x2.
+    Each step shears q by the drift, multiplies in the perturbation phase,
+    reads f(n) as the integral of g (two 1-D Gaussian integrals), shears p by
+    the classical kick and, unless the curvature d2 of delta-V is an exact
+    zero, convolves p with the normalised Fresnel kernel of the smeared
+    momentum update.  Every pivot has a positive real part, whose
+    principal-branch log gives the square-root branch.
     """
-    _require_position_perturbation(state, pair)
-    if len(state.components) != 1:
-        raise ValueError("closed-form chain needs a single Gaussian component")
-    if predicted_exactness(pair)["f2_gaussian"] != EXACT:
-        raise ValueError("closed-form chain needs polynomial terms of degree <= 2")
-    comp = state.components[0]
-    _, t1, t2 = _quadratic_coeffs(pair.average.kinetic[0])
-    _, v1, v2 = _quadratic_coeffs(pair.average.potential[0])
-    d0, d1, d2 = _quadratic_coeffs(pair.delta.potential[0])
+    _, t1, t2 = _quadratic_coeffs(pair.average.kinetic[d])
+    _, v1, v2 = _quadratic_coeffs(pair.average.potential[d])
+    d0, d1, d2 = _quadratic_coeffs(pair.delta.potential[d])
 
     tau, hbar = config.tau, config.hbar
     a_fresnel = tau * d2 / (4.0 * hbar)
     degenerate = d2 == 0.0
 
     # initial Wigner density exp(-(q-qbar)^2/sq^2 - (p-pbar)^2/sp^2) / (pi hbar)
-    x0 = np.array([comp.center_q[0], comp.center_p[0]])
-    a = np.diag([2.0 / comp.sigma[0] ** 2, 2.0 * comp.sigma[0] ** 2 / hbar**2]) + 0j
+    x0 = np.array([comp.center_q[d], comp.center_p[d]])
+    a = np.diag([2.0 / comp.sigma[d] ** 2, 2.0 * comp.sigma[d] ** 2 / hbar**2]) + 0j
     b = a @ x0
     c = -np.log(np.pi * hbar) - 0.5 * (x0 @ b)
     # drift q_old = q - 2 tau t2 p - tau t1
@@ -546,11 +521,10 @@ def f2_gaussian_chain(
             - 1j * np.pi * np.sign(a_fresnel) / 4.0
         )
 
-    times = config.times
-    values = np.empty(len(times), dtype=complex)
+    values = np.empty(config.n_steps + 1, dtype=complex)
     values[0] = 1.0
     min_ratio = 1.0  # a ratio of one or more is a well-conditioned pivot
-    for n in range(1, len(times)):
+    for n in range(1, config.n_steps + 1):
         a, b, c = _substitute(a, b, c, drift_m, drift_s)
         a[0, 0] += 2j * tau * d2 / hbar
         b[0] -= 1j * tau * d1 / hbar
@@ -560,19 +534,40 @@ def f2_gaussian_chain(
         _, _, c_n, r_q = _integrate_out(a_q, b_q, c_n, 0, n, scale)
         values[n] = np.exp(c_n)
         min_ratio = min(min_ratio, r_p, r_q)
-        if n == len(times) - 1:
+        if n == config.n_steps:
             break
         a, b, c = _substitute(a, b, c, kick_m, kick_s)
         if not degenerate:
             a[2, 2] += fresnel_k
             a, b, c, r_eta = _integrate_out(a, b, c + log_fresnel_c, 2, n)
             min_ratio = min(min_ratio, r_eta)
+    return values, min_ratio
+
+
+def f2_gaussian_chain(
+    state: InitialState, pair: HamiltonianPair, config: EstimatorConfig
+) -> FidelitySeries:
+    """Closed-form second-order fidelity for quadratic chains.
+
+    Accepts a pair iff ``predicted_exactness`` calls ``f2_gaussian`` exact on
+    it.  The Hamiltonians are separable and each component is a product, so
+    f = sum_k w_k prod_d f_{k,d}, one O(N) chain per component and coordinate
+    (``_chain_1d``); ``meta["degenerate_chain"]`` says no coordinate takes the
+    Fresnel step.  The result is exact (deterministic, stderr = 0), the
+    reference the Monte Carlo version is validated against.
+    """
+    _require_position_perturbation(state, pair)
+    if predicted_exactness(pair)["f2_gaussian"] != EXACT:
+        raise ValueError("closed-form chain needs polynomial terms of degree <= 2")
+    comps = state.components
+    chains = [[_chain_1d(c, pair, d, config) for d in range(pair.dims)] for c in comps]
+    terms = [c.weight * reduce(np.multiply, [f for f, _ in row]) for c, row in zip(comps, chains)]
     meta = {
         "estimator": "f2_gaussian",
         **config.run_meta,
         "n_traj": None,  # deterministic: no ensemble and no seed
         "seed": None,
-        "degenerate_chain": bool(degenerate),
-        "chain_min_pivot_ratio": float(min_ratio),
+        "degenerate_chain": all(_quadratic_coeffs(t)[2] == 0.0 for t in pair.delta.potential),
+        "chain_min_pivot_ratio": float(min(r for row in chains for _, r in row)),
     }
-    return FidelitySeries(times, values, np.zeros(len(times)), meta)
+    return FidelitySeries(config.times, reduce(np.add, terms), np.zeros(config.n_steps + 1), meta)

@@ -343,8 +343,8 @@ def predicted_exactness(pair: HamiltonianPair) -> dict:
 
     The verdicts follow the expansion, which treats q and p alike, and not
     what each estimator supports: ``f2_mc`` and ``f2_gaussian`` smear only
-    the momentum, so they refuse a delta-H with a kinetic part and any pair
-    with more than one degree of freedom even where the verdict is exact.
+    the momentum, so they refuse a delta-H with a kinetic part even where the
+    verdict is exact.
     """
     avg_terms = pair.average.kinetic + pair.average.potential
     delta_terms = pair.delta.kinetic + pair.delta.potential

@@ -3,8 +3,8 @@
 One step applies exp(-i tau V / hbar) after a kinetic factor applied in
 Fourier space, which realises the kicked-map evolution operator exactly on
 the discrete periodic grid; there is no additional splitting error.  Grids
-are uniform with power-of-two point counts in one or two dimensions.  Every
-Hamiltonian is separable and every Gaussian component a product over
+are uniform with power-of-two point counts, in any number of dimensions.
+Every Hamiltonian is separable and every Gaussian component a product over
 coordinates, so the step is a product of commuting one-axis steps, which
 ``fidelity_exact`` applies to stacks of 1-D wavefunctions, one stack per
 axis.  Probability near the position edges or the Nyquist edge of the
@@ -51,8 +51,8 @@ class Grid:
     def __post_init__(self) -> None:
         extents = tuple((float(a), float(b)) for a, b in self.extents)
         points = tuple(int(m) for m in self.points)
-        if not 1 <= len(extents) <= 2 or len(points) != len(extents):
-            raise ValueError("grids support one or two axes")
+        if not extents or len(points) != len(extents):
+            raise ValueError("a grid needs one extent and one point count per axis")
         for (lo, hi), m in zip(extents, points):
             if hi <= lo:
                 raise ValueError("grid extent must be increasing")
@@ -113,12 +113,13 @@ def _axis_factors(hs, grid: Grid, tau: float, hbar: float, d: int):
     return np.exp(-1j * tau * t / hbar)[:, None], np.exp(-1j * tau * v / hbar)[:, None]
 
 
-def _axis_step(stack, exp_t, exp_v):
-    """One kicked step of a stack along its last axis: returns the momentum
-    amplitudes before the kinetic factor (orthonormal FFT) and the stepped
-    stack."""
-    phat = np.fft.fft(stack, norm="ortho")
-    return phat, exp_v * np.fft.ifft(exp_t * phat, norm="ortho")
+def _axis_step(stack, phat, exp_t, exp_v):
+    """One kicked step of a stack along its last axis, in place and with no
+    allocation, whose page faults would cost more than the FFT; ``phat``
+    receives the momentum amplitudes before the kinetic factor."""
+    np.fft.fft(stack, norm="ortho", out=phat)
+    np.fft.ifft(np.multiply(exp_t, phat, out=stack), norm="ortho", out=stack)
+    np.multiply(exp_v, stack, out=stack)
 
 
 def _band_mass(values: np.ndarray, band: slice) -> np.ndarray:
@@ -160,7 +161,6 @@ def fidelity_exact(
     hbar: float = 1.0,
     grid: Grid | None = None,
     points: int = DEFAULT_POINTS,
-    pad_sigmas: float = DEFAULT_PAD_SIGMAS,
     check_leaks: bool = True,
 ) -> FidelitySeries:
     """Exact fidelity amplitude by propagating both branches on the grid.
@@ -175,12 +175,10 @@ def fidelity_exact(
     axis, then the position edge bands of every axis (not on a periodic
     grid), dividing the band probability by the discrete norm, which is one.
     """
-    if state.dims > 2:
-        raise ValueError("grid propagation supports at most two dimensions")
     if pair.dims != state.dims:
         raise ValueError("state and Hamiltonian dimensions differ")
     if grid is None:
-        grid = grid_for_state(state, points=points, pad_sigmas=pad_sigmas)
+        grid = grid_for_state(state, points=points)
     if grid.dims != state.dims:
         raise ValueError("state and grid dimensions differ")
     comps = state.components
@@ -193,13 +191,14 @@ def fidelity_exact(
         stacks.append(np.stack([psi0, psi0]))
         factors.append(_axis_factors(hs, grid, tau, hbar, d))
 
+    phats = [np.empty_like(s) for s in stacks]
     values = np.empty(n_steps + 1, dtype=complex)
     values[0] = 1.0
     for n in range(1, n_steps + 1):
-        steps = [_axis_step(s, *f) for s, f in zip(stacks, factors)]
-        stacks = [psi for _, psi in steps]
+        for s, phat, f in zip(stacks, phats, factors):
+            _axis_step(s, phat, *f)
         if check_leaks:
-            _check_leaks(grid, dx, [phat for phat, _ in steps], stacks)
+            _check_leaks(grid, dx, phats, stacks)
         overlaps = [(np.conj(psi[0]) * psi[1]).sum(axis=-1) * h for psi, h in zip(stacks, dx)]
         values[n] = np.dot(weights, reduce(np.multiply, overlaps))
 

@@ -17,16 +17,19 @@ from loschmidt.estimators import (
     f2_mc,
 )
 from loschmidt.hamiltonians import (
+    EXACT,
     ZERO_TERM,
+    SeparableHamiltonian,
     cosine_potential,
     hamiltonian_1d,
     harmonic_potential,
     make_pair,
     polynomial_term,
+    predicted_exactness,
     quadratic_kinetic,
 )
 from loschmidt.presets import displaced_ho_pair, load
-from loschmidt.qgrid import fidelity_exact
+from loschmidt.qgrid import fidelity_exact, grid_for_state
 from loschmidt.states import GaussianComponent, InitialState, sample, wigner_density
 
 STD_GAUSSIAN = InitialState.gaussian([0.0], [0.0], [1.0])
@@ -239,14 +242,26 @@ def test_f2_mc_matches_exact_on_diff_k():
     assert np.median(series.stderr[:10]) < 0.1
 
 
+def test_second_order_refuses_a_state_and_pair_of_different_dimensions():
+    cfg = config(n_traj=10)
+    state_2d = InitialState.gaussian([0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+    for estimator in (f2_mc, f2_gaussian_chain):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            estimator(state_2d, displaced_ho_pair(dims=1), cfg)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            estimator(STD_GAUSSIAN, displaced_ho_pair(dims=2), cfg)
+
+
 def test_f2_mc_preconditions():
     cfg = config(n_traj=10)
-    with pytest.raises(ValueError, match="one degree of freedom"):
-        f2_mc(
-            InitialState.gaussian([0.0, 0.0], [0.0, 0.0], [1.0, 1.0]),
-            displaced_ho_pair(dims=2),
-            cfg,
-        )
+    # off the thimble f2_mc keeps its one-dimensional real-axis sampler
+    kicked_2d = make_pair(
+        SeparableHamiltonian((quadratic_kinetic(1.0),) * 2, (cosine_potential(4.95),) * 2),
+        SeparableHamiltonian((quadratic_kinetic(1.0),) * 2, (cosine_potential(5.05),) * 2),
+    )
+    state_2d = InitialState.gaussian([0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="off the thimble supports one degree of freedom"):
+        f2_mc(state_2d, kicked_2d, cfg)
     # momentum-dependent perturbation
     pair = make_pair(
         hamiltonian_1d(quadratic_kinetic(1.0), harmonic_potential(1.0)),
@@ -367,14 +382,6 @@ def test_chain_agrees_with_monte_carlo_within_errors():
 
 def test_chain_preconditions():
     cfg = config(n_traj=10)
-    mixture = InitialState(
-        (
-            GaussianComponent([0.0], [0.0], [1.0], 0.5),
-            GaussianComponent([1.0], [0.0], [1.0], 0.5),
-        )
-    )
-    with pytest.raises(ValueError, match="single Gaussian"):
-        f2_gaussian_chain(mixture, load("ho_diff_k").pair, cfg)
     with pytest.raises(ValueError, match="degree"):
         f2_gaussian_chain(STD_GAUSSIAN, load("cubic_perturbation").pair, cfg)
     kicked = make_pair(
@@ -441,17 +448,87 @@ def test_chain_rejects_extremely_squeezed_state():
         f2_gaussian_chain(squeezed, load("ho_diff_k").pair, config(n_steps=5))
 
 
+KIN = quadratic_kinetic(1.0)
+
+
+@pytest.mark.parametrize(
+    "state, pair",
+    [
+        pytest.param(
+            InitialState.gaussian([0.3, -0.2], [0.1, 0.2], [1.0, 0.9]),
+            make_pair(
+                SeparableHamiltonian(
+                    (KIN, quadratic_kinetic(0.8)), (harmonic_potential(1.0), harmonic_potential(1.3, 0.2))
+                ),
+                SeparableHamiltonian(
+                    (KIN, quadratic_kinetic(0.8)), (harmonic_potential(1.44), harmonic_potential(0.9, -0.1))
+                ),
+            ),
+            id="product_2d",
+        ),
+        pytest.param(
+            InitialState.gaussian([0.0, 0.3], [0.0, 0.0], [1.0, 1.0]),
+            make_pair(
+                SeparableHamiltonian(
+                    (KIN, KIN), (polynomial_term(0.0, 0.0, 0.5, -0.025), harmonic_potential(1.0))
+                ),
+                SeparableHamiltonian(
+                    (KIN, KIN), (polynomial_term(0.0, 0.0, 0.5, 0.025), harmonic_potential(1.44))
+                ),
+            ),
+            id="cubic_times_quadratic_2d",  # the cubic_perturbation preset on axis 0
+        ),
+        pytest.param(
+            InitialState((
+                GaussianComponent([0.5], [0.0], [1.0], 0.4),
+                GaussianComponent([-0.5], [0.5], [0.9], 0.6),
+            )),
+            load("ho_diff_k").pair,
+            id="mixture",
+        ),
+    ],
+)
+def test_second_order_per_coordinate_and_component(state, pair):
+    # separable pairs and product states: the chain is a weighted sum of
+    # products of 1-D chains and the thimble smears each coordinate, so both
+    # are exact wherever the ladder says so
+    cfg = config(n_traj=20000, n_steps=100, seed=1)
+    exact = fidelity_exact(state, pair, cfg.n_steps, cfg.tau, grid=grid_for_state(state, pad_sigmas=16.0))
+    assert np.max(np.abs(exact.values - 1.0)) > 0.1  # the perturbation acts
+    mc = f2_mc(state, pair, cfg)
+    assert mc.meta["f2_contour"] == "thimble"
+    assert np.all(np.abs(mc.values - exact.values) <= 5 * mc.stderr)
+    if predicted_exactness(pair)["f2_gaussian"] == EXACT:
+        chain = f2_gaussian_chain(state, pair, cfg)
+        assert np.max(np.abs(chain.values - exact.values)) <= 1e-9
+
+
 @st.composite
 def quadratic_systems(draw):
+    """Two harmonic Hamiltonians with shared masses in one or two
+    coordinates, and a one- or two-component product state."""
     unit = st.floats(0.7, 1.4)
     centre = st.floats(-1.0, 1.0)
-    kin = quadratic_kinetic(draw(unit))
-    h_a = hamiltonian_1d(kin, harmonic_potential(draw(unit), draw(centre)))
-    h_b = hamiltonian_1d(kin, harmonic_potential(draw(unit), draw(centre)))
-    state = InitialState.gaussian(
-        [draw(centre)], [draw(centre)], [draw(st.floats(0.8, 1.25))]
+    dims = draw(st.integers(1, 2))
+    kin = tuple(quadratic_kinetic(draw(unit)) for _ in range(dims))
+    h_a, h_b = (
+        SeparableHamiltonian(
+            kin, tuple(harmonic_potential(draw(unit), draw(centre)) for _ in range(dims))
+        )
+        for _ in range(2)
     )
-    return state, h_a, h_b
+    weight = draw(st.floats(0.2, 0.8))
+    weights = draw(st.sampled_from([(1.0,), (weight, 1.0 - weight)]))
+    comps = tuple(
+        GaussianComponent(
+            [draw(centre) for _ in range(dims)],
+            [draw(centre) for _ in range(dims)],
+            [draw(st.floats(0.8, 1.25)) for _ in range(dims)],
+            w,
+        )
+        for w in weights
+    )
+    return InitialState(comps), h_a, h_b
 
 
 @settings(max_examples=25, deadline=None)
@@ -487,7 +564,7 @@ def test_chain_matches_exact_on_random_quadratic_pairs(system):
     pair = make_pair(h_a, h_b)
     cfg = config(n_traj=1, n_steps=60)
     # packets that move need more room than the default 8-sigma grid
-    exact = fidelity_exact(state, pair, 60, cfg.tau, pad_sigmas=16.0)
+    exact = fidelity_exact(state, pair, 60, cfg.tau, grid=grid_for_state(state, pad_sigmas=16.0))
     chain = f2_gaussian_chain(state, pair, cfg)
     assert np.max(np.abs(chain.values - exact.values)) <= 1e-9
 
@@ -596,7 +673,7 @@ def test_momentum_displacement_variant_exact_for_f0_f1():
         hamiltonian_1d(polynomial_term(0.0, +0.5), ZERO_TERM),
     )
     # constant drift moves the packet, so pad the grid beyond the 8-sigma rule
-    exact = fidelity_exact(state, pair, 150, 0.05, pad_sigmas=16.0)
+    exact = fidelity_exact(state, pair, 150, 0.05, grid=grid_for_state(state, pad_sigmas=16.0))
     cfg = config(n_traj=30000, n_steps=150)
     for est in (f0, f1_dr):
         series = est(state, pair, cfg)

@@ -68,8 +68,20 @@ def test_grid_validation():
         Grid(((-1.0, 1.0),), (100,))
     with pytest.raises(ValueError, match="increasing"):
         Grid(((1.0, -1.0),), (64,))
-    with pytest.raises(ValueError, match="axes"):
-        Grid(((-1.0, 1.0),) * 3, (64,) * 3)
+    with pytest.raises(ValueError, match="per axis"):
+        Grid(((-1.0, 1.0),) * 2, (64,))
+
+
+def test_three_dimensional_displaced_wells_are_the_one_dimensional_series_cubed():
+    # any number of axes: each steps on its own, so identical axes give f_1D^3
+    f_1d = fidelity_exact(
+        InitialState.gaussian([0.5], [0.0], [1.0]), displaced_ho_pair(dims=1), 30, 0.05, points=512
+    )
+    f_3d = fidelity_exact(
+        InitialState.gaussian([0.5] * 3, [0.0] * 3, [1.0] * 3), displaced_ho_pair(dims=3), 30, 0.05,
+        points=512,
+    )
+    np.testing.assert_allclose(f_3d.values, f_1d.values**3, rtol=0, atol=1e-14)
 
 
 def test_grid_for_state_covers_eight_sigma():
@@ -152,7 +164,7 @@ def separable_systems(draw):
 @given(system=separable_systems())
 def test_identical_branches_keep_unit_fidelity_on_random_systems(system):
     h, state = system
-    f = squared_norms(state, h, 100, 0.05, points=512, pad_sigmas=16.0)
+    f = squared_norms(state, h, 100, 0.05, grid=grid_for_state(state, points=512, pad_sigmas=16.0))
     assert np.max(np.abs(f - 1.0)) <= 1e-12
 
 

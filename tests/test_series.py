@@ -44,6 +44,29 @@ def test_csv_and_json_write_the_same_abs_f_sq(tmp_path):
     assert np.array_equal(bits(from_json), bits(series.abs_sq))
 
 
+def test_read_series_names_the_file_it_cannot_read(tmp_path):
+    empty = tmp_path / "f1.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match=r"unexpected series header in .*f1\.csv"):
+        read_series(empty)
+    series = series_fixture()
+    path = tmp_path / "f1.json"
+    write_series(series, path)
+    payload = json.loads(path.read_text())
+    del payload["step"], payload["stderr"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"f1\.json has no column step, stderr"):
+        read_series(path)
+    short = tmp_path / "short.csv"
+    short.write_text("step,time,re_f,im_f,abs_f_sq,stderr\n0,0,1,0,1\n")
+    with pytest.raises(ValueError, match=r"short\.csv has a row without 6 cells"):
+        read_series(short)
+    # a header with no rows is the file of an empty series
+    header = tmp_path / "none.csv"
+    header.write_text("step,time,re_f,im_f,abs_f_sq,stderr\n")
+    assert len(read_series(header)) == 0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_series_rejects_non_finite_values(bad):
     values = np.ones(5, dtype=complex)
