@@ -299,10 +299,9 @@ def _thimble_kick(pair, config):
         # bit of Im u is set and Re(u) / t + i t / 2 elsewhere
         np.add(np.abs(u.imag, out=t), np.abs(u), out=t)
         np.sqrt(np.multiply(t, 2.0, out=t), out=t)
-        with np.errstate(invalid="ignore"):
-            np.divide(u.real, t, out=small)
-        if not t.all():
-            small[t == 0.0] = 0.0  # 0 / 0 above: where u = 0, eta = 0
+        # t is 0 only where u is 0, and above 1e-162 elsewhere, so flooring it
+        # at the smallest normal float gives eta = 0 there and no other change
+        np.divide(u.real, np.maximum(t, np.finfo(float).tiny, out=small), out=small)
         larger = np.multiply(t, 0.5, out=t)
         # select by g in {0, 1}: exact products, and no branch on a random sign
         g[...] = np.signbit(u.imag)
@@ -481,15 +480,15 @@ def _integrate_out(a, b, c, j, step, scale=None):
 
 
 def _chain_1d(comp, pair, d, config):
-    """The chain of coordinate d for one component: its N + 1 values and its
-    smallest pivot ratio.  One forward pass carries the Gaussian
-    g = exp(-x^T A x / 2 + b . x + c) of x = (q, p), A complex symmetric 2x2.
-    Each step shears q by the drift, multiplies in the perturbation phase,
-    reads f(n) as the integral of g (two 1-D Gaussian integrals), shears p by
-    the classical kick and, unless the curvature d2 of delta-V is an exact
-    zero, convolves p with the normalised Fresnel kernel of the smeared
-    momentum update.  Every pivot has a positive real part, whose
-    principal-branch log gives the square-root branch.
+    """The chain of coordinate d for one component: its N + 1 values, its
+    smallest pivot ratio and whether it skips the Fresnel step.  One forward
+    pass carries the Gaussian g = exp(-x^T A x / 2 + b . x + c) of x = (q, p),
+    A complex symmetric 2x2.  Each step shears q by the drift, multiplies in
+    the perturbation phase, reads f(n) as the integral of g (two 1-D Gaussian
+    integrals), shears p by the classical kick and, unless the curvature d2
+    of delta-V is an exact zero, convolves p with the normalised Fresnel
+    kernel of the smeared momentum update.  Every pivot has a positive real
+    part, whose principal-branch log gives the square-root branch.
     """
     _, t1, t2 = _quadratic_coeffs(pair.average.kinetic[d])
     _, v1, v2 = _quadratic_coeffs(pair.average.potential[d])
@@ -541,7 +540,7 @@ def _chain_1d(comp, pair, d, config):
             a[2, 2] += fresnel_k
             a, b, c, r_eta = _integrate_out(a, b, c + log_fresnel_c, 2, n)
             min_ratio = min(min_ratio, r_eta)
-    return values, min_ratio
+    return values, min_ratio, degenerate
 
 
 def f2_gaussian_chain(
@@ -561,13 +560,13 @@ def f2_gaussian_chain(
         raise ValueError("closed-form chain needs polynomial terms of degree <= 2")
     comps = state.components
     chains = [[_chain_1d(c, pair, d, config) for d in range(pair.dims)] for c in comps]
-    terms = [c.weight * reduce(np.multiply, [f for f, _ in row]) for c, row in zip(comps, chains)]
+    terms = [c.weight * reduce(np.multiply, [f for f, *_ in row]) for c, row in zip(comps, chains)]
     meta = {
         "estimator": "f2_gaussian",
         **config.run_meta,
         "n_traj": None,  # deterministic: no ensemble and no seed
         "seed": None,
-        "degenerate_chain": all(_quadratic_coeffs(t)[2] == 0.0 for t in pair.delta.potential),
-        "chain_min_pivot_ratio": float(min(r for row in chains for _, r in row)),
+        "degenerate_chain": all(skip for row in chains for _, _, skip in row),
+        "chain_min_pivot_ratio": float(min(r for row in chains for _, r, _ in row)),
     }
     return FidelitySeries(config.times, reduce(np.add, terms), np.zeros(config.n_steps + 1), meta)

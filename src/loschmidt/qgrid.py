@@ -113,13 +113,12 @@ def _axis_factors(hs, grid: Grid, tau: float, hbar: float, d: int):
     return np.exp(-1j * tau * t / hbar)[:, None], np.exp(-1j * tau * v / hbar)[:, None]
 
 
-def _axis_step(stack, phat, exp_t, exp_v):
-    """One kicked step of a stack along its last axis, in place and with no
-    allocation, whose page faults would cost more than the FFT; ``phat``
-    receives the momentum amplitudes before the kinetic factor."""
-    np.fft.fft(stack, norm="ortho", out=phat)
-    np.fft.ifft(np.multiply(exp_t, phat, out=stack), norm="ortho", out=stack)
-    np.multiply(exp_v, stack, out=stack)
+def _axis_step(stack, exp_t, exp_v):
+    """One kicked step of a stack along its last axis: returns the momentum
+    amplitudes before the kinetic factor (orthonormal FFT) and the stepped
+    stack."""
+    phat = np.fft.fft(stack, norm="ortho")
+    return phat, exp_v * np.fft.ifft(exp_t * phat, norm="ortho")
 
 
 def _band_mass(values: np.ndarray, band: slice) -> np.ndarray:
@@ -191,14 +190,13 @@ def fidelity_exact(
         stacks.append(np.stack([psi0, psi0]))
         factors.append(_axis_factors(hs, grid, tau, hbar, d))
 
-    phats = [np.empty_like(s) for s in stacks]
     values = np.empty(n_steps + 1, dtype=complex)
     values[0] = 1.0
     for n in range(1, n_steps + 1):
-        for s, phat, f in zip(stacks, phats, factors):
-            _axis_step(s, phat, *f)
+        steps = [_axis_step(s, *f) for s, f in zip(stacks, factors)]
+        stacks = [psi for _, psi in steps]
         if check_leaks:
-            _check_leaks(grid, dx, phats, stacks)
+            _check_leaks(grid, dx, [phat for phat, _ in steps], stacks)
         overlaps = [(np.conj(psi[0]) * psi[1]).sum(axis=-1) * h for psi, h in zip(stacks, dx)]
         values[n] = np.dot(weights, reduce(np.multiply, overlaps))
 

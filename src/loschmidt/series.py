@@ -100,25 +100,26 @@ def write_series(series: FidelitySeries, path) -> None:
 
 
 def read_series(path) -> FidelitySeries:
-    """Read a file written by ``write_series``; every bit of the values survives."""
+    """Read a file written by ``write_series``; every bit of the values
+    survives.  A file it cannot parse raises a ValueError that names it."""
     path = Path(path)
-    if path.suffix == ".json":
-        payload = json.loads(path.read_text())
-        if missing := [name for name in SERIES_COLUMNS if name not in payload]:
-            raise ValueError(f"series file {path} has no column {', '.join(missing)}")
-        meta = payload.get("meta", {})
-        cols = {name: np.array(payload[name], dtype=float) for name in SERIES_COLUMNS}
-    elif path.suffix == ".csv":
-        lines = path.read_text().strip().splitlines()
-        if not lines or lines[0].split(",") != list(SERIES_COLUMNS):
-            raise ValueError(f"unexpected series header in {path}")
-        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-        if any(len(row) != len(SERIES_COLUMNS) for row in rows):
-            raise ValueError(f"series file {path} has a row without {len(SERIES_COLUMNS)} cells")
-        meta = {}
-        cols = dict(zip(SERIES_COLUMNS, np.array(rows).reshape(-1, len(SERIES_COLUMNS)).T))
-    else:
-        raise ValueError(f"unknown series format {path.suffix!r} in {path.name}")
+    try:
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            meta = payload.get("meta", {})
+            cols = {name: np.array(payload[name], dtype=float) for name in SERIES_COLUMNS}
+        elif path.suffix == ".csv":
+            lines = path.read_text().strip().splitlines()
+            if not lines or lines[0].split(",") != list(SERIES_COLUMNS):
+                raise ValueError("unexpected series header")
+            rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+            meta = {}
+            # every row holds every column; a header alone is an empty series
+            cols = dict(zip(SERIES_COLUMNS, np.reshape(rows, (len(rows), len(SERIES_COLUMNS))).T))
+        else:
+            raise ValueError(f"unknown series format {path.suffix!r}")
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"cannot read series file {path}: {type(exc).__name__} {exc}") from exc
     # assigned part by part: re + 1j * im would turn an imaginary -0.0 into +0.0
     values = np.empty(len(cols["time"]), dtype=complex)
     values.real, values.imag = cols["re_f"], cols["im_f"]

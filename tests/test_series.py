@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,27 +45,33 @@ def test_csv_and_json_write_the_same_abs_f_sq(tmp_path):
     assert np.array_equal(bits(from_json), bits(series.abs_sq))
 
 
-def test_read_series_names_the_file_it_cannot_read(tmp_path):
-    empty = tmp_path / "f1.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match=r"unexpected series header in .*f1\.csv"):
-        read_series(empty)
-    series = series_fixture()
-    path = tmp_path / "f1.json"
-    write_series(series, path)
-    payload = json.loads(path.read_text())
-    del payload["step"], payload["stderr"]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=r"f1\.json has no column step, stderr"):
+HEADER = "step,time,re_f,im_f,abs_f_sq,stderr\n"
+UNREADABLE = [
+    ("empty.csv", "", "unexpected series header"),
+    ("header.csv", "time,step\n0,0\n", "unexpected series header"),
+    # six rows of five cells: thirty numbers, which must not be read as five rows of six
+    ("short.csv", HEADER + "0,0,1,0,1\n" * 6, "cannot reshape"),
+    ("ragged.csv", HEADER + "0,0,1,0,1,0\n1,0.1,1,0\n", "inhomogeneous"),
+    ("cell.csv", HEADER + "0,0,1,x,1,0\n", "could not convert"),
+    ("empty.json", "", "JSONDecodeError"),
+    ("columns.json", '{"time": [0.0], "re_f": [1.0], "im_f": [0.0]}', "KeyError 'step'"),
+    ("series.txt", "", "unknown series format '.txt'"),
+]
+
+
+@pytest.mark.parametrize("name, text, reason", UNREADABLE, ids=[case[0] for case in UNREADABLE])
+def test_read_series_names_the_file_it_cannot_read(tmp_path, name, text, reason):
+    path = tmp_path / name
+    path.write_text(text)
+    pattern = rf"cannot read series file .*{re.escape(name)}: .*{re.escape(reason)}"
+    with pytest.raises(ValueError, match=pattern):
         read_series(path)
-    short = tmp_path / "short.csv"
-    short.write_text("step,time,re_f,im_f,abs_f_sq,stderr\n0,0,1,0,1\n")
-    with pytest.raises(ValueError, match=r"short\.csv has a row without 6 cells"):
-        read_series(short)
-    # a header with no rows is the file of an empty series
-    header = tmp_path / "none.csv"
-    header.write_text("step,time,re_f,im_f,abs_f_sq,stderr\n")
-    assert len(read_series(header)) == 0
+
+
+def test_read_series_reads_a_header_alone_as_an_empty_series(tmp_path):
+    path = tmp_path / "none.csv"
+    path.write_text(HEADER)
+    assert len(read_series(path)) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
