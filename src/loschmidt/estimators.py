@@ -20,14 +20,21 @@ perturbation with a kinetic part.
 
 All Monte Carlo reductions run over fixed, index-ordered batches so results
 are reproducible bit-for-bit for a given seed regardless of how work is
-scheduled.  Within one series the time steps reuse a single path ensemble,
-so errors are correlated across time (flagged in the metadata).
+scheduled.  The orbit loop steps an ensemble of at least
+2 * ``_MIN_CHUNK_TRAJ`` trajectories in chunks of whole batches, one per CPU
+the process may run on, on threads (numpy releases the GIL in its array
+loops); every draw is keyed by its batch and every sum runs in batch order,
+so the results are the same bits for any CPU count.  Within one series the
+time steps reuse a single path ensemble, so errors are correlated across
+time (flagged in the metadata).
 """
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -43,6 +50,11 @@ PROPOSAL_WIDTH_FACTOR = 2.0
 # every this many steps, so rounding cannot accumulate beyond it
 _F0_REANCHOR_STEPS = 64
 _SINGULAR_RTOL = 1e-12
+# the orbit loop splits the ensemble only into chunks of about this many
+# trajectories or more: below it, handing a chunk to a thread costs more than
+# the chunk's arithmetic
+_MIN_CHUNK_TRAJ = 50_000
+_TINY = np.finfo(float).tiny
 
 
 class SingularExponentError(RuntimeError):
@@ -184,29 +196,82 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
 # first and second order: one orbit loop
 
 
-def _orbit_loop(state, pair, config, h, reduce, kick=None):
-    """Follow the kick map of ``h`` and record reduce(exp(-i tau phi / hbar)).
+def _available_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``.  ``reduce``
-    receives one phasor buffer that the next step overwrites.
-    ``kick(q, p)``, when given, replaces the classical momenta after each
-    step has been recorded.  A kick may return complex momenta; from then on
-    the orbit, phi and the phasor are complex, and the phasor is
-    exp(tau Im phi / hbar) (cos, sin)(-tau Re phi / hbar).
-    """
+
+def _batch_edges(n: int) -> list:
+    """Bounds of the error batches of n samples: batch b is edges[b]:edges[b + 1]."""
+    return [*_batch_starts(n, DEFAULT_ERROR_BATCHES).tolist(), n]
+
+
+def _chunks(n: int, split: bool = True) -> list:
+    """The chunks the orbit loop advances: (batches, lo, hi) per chunk, a
+    contiguous run of whole error batches and its trajectories lo:hi.  There
+    is one chunk per available CPU, but no more than leave each chunk about
+    ``_MIN_CHUNK_TRAJ`` trajectories, and one chunk without ``split``."""
+    edges = _batch_edges(n)
+    batches = len(edges) - 1
+    count = max(1, min(_available_cpus(), n // _MIN_CHUNK_TRAJ, batches)) if split else 1
+    cuts = [(c * batches) // count for c in range(count + 1)]
+    return [(range(b0, b1), edges[b0], edges[b1]) for b0, b1 in zip(cuts[:-1], cuts[1:])]
+
+
+_pool = None  # works every chunk but the caller's; made on the first split
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_chunks(tasks) -> None:
+    """Run the callables ``tasks``: the first on the calling thread, the
+    others on the shared pool.  Returns once every task has finished; the
+    first exception in task order is then raised."""
+    global _pool
+    if len(tasks) == 1:
+        tasks[0]()
+        return
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            # one thread per CPU besides the caller's: a thread more would
+            # only add a malloc arena
+            _pool = ThreadPoolExecutor(max(1, _available_cpus() - 1), "loschmidt-chunk")
+    futures = [_pool.submit(task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        for future in futures:
+            future.exception()  # waits for the task, whatever the caller's outcome
+    for future in futures:
+        future.result()
+
+
+def _orbit_chunk(q, p, z, h, delta, config, kick):
+    """The step of one chunk's orbit: ``step(last)`` advances (q, p) and phi
+    by one step, writes the chunk's phasors into its slice ``z`` of the
+    shared buffer and, unless ``last``, kicks the momenta for the next step."""
     tau, hbar = config.tau, config.hbar
-    q, p = sample(state, config.n_traj, config.seed, hbar)
-    starts = _batch_starts(config.n_traj, DEFAULT_ERROR_BATCHES)
-    phi = np.zeros(config.n_traj)
-    theta = np.empty(config.n_traj)
-    z = np.empty(config.n_traj, dtype=complex)
-    values = np.empty(config.n_steps + 1, dtype=complex)
-    stderr = np.empty(config.n_steps + 1)
-    values[0], stderr[0] = 1.0 + 0.0j, 0.0
-    for n in range(1, config.n_steps + 1):
+    phi = np.zeros(len(z))
+    theta = np.empty(len(z))
+
+    def step(last):
+        nonlocal q, p, phi
         q_new, p_new = map_step(q, p, h, tau)
-        phi += pair.delta.value(q_new, p)
-        # rebind before the reduction so the old momenta are freed early
+        phi += delta.value(q_new, p)
+        # rebind before the phasor so the old momenta are freed early
         q, p = q_new, p_new
         check_escape(q, p)
         # z = exp(-1j * tau / hbar * phi), bit for bit for real phi: that
@@ -219,11 +284,52 @@ def _orbit_loop(state, pair, config, h, reduce, kick=None):
             np.exp(theta, out=theta)
             np.multiply(z.real, theta, out=z.real)
             np.multiply(z.imag, theta, out=z.imag)
-        values[n], stderr[n] = reduce(z, starts)
-        if kick is not None:
+        if kick is not None and not last:
             p = kick(q, p)
             if p.dtype.kind == "c" and phi.dtype.kind != "c":
                 phi = phi.astype(complex)  # the orbit leaves the real axis
+
+    return step
+
+
+def _orbit_loop(state, pair, config, h, reduce, kick=None, split=True):
+    """Follow the kick map of ``h`` and record reduce(exp(-i tau phi / hbar)).
+
+    phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``.  ``reduce``
+    receives one phasor buffer that the next step overwrites.  ``kick``,
+    when given, maps a range of error batches to the kick of their
+    trajectories, ``kick(batches)(q, p)``, which replaces the classical
+    momenta after every step but the last.  A kick may return complex
+    momenta; from then on the orbit, phi and the phasor are complex, and the
+    phasor is exp(tau Im phi / hbar) (cos, sin)(-tau Re phi / hbar).
+
+    The ensemble advances in contiguous chunks of whole error batches
+    (``_chunks``), one per available CPU from 2 * ``_MIN_CHUNK_TRAJ``
+    trajectories on.  Per step, each chunk runs its own orbit, phasor and
+    kick (``_orbit_chunk``); the calling thread works the first chunk and a
+    shared thread pool the others.  ``reduce`` then runs on the whole buffer,
+    in batch order.  Every element sees the same operations however the
+    ensemble is split, so the results are bit-identical for any CPU count.
+    An exception in a chunk is raised once every chunk of its step has
+    finished, the first in chunk order.  ``split=False`` keeps one chunk, for
+    a kick or a reduction whose state spans the whole ensemble.
+    """
+    n_traj = config.n_traj
+    q, p = sample(state, n_traj, config.seed, config.hbar)
+    z = np.empty(n_traj, dtype=complex)
+    steps = [
+        _orbit_chunk(q[lo:hi], p[lo:hi], z[lo:hi], h, pair.delta, config,
+                     None if kick is None else kick(batches))
+        for batches, lo, hi in _chunks(n_traj, split)
+    ]
+    del q, p  # the chunks hold the sampled ensemble until their first step
+    starts = _batch_starts(n_traj, DEFAULT_ERROR_BATCHES)
+    values = np.empty(config.n_steps + 1, dtype=complex)
+    stderr = np.empty(config.n_steps + 1)
+    values[0], stderr[0] = 1.0 + 0.0j, 0.0
+    for n in range(1, config.n_steps + 1):
+        _run_chunks([partial(step, n == config.n_steps) for step in steps])
+        values[n], stderr[n] = reduce(z, starts)
     return values, stderr
 
 
@@ -262,8 +368,10 @@ def _require_position_perturbation(state, pair):
         raise ValueError("perturbation must be momentum independent")
 
 
-def _thimble_kick(pair, config):
-    """The smeared momentum update drawn on its steepest-descent line.
+def _thimble_kick(pair, config, batches=None):
+    """The smeared momentum update drawn on its steepest-descent line, for
+    the trajectories of the error batches ``batches`` (a range; all of them
+    by default).
 
     One step smears each classical momentum with the normalised Fresnel
     kernel C exp(i eta^2 / (4 a hbar^2)), a = tau V_delta''(q) / (8 hbar) of
@@ -271,29 +379,31 @@ def _thimble_kick(pair, config):
     density of t with variance 2 hbar^2, so eta = sqrt(i a) sqrt(2) hbar xi
     with xi standard normal, and every path weight is exactly one.  Either
     root serves, since xi is symmetric.  Where a is an exact zero, eta is an
-    exact zero; while a is zero everywhere the momenta stay real.
+    exact zero.  An affine V_delta has a = 0 everywhere, which the pair
+    tells without a look at the orbit: its kick returns the momenta as
+    given, and the orbit stays real.
 
     Draws come from one Philox stream per error batch, keyed
     (seed, 1, batch), so they do not depend on how the ensemble is split.
     """
-    n = config.n_traj
-    starts = _batch_starts(n, DEFAULT_ERROR_BATCHES)
-    slices = [slice(s, e) for s, e in zip(starts, [*starts[1:], n])]
+    if all(t.cos_amp == 0.0 and t.degree <= 1 for t in pair.delta.potential):
+        return lambda q, p: p
+    edges = _batch_edges(config.n_traj)
+    batches = range(len(edges) - 1) if batches is None else batches
+    lo = edges[batches.start]
+    slices = [slice(edges[b] - lo, edges[b + 1] - lo) for b in batches]
     streams = [
         np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 1, b])))
-        for b in range(len(slices))
+        for b in batches
     ]
     # reused buffers: a fresh ensemble-sized array costs more (page faults)
     # than the arithmetic done on it here
-    t, small, g = np.empty((3, n, pair.dims))
+    t, small, g = np.empty((3, edges[batches.stop] - lo, pair.dims))
     # sqrt(a) sqrt(2) hbar = sqrt(V_delta'') sqrt(tau hbar) / 2
     scale = 0.5 * np.sqrt(config.tau * config.hbar)
 
     def kick(q, p):
-        u = pair.delta.potential_d2(q)
-        if not u.any():
-            return p
-        u = u.astype(complex, copy=False)
+        u = pair.delta.potential_d2(q).astype(complex, copy=False)
         # a root of i u from real operations that cancel nothing: with
         # t = sqrt(2 (|u| + |Im u|)) it is t / 2 + i Re(u) / t where the sign
         # bit of Im u is set and Re(u) / t + i t / 2 elsewhere
@@ -301,7 +411,7 @@ def _thimble_kick(pair, config):
         np.sqrt(np.multiply(t, 2.0, out=t), out=t)
         # t is 0 only where u is 0, and above 1e-162 elsewhere, so flooring it
         # at the smallest normal float gives eta = 0 there and no other change
-        np.divide(u.real, np.maximum(t, np.finfo(float).tiny, out=small), out=small)
+        np.divide(u.real, np.maximum(t, _TINY, out=small), out=small)
         larger = np.multiply(t, 0.5, out=t)
         # select by g in {0, 1}: exact products, and no branch on a random sign
         g[...] = np.signbit(u.imag)
@@ -332,7 +442,8 @@ def _real_axis_f2(state, pair, config):
     sigma_prop = PROPOSAL_WIDTH_FACTOR * hbar * sqrt(pi * |a_n|).
     The weight modulus is heavy-tailed, so the reduction is a self-normalised
     weighted mean with batch-bootstrap error bars.  Returns the values, the
-    errors and the effective sample size of the final weights.
+    errors and the effective sample size of the weights the last step was
+    recorded with.
     """
     if pair.dims != 1:
         raise ValueError("f2_mc off the thimble supports one degree of freedom only")
@@ -344,10 +455,11 @@ def _real_axis_f2(state, pair, config):
         np.random.Philox(np.random.SeedSequence([config.seed, 1]))
     )
     weight = np.ones(n, dtype=complex)
+    following = None  # the weight after the last smear, once its step is recorded
     planck = 2.0 * np.pi * hbar
 
     def smeared_kick(q, p):
-        nonlocal weight
+        nonlocal following
         a = tau / (8.0 * hbar) * pair.delta.potential_d2(q)[..., 0]
         smear = a != 0.0
         if not np.any(smear):
@@ -365,21 +477,29 @@ def _real_axis_f2(state, pair, config):
             * np.exp(1j * (b**2 / (4.0 * a_safe) - np.pi * np.sign(a_safe) / 4.0))
         )
         proposal = np.exp(-0.5 * xi**2) / (sigma_prop * np.sqrt(2.0 * np.pi))
-        weight = weight * np.where(smear, smeared_delta / proposal, 1.0)
+        following = weight * np.where(smear, smeared_delta / proposal, 1.0)
         # rescale to dodge overflow in the products; the reported value
         # and error are ratios in the weights, so a common factor
         # cancels exactly
-        peak = np.max(np.abs(weight))
+        peak = np.max(np.abs(following))
         if peak > 1e250:
-            weight = weight / peak
+            following = following / peak
         return np.where(smear, p[..., 0] + sigma_prop * xi, p[..., 0])[:, None]
 
-    # each step is recorded with the weight accumulated so far: the current
-    # step's momentum factor integrates to one and would only add variance
+    def record(z, starts):
+        # each step is recorded with the weight accumulated before its own
+        # smear, whose momentum factor integrates to one and would only add
+        # variance; the loop kicks before it records, so the new weight
+        # takes over only here
+        nonlocal weight, following
+        recorded = _weighted_mean_stderr(weight, z, starts)
+        if following is not None:
+            weight, following = following, None
+        return recorded
+
+    # one chunk: the weights, the proposal stream and the rescale are global
     values, stderr = _orbit_loop(
-        state, pair, config, pair.average,
-        lambda z, starts: _weighted_mean_stderr(weight, z, starts),
-        smeared_kick,
+        state, pair, config, pair.average, record, lambda batches: smeared_kick, split=False
     )
 
     mags = np.abs(weight)
@@ -426,7 +546,7 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     _require_position_perturbation(state, pair)
     average_terms = pair.average.kinetic + pair.average.potential
     if all(t.cos_amp == 0.0 and t.degree <= 2 for t in average_terms):
-        kick = _thimble_kick(pair, config)
+        kick = partial(_thimble_kick, pair, config)
         values, stderr = _orbit_loop(state, pair, config, pair.average, _mean_stderr, kick)
         contour, ess = "thimble", float(config.n_traj)
     else:

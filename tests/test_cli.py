@@ -17,6 +17,7 @@ from loschmidt.cli import (
     parse_config_text,
     run,
 )
+from loschmidt import estimators as estimators_module
 from loschmidt.estimators import f1_dr
 from loschmidt.qgrid import Grid, fidelity_exact
 from loschmidt.series import FidelitySeries, read_series
@@ -181,12 +182,18 @@ def test_run_is_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_thread_count_does_not_change_results(tmp_path):
+def test_run_thread_count_does_not_change_results(tmp_path, monkeypatch):
     displaced = DISPLACED_CFG.replace("exact, f1", "exact, f0, f1")
     diff_k = DISPLACED_CFG.replace("displaced_ho", "ho_diff_k").replace("exact, f1", "f1, f2_mc")
+    # 1e5 trajectories on two CPUs split each estimator's ensemble in two, so
+    # --threads 4 runs chunk tasks under concurrent estimators
+    split = diff_k.replace("n_traj = 2000", "n_traj = 100000")
+    monkeypatch.setattr(estimators_module, "_available_cpus", lambda: 2)
+    assert len(estimators_module._chunks(100_000)) == 2
     for label, text, estimators in (
         ("displaced", displaced, ("exact", "f0", "f1")),
         ("diff_k", diff_k, ("f1", "f2_mc")),
+        ("split", split, ("f1", "f2_mc")),
     ):
         cfg = build_run_config(parse_config_text(text))
         run(cfg, tmp_path / f"{label}_t1", threads=1)
@@ -418,9 +425,7 @@ def test_main_rejects_threads_below_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_main_numerical_abort_exit_three(tmp_path, capsys):
-    # inverted quartic ejects trajectories -> numerical abort
-    text = """
+ESCAPE_CFG = """
 estimators = f1
 kinetic_prime = 0 0 0.5
 kinetic_double_prime = 0 0 0.5
@@ -431,9 +436,22 @@ n_traj = 100
 n_steps = 400
 tau = 0.5
 """
-    cfg_path = write_cfg(tmp_path, text)
+
+
+def test_main_numerical_abort_exit_three(tmp_path, capsys):
+    # inverted quartic ejects trajectories -> numerical abort
+    cfg_path = write_cfg(tmp_path, ESCAPE_CFG)
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == EXIT_NUMERIC
     assert "numerical abort" in capsys.readouterr().err
+
+
+def test_main_numerical_abort_in_a_split_ensemble_exit_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(estimators_module, "_available_cpus", lambda: 2)
+    cfg_path = write_cfg(tmp_path, ESCAPE_CFG.replace("n_traj = 100\n", "n_traj = 100000\n"))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_NUMERIC
+    assert "numerical abort: trajectory escaped" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_main_non_finite_series_exit_three(tmp_path, capsys, monkeypatch):

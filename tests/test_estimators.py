@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -5,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loschmidt import estimators
+from loschmidt.dynamics import TrajectoryEscapeError, map_step
 from loschmidt.estimators import (
     EstimatorConfig,
     FidelitySeries,
@@ -326,6 +333,152 @@ def test_f2_mc_thimble_accuracy_gates(name, n_steps):
         if name == "cubic_perturbation":
             f1_dev = np.abs(f1_dr(sc.state, sc.pair, cfg).values - exact.values)
             assert dev.max() < f1_dev.max(), seed
+
+
+# ---------------------------------------------------------------------------
+# the orbit loop on several CPUs
+
+
+def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
+    # a smaller chunk floor lets 1e5 trajectories split three ways, into 10,
+    # 11 and 11 of the 32 error batches
+    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 30_000)
+    runs = [
+        (f1_dr, "displaced_ho"), (f1_dr, "cubic_perturbation"),
+        (f2_mc, "linear_gradient"),  # a = 0 everywhere: the orbit stays real
+        (f2_mc, "ho_diff_k"), (f2_mc, "cubic_perturbation"),  # thimble
+        (f2_mc, "kicked_rotor"),  # real axis: one chunk whatever the CPUs
+    ]
+    results = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(estimators, "_available_cpus", lambda cpus=cpus: cpus)
+        sizes = [hi - lo for _, lo, hi in estimators._chunks(100_000)]
+        assert len(sizes) == cpus and sum(sizes) == 100_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the real-axis ESS
+            for estimator, name in runs:
+                sc = load(name)
+                cfg = config(n_traj=100_000, tau=sc.tau, n_steps=30, seed=5)
+                results[cpus, estimator, name] = estimator(sc.state, sc.pair, cfg)
+    assert sizes == [31_250, 34_375, 34_375]
+    for estimator, name in runs:
+        one = results[1, estimator, name]
+        for cpus in (2, 3):
+            other = results[cpus, estimator, name]
+            assert one.values.tobytes() == other.values.tobytes(), (cpus, name)
+            assert one.stderr.tobytes() == other.stderr.tobytes(), (cpus, name)
+            assert one.meta.get("f2_contour") == other.meta.get("f2_contour")
+
+
+def test_concurrent_orbit_loops_share_the_chunk_pool(monkeypatch):
+    # more callers than cores, each splitting its ensemble three ways, with
+    # a short switch interval: every result keeps the serial bits
+    sc = load("cubic_perturbation")
+    cfg = config(n_traj=6000, tau=sc.tau, n_steps=20)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
+    serial = f2_mc(sc.state, sc.pair, cfg).values
+    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 3)
+    results = [None] * 6
+
+    def work(i):
+        results[i] = f2_mc(sc.state, sc.pair, cfg).values
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(r is not None and r.tobytes() == serial.tobytes() for r in results)
+
+
+def _split_f1_in_child(state, pair, cfg):
+    f1_dr(state, pair, cfg)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_splits_its_ensemble_on_its_own_pool(monkeypatch):
+    # the parent's pool threads do not exist in a forked child
+    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    sc = load("cubic_perturbation")
+    cfg = config(n_traj=4000, tau=sc.tau, n_steps=5)
+    f1_dr(sc.state, sc.pair, cfg)  # the parent's pool exists from here on
+    child = multiprocessing.get_context("fork").Process(
+        target=_split_f1_in_child, args=(sc.state, sc.pair, cfg)
+    )
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_run_chunks_raises_the_first_failure_once_every_chunk_finished(monkeypatch):
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 3)
+    finished = []
+
+    def task(name, delay=0.0, error=None):
+        def run():
+            time.sleep(delay)
+            finished.append(name)
+            if error is not None:
+                raise error
+
+        return run
+
+    # the caller's chunk succeeds: the earliest failing chunk wins, not the
+    # first to fail
+    with pytest.raises(ValueError, match="second chunk"):
+        estimators._run_chunks([
+            task(0), task(1, 0.2, ValueError("second chunk")), task(2, 0.0, KeyError("third")),
+        ])
+    assert sorted(finished) == [0, 1, 2]
+    # the caller's chunk fails first: it still waits for the others
+    finished.clear()
+    with pytest.raises(RuntimeError, match="first chunk"):
+        estimators._run_chunks([task(0, 0.0, RuntimeError("first chunk")), task(1, 0.2)])
+    assert sorted(finished) == [0, 1]
+
+
+def test_escape_in_a_split_ensemble_matches_the_serial_error(monkeypatch):
+    # an inverted quartic ejects the packet; with the ensemble split, the
+    # chunk that escapes raises only once the other chunk's step is over
+    h_ref = hamiltonian_1d(quadratic_kinetic(1.0), polynomial_term(0, 0, 0, 0, -0.25))
+    h_prime = hamiltonian_1d(quadratic_kinetic(1.0), polynomial_term(0, 0, 0.05, 0, -0.25))
+    pair = make_pair(h_ref, h_prime)
+    state = InitialState.gaussian([3.0], [0.0], [0.5])
+    cfg = config(n_traj=100_000, tau=0.5, n_steps=400)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
+    with pytest.raises(TrajectoryEscapeError) as serial:
+        f1_dr(state, pair, cfg)
+
+    running, lock = [], threading.Lock()
+
+    def lagging_map_step(*args):
+        with lock:
+            running.append(threading.current_thread())
+        try:
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)  # the pool's chunk lags behind the caller's
+            return map_step(*args)
+        finally:
+            with lock:
+                running.remove(threading.current_thread())
+
+    monkeypatch.setattr(estimators, "map_step", lagging_map_step)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    with pytest.raises(TrajectoryEscapeError) as split:
+        f1_dr(state, pair, cfg)
+    assert not running  # no chunk is still stepping when the error surfaces
+    assert str(split.value) == str(serial.value)
 
 
 # ---------------------------------------------------------------------------
