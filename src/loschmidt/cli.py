@@ -287,11 +287,11 @@ ESTIMATORS = {
 def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
     """Execute the configured estimators and write all output files.
 
-    Independent estimators may run on a thread pool; each one is computed by
-    single-threaded deterministic reductions, so results do not depend on
-    ``threads``.  ``out_dir`` is created only once every estimator has
-    returned, so a run that aborts leaves no directory behind.  Returns the
-    mapping estimator name -> FidelitySeries.
+    Independent estimators may run on a thread pool; each one reduces its
+    ensemble in a fixed batch order, however many CPUs step it, so results
+    do not depend on ``threads``.  ``out_dir`` is created only once every
+    estimator has returned, so a run that aborts leaves no directory behind.
+    Returns the mapping estimator name -> FidelitySeries.
     """
     names = list(cfg.estimators)
 

@@ -20,18 +20,18 @@ perturbation with a kinetic part.
 
 All Monte Carlo reductions run over fixed, index-ordered batches so results
 are reproducible bit-for-bit for a given seed regardless of how work is
-scheduled.  The orbit loop steps an ensemble of at least
-2 * ``_MIN_CHUNK_TRAJ`` trajectories in chunks of whole batches, one per CPU
-the process may run on, on threads (numpy releases the GIL in its array
-loops); every draw is keyed by its batch and every sum runs in batch order,
-so the results are the same bits for any CPU count.  Within one series the
-time steps reuse a single path ensemble, so errors are correlated across
-time (flagged in the metadata).
+scheduled.  ``f0``, ``f1_dr`` and the thimble ``f2_mc`` cut an ensemble of
+at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of whole batches,
+one per CPU the process may run on, and run each chunk from the first step
+to the last on a thread (numpy releases the GIL in its array loops); every
+draw is keyed by its batch and every sum runs in batch order, so the
+results are the same bits for any CPU count.  Within one series the time
+steps reuse a single path ensemble, so errors are correlated across time
+(flagged in the metadata).
 """
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
@@ -50,9 +50,9 @@ PROPOSAL_WIDTH_FACTOR = 2.0
 # every this many steps, so rounding cannot accumulate beyond it
 _F0_REANCHOR_STEPS = 64
 _SINGULAR_RTOL = 1e-12
-# the orbit loop splits the ensemble only into chunks of about this many
-# trajectories or more: below it, handing a chunk to a thread costs more than
-# the chunk's arithmetic
+# an ensemble is split only into chunks of about this many trajectories or
+# more, as a chunk pays a thread and, on every step, the fixed cost of each
+# numpy call; the value is not measured for chunks that run to the end alone
 _MIN_CHUNK_TRAJ = 50_000
 _TINY = np.finfo(float).tiny
 
@@ -102,20 +102,31 @@ def _batch_starts(n: int, n_batches: int) -> np.ndarray:
     return (np.arange(b) * n) // b
 
 
-def _ordered_sum(x: np.ndarray, starts: np.ndarray):
-    """Sum in fixed index order via per-batch partial sums."""
-    return np.add.reduceat(x, starts).sum()
+def _moments(starts, counts, z, theta, dev=None):
+    """Sum S_b and two-pass moment M2_b = sum |z - S_b / n_b|^2 of each batch
+    b of ``z``, which starts at starts[b] and holds counts[b] samples.
+    Overwrites ``dev`` (z itself by default) with the deviations and the
+    float buffer ``theta`` of z's length with their squared moduli."""
+    dev = z if dev is None else dev
+    sums = np.add.reduceat(z, starts)
+    np.subtract(z, np.repeat(sums / counts, counts), out=dev)
+    np.abs(dev, out=theta)
+    np.square(theta, out=theta)
+    return sums, np.add.reduceat(theta, starts)
 
 
-def _mean_stderr(z: np.ndarray, starts: np.ndarray):
-    """Mean of complex samples and the standard error of that mean
-    (real/imaginary sample variances combined in quadrature)."""
-    n = z.shape[0]
-    mean = _ordered_sum(z, starts) / n
+def _merge_moments(sums: np.ndarray, m2s: np.ndarray, counts: np.ndarray):
+    """Per row, the mean of complex samples and its standard error from the
+    ``_moments`` of their batches, one column per batch in batch order.  The
+    spread sum_b [M2_b + n_b |S_b / n_b - mean|^2] is the pairwise merge of
+    Chan, Golub and LeVeque (1983), with the real and imaginary variances
+    combined in quadrature."""
+    n = int(counts.sum())
+    mean = sums.sum(axis=1) / n
     if n < 2:
-        return mean, 0.0
-    spread = _ordered_sum(np.abs(z - mean) ** 2, starts)
-    return mean, float(np.sqrt(spread / (n - 1) / n))
+        return mean, np.zeros(len(mean))
+    spread = (m2s + counts * np.abs(sums / counts - mean[:, None]) ** 2).sum(axis=1)
+    return mean, np.sqrt(spread / (n - 1) / n)
 
 
 _BOOTSTRAP_RESAMPLES = 400
@@ -156,44 +167,7 @@ def _weighted_mean_stderr(w: np.ndarray, z: np.ndarray, starts: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# zeroth order: static phase average
-
-
-def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> FidelitySeries:
-    """Static average exp(-i t dH(x0) / hbar) over the initial Wigner density.
-
-    No trajectories are run; the estimator is exact whenever the average
-    Hamiltonian is constant and the perturbation affine in phase space.
-    The phasors follow z_n = z_{n-1} exp(-i tau dH / hbar), one complex
-    product per sample and step instead of a complex ``exp``, and are
-    recomputed directly every ``_F0_REANCHOR_STEPS`` steps, so the rounding
-    of the products never builds up over more than that many of them; the
-    mean stays within a few 1e-16 of the direct form.
-    """
-    times = config.times
-    meta = {
-        "estimator": "f0",
-        **config.run_meta,
-        "correlated_time_steps": True,
-    }
-    q, p = sample(state, config.n_traj, config.seed, config.hbar)
-    phi = pair.delta.value(q, p)
-    starts = _batch_starts(config.n_traj, DEFAULT_ERROR_BATCHES)
-    values = np.empty(len(times), dtype=complex)
-    stderr = np.empty(len(times))
-    # the direct form of step 1, whose t = times[1] is tau as a float64
-    step = np.exp(-1j * np.float64(config.tau) / config.hbar * phi)
-    for n, t in enumerate(times):
-        if n % _F0_REANCHOR_STEPS == 0:
-            z = np.exp(-1j * t / config.hbar * phi)
-        else:
-            z *= step
-        values[n], stderr[n] = _mean_stderr(z, starts)
-    return FidelitySeries(times, values, stderr, meta)
-
-
-# ---------------------------------------------------------------------------
-# first and second order: one orbit loop
+# one ensemble driver, split over the available CPUs
 
 
 def _available_cpus() -> int:
@@ -208,71 +182,128 @@ def _batch_edges(n: int) -> list:
     return [*_batch_starts(n, DEFAULT_ERROR_BATCHES).tolist(), n]
 
 
-def _chunks(n: int, split: bool = True) -> list:
-    """The chunks the orbit loop advances: (batches, lo, hi) per chunk, a
-    contiguous run of whole error batches and its trajectories lo:hi.  There
-    is one chunk per available CPU, but no more than leave each chunk about
-    ``_MIN_CHUNK_TRAJ`` trajectories, and one chunk without ``split``."""
+def _chunks(n: int) -> list:
+    """The chunks an ensemble of n samples is cut into: (batches, lo, hi)
+    per chunk, a contiguous run of whole error batches and its samples lo:hi.
+    There is one chunk per available CPU, but no more than leave each chunk
+    about ``_MIN_CHUNK_TRAJ`` samples."""
     edges = _batch_edges(n)
     batches = len(edges) - 1
-    count = max(1, min(_available_cpus(), n // _MIN_CHUNK_TRAJ, batches)) if split else 1
+    count = max(1, min(_available_cpus(), n // _MIN_CHUNK_TRAJ, batches))
     cuts = [(c * batches) // count for c in range(count + 1)]
     return [(range(b0, b1), edges[b0], edges[b1]) for b0, b1 in zip(cuts[:-1], cuts[1:])]
 
 
-_pool = None  # works every chunk but the caller's; made on the first split
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """Drop the pool in a forked child, which has none of its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_chunks(tasks) -> None:
-    """Run the callables ``tasks``: the first on the calling thread, the
-    others on the shared pool.  Returns once every task has finished; the
-    first exception in task order is then raised."""
-    global _pool
+def _run_chunks(tasks) -> list:
+    """Run the callables ``tasks``, the first on the calling thread and the
+    others on a pool of their own, and return their results in task order.
+    Returns once every task has finished; the first exception in task order
+    is then raised."""
     if len(tasks) == 1:
-        tasks[0]()
-        return
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+        return [tasks[0]()]
+    from concurrent.futures import ThreadPoolExecutor
 
-            # one thread per CPU besides the caller's: a thread more would
-            # only add a malloc arena
-            _pool = ThreadPoolExecutor(max(1, _available_cpus() - 1), "loschmidt-chunk")
-    futures = [_pool.submit(task) for task in tasks[1:]]
-    try:
-        tasks[0]()
-    finally:
-        for future in futures:
-            future.exception()  # waits for the task, whatever the caller's outcome
-    for future in futures:
-        future.result()
+    # leaving the block waits for every task, also when the caller's raised
+    with ThreadPoolExecutor(len(tasks) - 1, "loschmidt-chunk") as pool:
+        futures = [pool.submit(task) for task in tasks[1:]]
+        first = tasks[0]()
+    return [first, *(future.result() for future in futures)]
 
 
-def _orbit_chunk(q, p, z, h, delta, config, kick):
-    """The step of one chunk's orbit: ``step(last)`` advances (q, p) and phi
-    by one step, writes the chunk's phasors into its slice ``z`` of the
-    shared buffer and, unless ``last``, kicks the momenta for the next step."""
+def _ensemble_series(state, config, chunk):
+    """Mean and standard error at every step of a per-sample series over
+    one sampled ensemble, cut into ``_chunks`` run by ``_run_chunks``.
+
+    ``chunk(ensemble, batches, moments)`` runs one chunk from the first step
+    to the last.  It gets its samples as a list [q, p] to empty, so that its
+    first step frees them, and the range of its error batches; it returns
+    ``moments`` (``_moments`` of those batches) of every step's phasors,
+    stacked over the steps.  Every sample sees the same operations however the ensemble is cut, so
+    the results are the same bits for any CPU count.
+    """
+    n = config.n_traj
+    q, p = sample(state, n, config.seed, config.hbar)
+    edges = np.array(_batch_edges(n))
+    counts = np.diff(edges)
+    tasks = []
+    for batches, lo, hi in _chunks(n):
+        b = slice(batches.start, batches.stop)
+        moments = partial(_moments, edges[b] - lo, counts[b])
+        tasks.append(partial(chunk, [q[lo:hi], p[lo:hi]], batches, moments))
+    del q, p
+    sums, m2s = (np.concatenate(part, axis=1) for part in zip(*_run_chunks(tasks)))
+    return _merge_moments(sums, m2s, counts)
+
+
+# ---------------------------------------------------------------------------
+# zeroth order: static phase average
+
+
+def _f0_chunk(delta, config, ensemble, batches, moments):
+    """The static phasors of one chunk of ``_ensemble_series``."""
+    phi = delta.value(*ensemble)
+    ensemble.clear()
+    dev = np.empty(len(phi), dtype=complex)
+    theta = np.empty(len(phi))
+    # the direct form of step 1, whose t = times[1] is tau as a float64
+    step = np.exp(-1j * np.float64(config.tau) / config.hbar * phi)
+    rows = []
+    for n, t in enumerate(config.times):
+        if n % _F0_REANCHOR_STEPS == 0:
+            z = np.exp(-1j * t / config.hbar * phi)
+        else:
+            z *= step
+        rows.append(moments(z, theta, dev))
+    return tuple(map(np.array, zip(*rows)))
+
+
+def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> FidelitySeries:
+    """Static average exp(-i t dH(x0) / hbar) over the initial Wigner density.
+
+    No trajectories are run; the estimator is exact whenever the average
+    Hamiltonian is constant and the perturbation affine in phase space.
+    The phasors follow z_n = z_{n-1} exp(-i tau dH / hbar), one complex
+    product per sample and step instead of a complex ``exp``, and are
+    recomputed directly every ``_F0_REANCHOR_STEPS`` steps, so the rounding
+    of the products never builds up over more than that many of them; the
+    mean stays within a few 1e-16 of the direct form.
+    """
+    meta = {"estimator": "f0", **config.run_meta, "correlated_time_steps": True}
+    values, stderr = _ensemble_series(state, config, partial(_f0_chunk, pair.delta, config))
+    return FidelitySeries(config.times, values, stderr, meta)
+
+
+# ---------------------------------------------------------------------------
+# first and second order: one orbit loop
+
+
+def _orbit_chunk(h, delta, config, kick, ensemble, batches, record):
+    """A chunk of ``_ensemble_series`` that follows the kick map of ``h``
+    and records record(z, theta) of z = exp(-i tau phi / hbar) at every
+    step, the first included, stacked over the steps.
+
+    phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``; the next
+    step overwrites the buffers z and theta.  ``kick``, when given, maps
+    ``batches`` to the kick of their trajectories, which replaces the
+    classical momenta once a step is recorded, but for the last.  A kick may
+    return complex momenta; from then on the orbit, phi and the phasor are
+    complex, and the phasor is exp(tau Im phi / hbar) (cos, sin)(-tau Re phi
+    / hbar).
+    """
     tau, hbar = config.tau, config.hbar
-    phi = np.zeros(len(z))
-    theta = np.empty(len(z))
-
-    def step(last):
-        nonlocal q, p, phi
+    q, p = ensemble
+    ensemble.clear()
+    kick = None if kick is None else kick(batches)
+    phi = np.zeros(len(q))
+    theta = np.empty(len(q))
+    z = np.ones(len(q), dtype=complex)
+    rows = [record(z, theta)]
+    for n in range(1, config.n_steps + 1):
         q_new, p_new = map_step(q, p, h, tau)
         phi += delta.value(q_new, p)
-        # rebind before the phasor so the old momenta are freed early
+        # rebind before the phasor so the old orbit is freed early
         q, p = q_new, p_new
+        del q_new, p_new
         check_escape(q, p)
         # z = exp(-1j * tau / hbar * phi), bit for bit for real phi: that
         # argument has a zero real part and the imaginary part -tau / hbar * phi
@@ -284,53 +315,12 @@ def _orbit_chunk(q, p, z, h, delta, config, kick):
             np.exp(theta, out=theta)
             np.multiply(z.real, theta, out=z.real)
             np.multiply(z.imag, theta, out=z.imag)
-        if kick is not None and not last:
+        rows.append(record(z, theta))
+        if kick is not None and n < config.n_steps:
             p = kick(q, p)
             if p.dtype.kind == "c" and phi.dtype.kind != "c":
                 phi = phi.astype(complex)  # the orbit leaves the real axis
-
-    return step
-
-
-def _orbit_loop(state, pair, config, h, reduce, kick=None, split=True):
-    """Follow the kick map of ``h`` and record reduce(exp(-i tau phi / hbar)).
-
-    phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``.  ``reduce``
-    receives one phasor buffer that the next step overwrites.  ``kick``,
-    when given, maps a range of error batches to the kick of their
-    trajectories, ``kick(batches)(q, p)``, which replaces the classical
-    momenta after every step but the last.  A kick may return complex
-    momenta; from then on the orbit, phi and the phasor are complex, and the
-    phasor is exp(tau Im phi / hbar) (cos, sin)(-tau Re phi / hbar).
-
-    The ensemble advances in contiguous chunks of whole error batches
-    (``_chunks``), one per available CPU from 2 * ``_MIN_CHUNK_TRAJ``
-    trajectories on.  Per step, each chunk runs its own orbit, phasor and
-    kick (``_orbit_chunk``); the calling thread works the first chunk and a
-    shared thread pool the others.  ``reduce`` then runs on the whole buffer,
-    in batch order.  Every element sees the same operations however the
-    ensemble is split, so the results are bit-identical for any CPU count.
-    An exception in a chunk is raised once every chunk of its step has
-    finished, the first in chunk order.  ``split=False`` keeps one chunk, for
-    a kick or a reduction whose state spans the whole ensemble.
-    """
-    n_traj = config.n_traj
-    q, p = sample(state, n_traj, config.seed, config.hbar)
-    z = np.empty(n_traj, dtype=complex)
-    steps = [
-        _orbit_chunk(q[lo:hi], p[lo:hi], z[lo:hi], h, pair.delta, config,
-                     None if kick is None else kick(batches))
-        for batches, lo, hi in _chunks(n_traj, split)
-    ]
-    del q, p  # the chunks hold the sampled ensemble until their first step
-    starts = _batch_starts(n_traj, DEFAULT_ERROR_BATCHES)
-    values = np.empty(config.n_steps + 1, dtype=complex)
-    stderr = np.empty(config.n_steps + 1)
-    values[0], stderr[0] = 1.0 + 0.0j, 0.0
-    for n in range(1, config.n_steps + 1):
-        _run_chunks([partial(step, n == config.n_steps) for step in steps])
-        values[n], stderr[n] = reduce(z, starts)
-    return values, stderr
+    return tuple(map(np.array, zip(*rows)))
 
 
 def f1_dr(
@@ -351,7 +341,8 @@ def f1_dr(
     if reference not in ("average", "h_prime"):
         raise ValueError(f"unknown reference {reference!r}")
     h_ref = pair.average if reference == "average" else pair.h_prime
-    values, stderr = _orbit_loop(state, pair, config, h_ref, _mean_stderr)
+    chunk = partial(_orbit_chunk, h_ref, pair.delta, config, None)
+    values, stderr = _ensemble_series(state, config, chunk)
     meta = {
         "estimator": "f1",
         "reference": reference,
@@ -455,11 +446,10 @@ def _real_axis_f2(state, pair, config):
         np.random.Philox(np.random.SeedSequence([config.seed, 1]))
     )
     weight = np.ones(n, dtype=complex)
-    following = None  # the weight after the last smear, once its step is recorded
     planck = 2.0 * np.pi * hbar
 
     def smeared_kick(q, p):
-        nonlocal following
+        nonlocal weight
         a = tau / (8.0 * hbar) * pair.delta.potential_d2(q)[..., 0]
         smear = a != 0.0
         if not np.any(smear):
@@ -477,30 +467,30 @@ def _real_axis_f2(state, pair, config):
             * np.exp(1j * (b**2 / (4.0 * a_safe) - np.pi * np.sign(a_safe) / 4.0))
         )
         proposal = np.exp(-0.5 * xi**2) / (sigma_prop * np.sqrt(2.0 * np.pi))
-        following = weight * np.where(smear, smeared_delta / proposal, 1.0)
+        weight = weight * np.where(smear, smeared_delta / proposal, 1.0)
         # rescale to dodge overflow in the products; the reported value
         # and error are ratios in the weights, so a common factor
         # cancels exactly
-        peak = np.max(np.abs(following))
+        peak = np.max(np.abs(weight))
         if peak > 1e250:
-            following = following / peak
+            weight = weight / peak
         return np.where(smear, p[..., 0] + sigma_prop * xi, p[..., 0])[:, None]
 
-    def record(z, starts):
+    def record(z, theta):
         # each step is recorded with the weight accumulated before its own
         # smear, whose momentum factor integrates to one and would only add
-        # variance; the loop kicks before it records, so the new weight
-        # takes over only here
-        nonlocal weight, following
-        recorded = _weighted_mean_stderr(weight, z, starts)
-        if following is not None:
-            weight, following = following, None
-        return recorded
+        # variance: the orbit kicks only once the step is recorded
+        return _weighted_mean_stderr(weight, z, starts)
 
-    # one chunk: the weights, the proposal stream and the rescale are global
-    values, stderr = _orbit_loop(
-        state, pair, config, pair.average, record, lambda batches: smeared_kick, split=False
+    # one chunk: the weights, the proposal stream and the rescale span the
+    # ensemble
+    starts = _batch_starts(n, DEFAULT_ERROR_BATCHES)
+    values, stderr = _orbit_chunk(
+        pair.average, pair.delta, config, lambda batches: smeared_kick,
+        list(sample(state, n, config.seed, config.hbar)), range(len(starts)), record,
     )
+    # f(0) is exactly one with no error; the ratio of step 0 rounds off it
+    values[0], stderr[0] = 1.0, 0.0
 
     mags = np.abs(weight)
     peak = mags.max()
@@ -547,7 +537,8 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     average_terms = pair.average.kinetic + pair.average.potential
     if all(t.cos_amp == 0.0 and t.degree <= 2 for t in average_terms):
         kick = partial(_thimble_kick, pair, config)
-        values, stderr = _orbit_loop(state, pair, config, pair.average, _mean_stderr, kick)
+        chunk = partial(_orbit_chunk, pair.average, pair.delta, config, kick)
+        values, stderr = _ensemble_series(state, config, chunk)
         contour, ess = "thimble", float(config.n_traj)
     else:
         values, stderr, ess = _real_axis_f2(state, pair, config)

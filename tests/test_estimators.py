@@ -1,9 +1,12 @@
+import math
 import multiprocessing
 import os
 import sys
 import threading
 import time
 import warnings
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,7 +339,42 @@ def test_f2_mc_thimble_accuracy_gates(name, n_steps):
 
 
 # ---------------------------------------------------------------------------
-# the orbit loop on several CPUs
+# the ensemble on several CPUs
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batch_moments_merge_to_the_same_bits_for_any_split(n, seed, data):
+    # phasor-like samples; the chunks are cut at a batch boundary
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    edges = np.array(estimators._batch_edges(n))
+    starts, counts = edges[:-1], np.diff(edges)
+    cut = data.draw(st.integers(1, max(1, len(starts) - 1)))
+
+    def moments(lo, hi):
+        inside = (starts >= lo) & (starts < hi)
+        return estimators._moments(
+            starts[inside] - lo, counts[inside], z[lo:hi].copy(), np.empty(hi - lo)
+        )
+
+    whole = estimators._merge_moments(*(m[None] for m in moments(0, n)), counts)
+    parts = [moments(0, edges[cut]), moments(edges[cut], n)] if cut < len(starts) else [moments(0, n)]
+    split = estimators._merge_moments(
+        *(np.concatenate(m)[None] for m in zip(*parts)), counts
+    )
+    assert whole[0].tobytes() == split[0].tobytes()
+    assert whole[1].tobytes() == split[1].tobytes()
+    # the mean is the fixed-order sum of the samples
+    assert whole[0][0] == np.add.reduceat(z, starts).sum() / n
+    if n == 1:
+        assert whole[1][0] == 0.0
+        return
+    # two passes: the mean from math.fsum, then exact squared deviations
+    mean = [Fraction(math.fsum(part) / n) for part in (z.real, z.imag)]
+    spread = sum((Fraction(x) - m) ** 2 for part, m in zip((z.real, z.imag), mean) for x in part)
+    reference = math.sqrt(spread / ((n - 1) * n))
+    assert abs(whole[1][0] - reference) <= 4e-16 * reference
 
 
 def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
@@ -344,6 +382,7 @@ def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
     # 11 and 11 of the 32 error batches
     monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 30_000)
     runs = [
+        (f0, "cubic_perturbation"), (f0, "morse_like"),
         (f1_dr, "displaced_ho"), (f1_dr, "cubic_perturbation"),
         (f2_mc, "linear_gradient"),  # a = 0 everywhere: the orbit stays real
         (f2_mc, "ho_diff_k"), (f2_mc, "cubic_perturbation"),  # thimble
@@ -370,7 +409,7 @@ def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
             assert one.meta.get("f2_contour") == other.meta.get("f2_contour")
 
 
-def test_concurrent_orbit_loops_share_the_chunk_pool(monkeypatch):
+def test_concurrent_split_ensembles_keep_the_serial_bits(monkeypatch):
     # more callers than cores, each splitting its ensemble three ways, with
     # a short switch interval: every result keeps the serial bits
     sc = load("cubic_perturbation")
@@ -396,6 +435,32 @@ def test_concurrent_orbit_loops_share_the_chunk_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(r is not None and r.tobytes() == serial.tobytes() for r in results)
+
+
+@pytest.mark.parametrize("name", ["cubic_perturbation", "ho_diff_k", "kicked_rotor"])
+def test_a_chunk_frees_the_sampled_ensemble_after_its_first_step(monkeypatch, name):
+    # f1 on one chunk, f2_mc on the thimble and on the real axis
+    sampled, alive = [], []
+
+    def tracked_sample(*args):
+        q, p = sample(*args)
+        sampled.extend([weakref.ref(q), weakref.ref(p)])
+        return q, p
+
+    def tracked_check_escape(q, p):
+        alive.append(any(ref() is not None for ref in sampled))
+
+    monkeypatch.setattr(estimators, "sample", tracked_sample)
+    monkeypatch.setattr(estimators, "check_escape", tracked_check_escape)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
+    sc = load(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the real-axis ESS
+        for estimator in (f1_dr, f2_mc):
+            sampled.clear()
+            alive.clear()
+            estimator(sc.state, sc.pair, config(n_traj=1000, tau=sc.tau, n_steps=3))
+            assert alive == [False] * 3, estimator.__name__
 
 
 def _split_f1_in_child(state, pair, cfg):
