@@ -19,7 +19,7 @@ from .hamiltonians import (
 )
 from .states import GaussianComponent, InitialState, sample, wigner_density
 from .dynamics import TrajectoryEscapeError, map_step
-from .series import FidelitySeries, NonFiniteSeriesError
+from .series import FidelitySeries, NonFiniteSeriesError, NumericalError
 from .estimators import (
     EstimatorConfig,
     SingularExponentError,
@@ -51,6 +51,7 @@ __all__ = [
     "HamiltonianPair",
     "InitialState",
     "NonFiniteSeriesError",
+    "NumericalError",
     "SCENARIO_NAMES",
     "Scenario",
     "SeparableHamiltonian",

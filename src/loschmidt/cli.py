@@ -2,7 +2,7 @@
 
 Output tables are written by ``loschmidt.series``, which also reads series
 files back bit-exactly.  Exit codes: 0 success, 2 invalid configuration,
-3 numerical abort (diagnostic on stderr).
+3 numerical abort (a ``NumericalError``; diagnostic on stderr).
 """
 from __future__ import annotations
 
@@ -19,19 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import TrajectoryEscapeError
-from .estimators import (
-    EstimatorConfig,
-    SingularExponentError,
-    f0,
-    f1_dr,
-    f2_gaussian_chain,
-    f2_mc,
-)
+from .estimators import EstimatorConfig, f0, f1_dr, f2_gaussian_chain, f2_mc
 from .hamiltonians import CoordFunction, SeparableHamiltonian, make_pair
 from .presets import SCENARIO_NAMES, Scenario, load
-from .qgrid import AliasingError, Grid, GridLeakError, _is_power_of_two, fidelity_exact
-from .series import FidelitySeries, NonFiniteSeriesError, write_series, write_table
+from .qgrid import Grid, _is_power_of_two, fidelity_exact
+from .series import FidelitySeries, NumericalError, write_series, write_table
 from .spectra import MIN_SERIES_LENGTH, spectrum
 from .states import GaussianComponent, InitialState
 
@@ -373,16 +365,10 @@ def _cmd_run(args) -> int:
         if args.seed is not None:
             entries["seed"] = str(args.seed)
         results = run(build_run_config(entries), out_dir, threads=args.threads)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        TrajectoryEscapeError,
-        GridLeakError,
-        AliasingError,
-        SingularExponentError,
-        NonFiniteSeriesError,
-    ) as exc:
+    except NumericalError as exc:
         print(f"error: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     for name, series in sorted(results.items()):

@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonians import SeparableHamiltonian
+from .series import NumericalError
 
 ESCAPE_LIMIT = 1e12
 
 
-class TrajectoryEscapeError(RuntimeError):
+class TrajectoryEscapeError(NumericalError):
     """Raised when a trajectory leaves the numerically safe region."""
 
 

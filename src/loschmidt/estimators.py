@@ -22,16 +22,18 @@ All Monte Carlo reductions run over fixed, index-ordered batches so results
 are reproducible bit-for-bit for a given seed regardless of how work is
 scheduled.  ``f0``, ``f1_dr`` and the thimble ``f2_mc`` cut an ensemble of
 at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of whole batches,
-one per CPU the process may run on, and run each chunk from the first step
-to the last on a thread (numpy releases the GIL in its array loops); every
-draw is keyed by its batch and every sum runs in batch order, so the
-results are the same bits for any CPU count.  Within one series the time
-steps reuse a single path ensemble, so errors are correlated across time
-(flagged in the metadata).
+one per CPU the process may run on.  Each chunk is a generator of its
+phasors, stepped and reduced on a thread of its own (numpy releases the GIL
+in its array loops), and a chunk that raises stops the others after their
+current step.  Every draw is keyed by its batch and every sum runs in batch
+order, so the results are the same bits for any CPU count.  Within one
+series the time steps reuse a single path ensemble, so errors are
+correlated across time (flagged in the metadata).
 """
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
@@ -40,7 +42,7 @@ import numpy as np
 
 from .dynamics import check_escape, map_step
 from .hamiltonians import EXACT, HamiltonianPair, predicted_exactness
-from .series import FidelitySeries
+from .series import FidelitySeries, NumericalError
 from .states import InitialState, sample
 
 DEFAULT_ERROR_BATCHES = 32
@@ -52,12 +54,12 @@ _F0_REANCHOR_STEPS = 64
 _SINGULAR_RTOL = 1e-12
 # an ensemble is split only into chunks of about this many trajectories or
 # more, as a chunk pays a thread and, on every step, the fixed cost of each
-# numpy call; the value is not measured for chunks that run to the end alone
+# numpy call; a floor of 2500 gained nothing on the preset sweep (2 CPUs)
 _MIN_CHUNK_TRAJ = 50_000
 _TINY = np.finfo(float).tiny
 
 
-class SingularExponentError(RuntimeError):
+class SingularExponentError(NumericalError):
     """Raised when a pivot of the chain's Gaussian integrals is numerically zero."""
 
 
@@ -95,11 +97,6 @@ class EstimatorConfig:
 
 # ---------------------------------------------------------------------------
 # fixed-order reductions
-
-
-def _batch_starts(n: int, n_batches: int) -> np.ndarray:
-    b = min(n_batches, n)
-    return (np.arange(b) * n) // b
 
 
 def _moments(starts, counts, z, theta, dev=None):
@@ -179,7 +176,8 @@ def _available_cpus() -> int:
 
 def _batch_edges(n: int) -> list:
     """Bounds of the error batches of n samples: batch b is edges[b]:edges[b + 1]."""
-    return [*_batch_starts(n, DEFAULT_ERROR_BATCHES).tolist(), n]
+    b = min(DEFAULT_ERROR_BATCHES, n)
+    return [(i * n) // b for i in range(b + 1)]
 
 
 def _chunks(n: int) -> list:
@@ -210,26 +208,41 @@ def _run_chunks(tasks) -> list:
     return [first, *(future.result() for future in futures)]
 
 
-def _ensemble_series(state, config, chunk):
+def _chunk_moments(steps, starts, counts, stop):
+    """The ``_moments`` of every step of the generator ``steps``, stacked
+    over the steps.  Sets the event ``stop`` on any exception and ends once
+    it is set, so a failing chunk stops the others after their current step."""
+    rows = []
+    try:
+        for arrays in steps:
+            rows.append(_moments(starts, counts, *arrays))
+            if stop.is_set():
+                break
+    except BaseException:
+        stop.set()
+        raise
+    return tuple(map(np.array, zip(*rows)))
+
+
+def _ensemble_series(state, config, phasors):
     """Mean and standard error at every step of a per-sample series over
     one sampled ensemble, cut into ``_chunks`` run by ``_run_chunks``.
 
-    ``chunk(ensemble, batches, moments)`` runs one chunk from the first step
-    to the last.  It gets its samples as a list [q, p] to empty, so that its
-    first step frees them, and the range of its error batches; it returns
-    ``moments`` (``_moments`` of those batches) of every step's phasors,
-    stacked over the steps.  Every sample sees the same operations however the ensemble is cut, so
-    the results are the same bits for any CPU count.
+    ``phasors(q, p, batches)`` gets one chunk's samples, as generator
+    arguments so that its first step frees them, and the range of its error
+    batches; it yields every step's phasors with the buffers ``_moments``
+    overwrites.  Every sample sees the same operations however the ensemble
+    is cut, so the results are the same bits for any CPU count.
     """
     n = config.n_traj
     q, p = sample(state, n, config.seed, config.hbar)
     edges = np.array(_batch_edges(n))
     counts = np.diff(edges)
+    stop = threading.Event()
     tasks = []
     for batches, lo, hi in _chunks(n):
-        b = slice(batches.start, batches.stop)
-        moments = partial(_moments, edges[b] - lo, counts[b])
-        tasks.append(partial(chunk, [q[lo:hi], p[lo:hi]], batches, moments))
+        steps = phasors(q[lo:hi], p[lo:hi], batches)
+        tasks.append(partial(_chunk_moments, steps, edges[batches] - lo, counts[batches], stop))
     del q, p
     sums, m2s = (np.concatenate(part, axis=1) for part in zip(*_run_chunks(tasks)))
     return _merge_moments(sums, m2s, counts)
@@ -239,22 +252,21 @@ def _ensemble_series(state, config, chunk):
 # zeroth order: static phase average
 
 
-def _f0_chunk(delta, config, ensemble, batches, moments):
-    """The static phasors of one chunk of ``_ensemble_series``."""
-    phi = delta.value(*ensemble)
-    ensemble.clear()
+def _f0_phasors(delta, config, q, p, batches):
+    """The static phasors z of one chunk of ``_ensemble_series``, yielded as
+    (z, theta, dev): z is the recurrence state, so its deviations go to dev."""
+    phi = delta.value(q, p)
+    del q, p
     dev = np.empty(len(phi), dtype=complex)
     theta = np.empty(len(phi))
     # the direct form of step 1, whose t = times[1] is tau as a float64
     step = np.exp(-1j * np.float64(config.tau) / config.hbar * phi)
-    rows = []
     for n, t in enumerate(config.times):
         if n % _F0_REANCHOR_STEPS == 0:
             z = np.exp(-1j * t / config.hbar * phi)
         else:
             z *= step
-        rows.append(moments(z, theta, dev))
-    return tuple(map(np.array, zip(*rows)))
+        yield z, theta, dev
 
 
 def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> FidelitySeries:
@@ -269,7 +281,7 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
     mean stays within a few 1e-16 of the direct form.
     """
     meta = {"estimator": "f0", **config.run_meta, "correlated_time_steps": True}
-    values, stderr = _ensemble_series(state, config, partial(_f0_chunk, pair.delta, config))
+    values, stderr = _ensemble_series(state, config, partial(_f0_phasors, pair.delta, config))
     return FidelitySeries(config.times, values, stderr, meta)
 
 
@@ -277,27 +289,25 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
 # first and second order: one orbit loop
 
 
-def _orbit_chunk(h, delta, config, kick, ensemble, batches, record):
-    """A chunk of ``_ensemble_series`` that follows the kick map of ``h``
-    and records record(z, theta) of z = exp(-i tau phi / hbar) at every
-    step, the first included, stacked over the steps.
+def _orbit_phasors(h, delta, config, kick, q, p, batches):
+    """The samples (q, p) followed along the kick map of ``h``, yielding
+    (z, theta) with z = exp(-i tau phi / hbar) at every step, the first
+    included.
 
     phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``; the next
     step overwrites the buffers z and theta.  ``kick``, when given, maps
     ``batches`` to the kick of their trajectories, which replaces the
-    classical momenta once a step is recorded, but for the last.  A kick may
+    classical momenta once a step is yielded, but for the last.  A kick may
     return complex momenta; from then on the orbit, phi and the phasor are
     complex, and the phasor is exp(tau Im phi / hbar) (cos, sin)(-tau Re phi
     / hbar).
     """
     tau, hbar = config.tau, config.hbar
-    q, p = ensemble
-    ensemble.clear()
     kick = None if kick is None else kick(batches)
     phi = np.zeros(len(q))
     theta = np.empty(len(q))
     z = np.ones(len(q), dtype=complex)
-    rows = [record(z, theta)]
+    yield z, theta
     for n in range(1, config.n_steps + 1):
         q_new, p_new = map_step(q, p, h, tau)
         phi += delta.value(q_new, p)
@@ -315,12 +325,11 @@ def _orbit_chunk(h, delta, config, kick, ensemble, batches, record):
             np.exp(theta, out=theta)
             np.multiply(z.real, theta, out=z.real)
             np.multiply(z.imag, theta, out=z.imag)
-        rows.append(record(z, theta))
+        yield z, theta
         if kick is not None and n < config.n_steps:
             p = kick(q, p)
             if p.dtype.kind == "c" and phi.dtype.kind != "c":
                 phi = phi.astype(complex)  # the orbit leaves the real axis
-    return tuple(map(np.array, zip(*rows)))
 
 
 def f1_dr(
@@ -341,8 +350,8 @@ def f1_dr(
     if reference not in ("average", "h_prime"):
         raise ValueError(f"unknown reference {reference!r}")
     h_ref = pair.average if reference == "average" else pair.h_prime
-    chunk = partial(_orbit_chunk, h_ref, pair.delta, config, None)
-    values, stderr = _ensemble_series(state, config, chunk)
+    phasors = partial(_orbit_phasors, h_ref, pair.delta, config, None)
+    values, stderr = _ensemble_series(state, config, phasors)
     meta = {
         "estimator": "f1",
         "reference": reference,
@@ -359,10 +368,9 @@ def _require_position_perturbation(state, pair):
         raise ValueError("perturbation must be momentum independent")
 
 
-def _thimble_kick(pair, config, batches=None):
+def _thimble_kick(pair, config, batches):
     """The smeared momentum update drawn on its steepest-descent line, for
-    the trajectories of the error batches ``batches`` (a range; all of them
-    by default).
+    the trajectories of the error batches ``batches`` (a range).
 
     One step smears each classical momentum with the normalised Fresnel
     kernel C exp(i eta^2 / (4 a hbar^2)), a = tau V_delta''(q) / (8 hbar) of
@@ -380,7 +388,6 @@ def _thimble_kick(pair, config, batches=None):
     if all(t.cos_amp == 0.0 and t.degree <= 1 for t in pair.delta.potential):
         return lambda q, p: p
     edges = _batch_edges(config.n_traj)
-    batches = range(len(edges) - 1) if batches is None else batches
     lo = edges[batches.start]
     slices = [slice(edges[b] - lo, edges[b + 1] - lo) for b in batches]
     streams = [
@@ -434,7 +441,7 @@ def _real_axis_f2(state, pair, config):
     The weight modulus is heavy-tailed, so the reduction is a self-normalised
     weighted mean with batch-bootstrap error bars.  Returns the values, the
     errors and the effective sample size of the weights the last step was
-    recorded with.
+    reduced with.
     """
     if pair.dims != 1:
         raise ValueError("f2_mc off the thimble supports one degree of freedom only")
@@ -476,19 +483,16 @@ def _real_axis_f2(state, pair, config):
             weight = weight / peak
         return np.where(smear, p[..., 0] + sigma_prop * xi, p[..., 0])[:, None]
 
-    def record(z, theta):
-        # each step is recorded with the weight accumulated before its own
-        # smear, whose momentum factor integrates to one and would only add
-        # variance: the orbit kicks only once the step is recorded
-        return _weighted_mean_stderr(weight, z, starts)
-
-    # one chunk: the weights, the proposal stream and the rescale span the
-    # ensemble
-    starts = _batch_starts(n, DEFAULT_ERROR_BATCHES)
-    values, stderr = _orbit_chunk(
+    # one chunk, as the weights, the proposal stream and the rescale span the
+    # ensemble; a step is reduced with the weight from before its own smear,
+    # whose momentum factor integrates to one and would only add variance
+    starts = _batch_edges(n)[:-1]
+    steps = _orbit_phasors(
         pair.average, pair.delta, config, lambda batches: smeared_kick,
-        list(sample(state, n, config.seed, config.hbar)), range(len(starts)), record,
+        *sample(state, n, config.seed, config.hbar), range(len(starts)),
     )
+    rows = [_weighted_mean_stderr(weight, z, starts) for z, _ in steps]
+    values, stderr = map(np.array, zip(*rows))
     # f(0) is exactly one with no error; the ratio of step 0 rounds off it
     values[0], stderr[0] = 1.0, 0.0
 
@@ -537,8 +541,8 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     average_terms = pair.average.kinetic + pair.average.potential
     if all(t.cos_amp == 0.0 and t.degree <= 2 for t in average_terms):
         kick = partial(_thimble_kick, pair, config)
-        chunk = partial(_orbit_chunk, pair.average, pair.delta, config, kick)
-        values, stderr = _ensemble_series(state, config, chunk)
+        phasors = partial(_orbit_phasors, pair.average, pair.delta, config, kick)
+        values, stderr = _ensemble_series(state, config, phasors)
         contour, ess = "thimble", float(config.n_traj)
     else:
         values, stderr, ess = _real_axis_f2(state, pair, config)

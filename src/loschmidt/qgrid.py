@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .hamiltonians import HamiltonianPair
-from .series import FidelitySeries
+from .series import FidelitySeries, NumericalError
 from .states import GaussianComponent, InitialState
 
 DEFAULT_POINTS = 4096
@@ -28,11 +28,11 @@ LEAK_TOL = 1e-8
 EDGE_FRACTION = 0.05
 
 
-class GridLeakError(RuntimeError):
+class GridLeakError(NumericalError):
     """Probability reached the position-grid edges."""
 
 
-class AliasingError(RuntimeError):
+class AliasingError(NumericalError):
     """Momentum content reached the edge of the conjugate grid."""
 
 

@@ -23,7 +23,11 @@ import numpy as np
 SERIES_COLUMNS = ("step", "time", "re_f", "im_f", "abs_f_sq", "stderr")
 
 
-class NonFiniteSeriesError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical failure of a run, on which the CLI exits with code 3."""
+
+
+class NonFiniteSeriesError(NumericalError):
     """Raised when a series would hold a NaN or infinite value."""
 
 

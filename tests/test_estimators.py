@@ -303,7 +303,7 @@ def test_thimble_kick_draws_on_the_steepest_descent_line():
     hbar, tau = 0.7, 0.05
     pair = load("cubic_perturbation").pair  # V_delta'' = 0.3 q
     cfg = config(n_traj=8, tau=tau, hbar=hbar)
-    kick = _thimble_kick(pair, cfg)
+    kick = _thimble_kick(pair, cfg, range(8))
     p = np.linspace(-1.0, 1.0, 8)[:, None]
     for q in (
         np.array([0.0, 1.0, -2.0, 0.5, 3.0, -0.1, 0.0, 2.0]),
@@ -316,7 +316,7 @@ def test_thimble_kick_draws_on_the_steepest_descent_line():
         assert np.all(ratio.real > 0)
         assert np.all(np.abs(ratio.imag) <= 1e-14 * ratio.real)
     # a linear delta-H has a = 0 everywhere: the momenta are returned as given
-    linear = _thimble_kick(load("displaced_ho").pair, cfg)
+    linear = _thimble_kick(load("displaced_ho").pair, cfg, range(8))
     assert linear(np.linspace(-2.0, 2.0, 8)[:, None], p) is p
 
 
@@ -469,12 +469,13 @@ def _split_f1_in_child(state, pair, cfg):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_splits_its_ensemble_on_its_own_pool(monkeypatch):
-    # the parent's pool threads do not exist in a forked child
+    # a forked child has only the thread that forked it, so it starts a pool
+    # of its own for its chunks
     monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
     sc = load("cubic_perturbation")
     cfg = config(n_traj=4000, tau=sc.tau, n_steps=5)
-    f1_dr(sc.state, sc.pair, cfg)  # the parent's pool exists from here on
+    f1_dr(sc.state, sc.pair, cfg)
     child = multiprocessing.get_context("fork").Process(
         target=_split_f1_in_child, args=(sc.state, sc.pair, cfg)
     )
@@ -515,7 +516,7 @@ def test_run_chunks_raises_the_first_failure_once_every_chunk_finished(monkeypat
 
 def test_escape_in_a_split_ensemble_matches_the_serial_error(monkeypatch):
     # an inverted quartic ejects the packet; with the ensemble split, the
-    # chunk that escapes raises only once the other chunk's step is over
+    # error surfaces only once no chunk is stepping any more
     h_ref = hamiltonian_1d(quadratic_kinetic(1.0), polynomial_term(0, 0, 0, 0, -0.25))
     h_prime = hamiltonian_1d(quadratic_kinetic(1.0), polynomial_term(0, 0, 0.05, 0, -0.25))
     pair = make_pair(h_ref, h_prime)
@@ -544,6 +545,35 @@ def test_escape_in_a_split_ensemble_matches_the_serial_error(monkeypatch):
         f1_dr(state, pair, cfg)
     assert not running  # no chunk is still stepping when the error surfaces
     assert str(split.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("error", [TrajectoryEscapeError("caller's chunk"), KeyboardInterrupt()])
+def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
+    # the caller's chunk raises at its 3rd step once the pool's chunk is
+    # stepping; the pool's chunk waits for that, then takes 1 ms a step, and
+    # must stop long before its 2000th
+    started, raised, caller_steps, pool_steps = threading.Event(), threading.Event(), [], []
+
+    def failing_check_escape(q, p):
+        if threading.current_thread() is threading.main_thread():
+            caller_steps.append(None)
+            if len(caller_steps) == 3:
+                started.wait(timeout=60)
+                raised.set()
+                raise error
+        else:
+            started.set()
+            pool_steps.append(raised.wait(timeout=60))
+            time.sleep(1e-3)
+
+    monkeypatch.setattr(estimators, "check_escape", failing_check_escape)
+    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    sc = load("cubic_perturbation")
+    with pytest.raises(type(error)) as caught:
+        f1_dr(sc.state, sc.pair, config(n_traj=4000, tau=sc.tau, n_steps=2000))
+    assert caught.value is error
+    assert all(pool_steps) and 0 < len(pool_steps) < 100, len(pool_steps)
 
 
 # ---------------------------------------------------------------------------

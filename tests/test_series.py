@@ -6,9 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loschmidt
 from loschmidt.estimators import EstimatorConfig, f1_dr
 from loschmidt.presets import load
 from loschmidt.series import FidelitySeries, NonFiniteSeriesError, read_series, write_series
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["TrajectoryEscapeError", "GridLeakError", "AliasingError", "SingularExponentError",
+     "NonFiniteSeriesError"],
+)
+def test_every_numerical_failure_is_a_numerical_error(name):
+    # the CLI exits with code 3 on a NumericalError, 2 on a ValueError
+    error = getattr(loschmidt, name)
+    assert issubclass(error, loschmidt.NumericalError)
+    assert not issubclass(error, ValueError)
 
 
 def series_fixture():
