@@ -24,8 +24,8 @@ scheduled.  ``f0``, ``f1_dr`` and the thimble ``f2_mc`` cut an ensemble of
 at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of whole batches,
 one per CPU the process may run on.  Each chunk is a generator of its
 phasors, stepped and reduced on a thread of its own (numpy releases the GIL
-in its array loops), and a chunk that raises stops the others after their
-current step.  Every draw is keyed by its batch and every sum runs in batch
+in its array loops), and a chunk that raises, or an interrupt while the
+caller waits for the pool, stops the others after their current step.  Every draw is keyed by its batch and every sum runs in batch
 order, so the results are the same bits for any CPU count.  Within one
 series the time steps reuse a single path ensemble, so errors are
 correlated across time (flagged in the metadata).
@@ -244,7 +244,13 @@ def _ensemble_series(state, config, phasors):
         steps = phasors(q[lo:hi], p[lo:hi], batches)
         tasks.append(partial(_chunk_moments, steps, edges[batches] - lo, counts[batches], stop))
     del q, p
-    sums, m2s = (np.concatenate(part, axis=1) for part in zip(*_run_chunks(tasks)))
+    try:
+        results = _run_chunks(tasks)
+    except BaseException:
+        # also an interrupt that lands while the caller waits for the pool
+        stop.set()
+        raise
+    sums, m2s = (np.concatenate(part, axis=1) for part in zip(*results))
     return _merge_moments(sums, m2s, counts)
 
 

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
@@ -574,6 +575,49 @@ def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
         f1_dr(sc.state, sc.pair, config(n_traj=4000, tau=sc.tau, n_steps=2000))
     assert caught.value is error
     assert all(pool_steps) and 0 < len(pool_steps) < 100, len(pool_steps)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs POSIX signals")
+def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch):
+    # the caller's chunk runs all 2000 steps and returns; then the pool's
+    # chunk, at 1 ms a step, sends the caller waiting for it a SIGINT, as
+    # Ctrl-C does, and must stop long before its 2000th step.  A real signal,
+    # not _thread.interrupt_main(): only a signal wakes a blocked join
+    caller_done, pool_done, pool_steps = threading.Event(), threading.Event(), []
+    run_chunks = estimators._run_chunks
+
+    def marked_run_chunks(tasks):
+        def caller_task():
+            result = tasks[0]()
+            caller_done.set()
+            return result
+
+        def pool_task():
+            try:
+                return tasks[1]()
+            finally:
+                pool_done.set()
+
+        return run_chunks([caller_task, pool_task])
+
+    def slow_pool_check_escape(q, p):
+        if threading.current_thread() is not threading.main_thread():
+            if caller_done.wait(timeout=60) and not pool_steps:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            pool_steps.append(None)
+            time.sleep(1e-3)
+
+    monkeypatch.setattr(estimators, "_run_chunks", marked_run_chunks)
+    monkeypatch.setattr(estimators, "check_escape", slow_pool_check_escape)
+    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    sc = load("cubic_perturbation")
+    with pytest.raises(KeyboardInterrupt):
+        f1_dr(sc.state, sc.pair, config(n_traj=4000, tau=sc.tau, n_steps=2000))
+    assert caller_done.is_set()
+    # not Thread.join: on Python 3.11 an interrupted join marks the thread stopped
+    assert pool_done.wait(timeout=60)
+    assert 0 < len(pool_steps) < 100, len(pool_steps)
 
 
 # ---------------------------------------------------------------------------

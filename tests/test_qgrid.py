@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from loschmidt.qgrid import (
     AliasingError,
     Grid,
     GridLeakError,
+    _axis_factors,
+    _check_leaks,
     _gaussian_factor,
     fidelity_exact,
     grid_for_state,
@@ -380,3 +384,90 @@ def test_two_dimensional_leak_names_first_axis_at_first_step(
     fidelity_exact(state, pair, first_step - 1, tau, grid=grid)
     with pytest.raises(error, match="axis 1"):
         fidelity_exact(state, pair, n_steps, tau, grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# the in-place step against the out-of-place one, bit for bit
+
+
+def out_of_place_exact(state, pair, n_steps, tau, grid, hbar=1.0):
+    """The step with a fresh array for every operation, as it was before
+    ``fidelity_exact`` stepped in place: same factors, overlaps and weights."""
+    comps = state.components
+    weights = np.array([c.weight for c in comps])
+    hs = (pair.h_prime, pair.h_double_prime)
+    dx = [grid.spacing(d) for d in range(grid.dims)]
+    stacks, factors = [], []
+    for d in range(grid.dims):
+        psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
+        stacks.append(np.stack([psi0, psi0]))
+        factors.append(_axis_factors(hs, grid, tau, hbar, d))
+    values = np.empty(n_steps + 1, dtype=complex)
+    values[0] = 1.0
+    for n in range(1, n_steps + 1):
+        phats = [np.fft.fft(s, norm="ortho") for s in stacks]
+        stacks = [exp_v * np.fft.ifft(exp_t * phat, norm="ortho") for phat, (exp_t, exp_v) in zip(phats, factors)]
+        _check_leaks(grid, dx, phats, stacks)
+        overlaps = [(np.conj(psi[0]) * psi[1]).sum(axis=-1) * h for psi, h in zip(stacks, dx)]
+        values[n] = np.dot(weights, reduce(np.multiply, overlaps))
+    return values
+
+
+ROTOR = load("kicked_rotor")
+IN_PLACE_CASES = {
+    "one_d_4096": (InitialState.gaussian([0.5], [0.0], [1.0]), displaced_ho_pair(), 300, None),
+    "kicked_rotor_1024": (ROTOR.state, ROTOR.pair, 300, Grid((ROTOR.grid_extent,), (1024,), periodic=True)),
+    "mixture": (
+        InitialState((GaussianComponent([0.5], [0.0], [1.0], 0.5),
+                      GaussianComponent([-0.5], [0.5], [1.0], 0.5))),
+        displaced_ho_pair(), 300, None,
+    ),
+    "two_d_256": (
+        InitialState.gaussian([0.5, 0.5], [0.0, 0.0], [1.0, 1.0]), displaced_ho_pair(dims=2), 100,
+        grid_for_state(InitialState.gaussian([0.5, 0.5], [0.0, 0.0], [1.0, 1.0]), points=256),
+    ),
+}
+
+
+@pytest.mark.parametrize("state, pair, n_steps, grid", IN_PLACE_CASES.values(), ids=IN_PLACE_CASES.keys())
+def test_in_place_step_keeps_the_out_of_place_bits(monkeypatch, state, pair, n_steps, grid):
+    grid = grid or grid_for_state(state)
+    reference = out_of_place_exact(state, pair, n_steps, 0.05, grid)
+    buffers = []
+
+    def recording(func):
+        def wrapper(*args, **kwargs):
+            buffers.append(kwargs["out"])
+            return func(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np, "conj")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    first = fidelity_exact(state, pair, n_steps, 0.05, grid=grid).values
+    monkeypatch.undo()
+    second = fidelity_exact(state, pair, n_steps, 0.05, grid=grid).values
+    assert np.array_equal(first, reference)
+    assert np.array_equal(second, first)
+    assert buffers and not any(np.shares_memory(first, b) for b in buffers)
+
+
+# ---------------------------------------------------------------------------
+# known defects
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=GridLeakError,
+    reason="grid_for_state sizes the grid from the initial width only; "
+    "ROADMAP item 6 (grid_for_run) sizes it from the whole run",
+)
+def test_breathing_packet_stays_on_its_default_grid():
+    # the squeezed packet breathes to 3.6 times its initial width in the
+    # softer well within the run; it leaks even on a 16-sigma grid
+    kinetic = (quadratic_kinetic(0.5),)
+    pair = make_pair(
+        SeparableHamiltonian(kinetic, (harmonic_potential(0.5),)),
+        SeparableHamiltonian(kinetic, (harmonic_potential(1.0),)),
+    )
+    series = fidelity_exact(InitialState.gaussian([0.0], [0.0], [0.75]), pair, 60, 0.05)
+    assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
