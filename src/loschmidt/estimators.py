@@ -25,8 +25,9 @@ at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of whole batches,
 one per CPU the process may run on.  Each chunk is a generator of its
 phasors, stepped and reduced on a thread of its own (numpy releases the GIL
 in its array loops), and a chunk that raises, or an interrupt while the
-caller waits for the pool, stops the others after their current step.  Every draw is keyed by its batch and every sum runs in batch
-order, so the results are the same bits for any CPU count.  Within one
+caller waits for the pool, stops the others after their current step.
+Every draw is keyed by its batch and every sum runs in batch order, so the
+results are the same bits for any CPU count.  Within one
 series the time steps reuse a single path ensemble, so errors are
 correlated across time (flagged in the metadata).
 """

@@ -8,8 +8,8 @@ Every Hamiltonian is separable and every Gaussian component a product over
 coordinates, so the step is a product of commuting one-axis steps, which
 ``fidelity_exact`` applies to stacks of 1-D wavefunctions, one stack per
 axis.  The step runs in place in per-axis buffers allocated once per call
-(``out=`` on ``np.fft``, NumPy 2.0), so the stepping allocates nothing and
-faults in no fresh pages.  Probability near the position edges or the Nyquist edge of the
+(``out=`` on ``np.fft``, NumPy 2.0), so no step allocates a stack-sized
+array.  Probability near the position edges or the Nyquist edge of the
 momentum grid aborts the run rather than silently aliasing; the check reads
 only those bands.
 """
@@ -163,12 +163,12 @@ def fidelity_exact(
     states stay products and, by linearity of the trace,
     f(n) = sum_k w_k prod_d <psi'_{k,d}(n)|psi''_{k,d}(n)>.  Axis d holds one
     stack of 1-D wavefunctions (2 branches, K components, M_d points) that
-    one batched FFT pair steps in place, with one momentum buffer of the
-    stack's shape and one (K, M_d) overlap row per axis; these buffers are
-    allocated once, before the first step.  f(0) = 1 by construction.  Unless
-    ``check_leaks`` is false, each step checks the Nyquist band of every
-    axis, then the position edge bands of every axis (not on a periodic
-    grid), dividing the band probability by the discrete norm, which is one.
+    one batched FFT pair steps in place, with a momentum buffer of the
+    stack's shape and a (K, M_d) overlap row allocated once per axis.
+    f(0) = 1 by construction.  Unless ``check_leaks`` is false, each step
+    checks the Nyquist band of every axis, then the position edge bands of
+    every axis (not on a periodic grid), dividing the band probability by
+    the discrete norm, which is one.
     """
     if pair.dims != state.dims:
         raise ValueError("state and Hamiltonian dimensions differ")

@@ -579,10 +579,11 @@ def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs POSIX signals")
 def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch):
-    # the caller's chunk runs all 2000 steps and returns; then the pool's
-    # chunk, at 1 ms a step, sends the caller waiting for it a SIGINT, as
-    # Ctrl-C does, and must stop long before its 2000th step.  A real signal,
-    # not _thread.interrupt_main(): only a signal wakes a blocked join
+    # the pool's chunk holds its first step until the caller's chunk has run
+    # all 2000 steps and returned, then sends the caller, now waiting for the
+    # pool, a SIGINT as Ctrl-C does; at 1 ms a step it must stop long before
+    # its 2000th.  A real signal, not _thread.interrupt_main(): only a signal
+    # wakes a blocked join
     caller_done, pool_done, pool_steps = threading.Event(), threading.Event(), []
     run_chunks = estimators._run_chunks
 

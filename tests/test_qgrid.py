@@ -414,6 +414,7 @@ def out_of_place_exact(state, pair, n_steps, tau, grid, hbar=1.0):
 
 
 ROTOR = load("kicked_rotor")
+STATE_2D = InitialState.gaussian([0.5, 0.5], [0.0, 0.0], [1.0, 1.0])
 IN_PLACE_CASES = {
     "one_d_4096": (InitialState.gaussian([0.5], [0.0], [1.0]), displaced_ho_pair(), 300, None),
     "kicked_rotor_1024": (ROTOR.state, ROTOR.pair, 300, Grid((ROTOR.grid_extent,), (1024,), periodic=True)),
@@ -422,10 +423,7 @@ IN_PLACE_CASES = {
                       GaussianComponent([-0.5], [0.5], [1.0], 0.5))),
         displaced_ho_pair(), 300, None,
     ),
-    "two_d_256": (
-        InitialState.gaussian([0.5, 0.5], [0.0, 0.0], [1.0, 1.0]), displaced_ho_pair(dims=2), 100,
-        grid_for_state(InitialState.gaussian([0.5, 0.5], [0.0, 0.0], [1.0, 1.0]), points=256),
-    ),
+    "two_d_256": (STATE_2D, displaced_ho_pair(dims=2), 100, grid_for_state(STATE_2D, points=256)),
 }
 
 
