@@ -155,7 +155,6 @@ _KEYS = {
     "output_format": ("run", _one_of("csv", "json")),
     "spectrum_damping_time": ("run", _checked(_number, lambda t: t > 0.0, "a positive number")),
 }
-_KNOWN_KEYS = set(_KEYS)
 
 
 def parse_config_text(text: str) -> dict:
@@ -168,7 +167,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -283,6 +282,7 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
     ensemble in a fixed batch order, however many CPUs step it, so results
     do not depend on ``threads``.  ``out_dir`` is created only once every
     estimator has returned, so a run that aborts leaves no directory behind.
+    ``run_metadata.json`` holds each series' meta under ``series``.
     Returns the mapping estimator name -> FidelitySeries.
     """
     names = list(cfg.estimators)
@@ -338,6 +338,7 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
         "reference": cfg.reference,
         "output_format": cfg.output_format,
         "timings_s": timings,
+        "series": {name: series.meta for name, series in results.items()},
     }
     (out_dir / "run_metadata.json").write_text(
         json.dumps(metadata, indent=1, sort_keys=True) + "\n"

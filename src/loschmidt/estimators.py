@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 
 import numpy as np
@@ -66,18 +66,19 @@ class SingularExponentError(NumericalError):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Run parameters shared by the Monte Carlo estimators."""
+    """Run parameters of an estimator, recorded in every series' meta;
+    ``n_traj`` and ``seed`` are None for a deterministic run."""
 
-    n_traj: int
-    seed: int
+    n_traj: int | None
+    seed: int | None
     tau: float
     n_steps: int
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_traj < 1:
+        if self.n_traj is not None and self.n_traj < 1:
             raise ValueError("n_traj must be positive")
-        if self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
@@ -225,6 +226,13 @@ def _chunk_moments(steps, starts, counts, stop):
     return tuple(map(np.array, zip(*rows)))
 
 
+def _ensemble_size(config) -> int:
+    """``config.n_traj``, refusing a config without an ensemble or a seed."""
+    if config.n_traj is None or config.seed is None:
+        raise ValueError("a Monte Carlo estimator needs n_traj and seed")
+    return config.n_traj
+
+
 def _ensemble_series(state, config, phasors):
     """Mean and standard error at every step of a per-sample series over
     one sampled ensemble, cut into ``_chunks`` run by ``_run_chunks``.
@@ -235,7 +243,7 @@ def _ensemble_series(state, config, phasors):
     overwrites.  Every sample sees the same operations however the ensemble
     is cut, so the results are the same bits for any CPU count.
     """
-    n = config.n_traj
+    n = _ensemble_size(config)
     q, p = sample(state, n, config.seed, config.hbar)
     edges = np.array(_batch_edges(n))
     counts = np.diff(edges)
@@ -359,12 +367,8 @@ def f1_dr(
     h_ref = pair.average if reference == "average" else pair.h_prime
     phasors = partial(_orbit_phasors, h_ref, pair.delta, config, None)
     values, stderr = _ensemble_series(state, config, phasors)
-    meta = {
-        "estimator": "f1",
-        "reference": reference,
-        **config.run_meta,
-        "correlated_time_steps": True,
-    }
+    meta = {"estimator": "f1", "reference": reference, **config.run_meta,
+            "correlated_time_steps": True}
     return FidelitySeries(config.times, values, stderr, meta)
 
 
@@ -383,11 +387,14 @@ def _thimble_kick(pair, config, batches):
     kernel C exp(i eta^2 / (4 a hbar^2)), a = tau V_delta''(q) / (8 hbar) of
     its coordinate.  On the line eta = sqrt(i a) t that kernel is the normal
     density of t with variance 2 hbar^2, so eta = sqrt(i a) sqrt(2) hbar xi
-    with xi standard normal, and every path weight is exactly one.  Either
-    root serves, since xi is symmetric.  Where a is an exact zero, eta is an
-    exact zero.  An affine V_delta has a = 0 everywhere, which the pair
-    tells without a look at the orbit: its kick returns the momenta as
-    given, and the orbit stays real.
+    with xi standard normal, and every path weight is exactly one.  Both
+    roots of i a give that distribution; the principal one also commutes
+    with conjugation, and swapping the pair conjugates the orbit and
+    negates V_delta'', so ``f2_mc`` of the swapped pair is the conjugate
+    series to the last bit.  Where a is an exact zero, eta is an exact
+    zero.  An affine V_delta has a = 0 everywhere, which the pair tells
+    without a look at the orbit: its kick returns the momenta as given,
+    and the orbit stays real.
 
     Draws come from one Philox stream per error batch, keyed
     (seed, 1, batch), so they do not depend on how the ensemble is split.
@@ -409,9 +416,9 @@ def _thimble_kick(pair, config, batches):
 
     def kick(q, p):
         u = pair.delta.potential_d2(q).astype(complex, copy=False)
-        # a root of i u from real operations that cancel nothing: with
-        # t = sqrt(2 (|u| + |Im u|)) it is t / 2 + i Re(u) / t where the sign
-        # bit of Im u is set and Re(u) / t + i t / 2 elsewhere
+        # the principal root of i u from real operations that cancel nothing:
+        # with t = sqrt(2 (|u| + |Im u|)) it is t / 2 + i Re(u) / t where
+        # Im u <= 0 and |Re u| / t + i copysign(t / 2, Re u) elsewhere
         np.add(np.abs(u.imag, out=t), np.abs(u), out=t)
         np.sqrt(np.multiply(t, 2.0, out=t), out=t)
         # t is 0 only where u is 0, and above 1e-162 elsewhere, so flooring it
@@ -419,12 +426,13 @@ def _thimble_kick(pair, config, batches):
         np.divide(u.real, np.maximum(t, _TINY, out=small), out=small)
         larger = np.multiply(t, 0.5, out=t)
         # select by g in {0, 1}: exact products, and no branch on a random sign
-        g[...] = np.signbit(u.imag)
+        np.less_equal(u.imag, 0.0, out=g)
         root = np.empty_like(u)  # becomes the new momenta
         np.multiply(g, larger, out=root.real)
         np.multiply(g, small, out=root.imag)
         g_not = np.subtract(1.0, g, out=g)
-        root.real += np.multiply(g_not, small, out=small)
+        root.real += np.multiply(g_not, np.abs(small, out=small), out=small)
+        np.copysign(larger, u.real, out=larger)
         root.imag += np.multiply(g_not, larger, out=larger)
         xi = t
         for stream, sl in zip(streams, slices):
@@ -453,7 +461,7 @@ def _real_axis_f2(state, pair, config):
     if pair.dims != 1:
         raise ValueError("f2_mc off the thimble supports one degree of freedom only")
     tau, hbar = config.tau, config.hbar
-    n = config.n_traj
+    n = _ensemble_size(config)
     # proposal draws come from a child stream so they can never collide with
     # the initial-condition sampler stream
     rng = np.random.Generator(
@@ -685,9 +693,7 @@ def f2_gaussian_chain(
     terms = [c.weight * reduce(np.multiply, [f for f, *_ in row]) for c, row in zip(comps, chains)]
     meta = {
         "estimator": "f2_gaussian",
-        **config.run_meta,
-        "n_traj": None,  # deterministic: no ensemble and no seed
-        "seed": None,
+        **replace(config, n_traj=None, seed=None).run_meta,
         "degenerate_chain": all(skip for row in chains for _, _, skip in row),
         "chain_min_pivot_ratio": float(min(r for row in chains for _, r, _ in row)),
     }

@@ -28,6 +28,7 @@ from .hamiltonians import (  # EXACT and APPROXIMATE name the verdicts
     quadratic_kinetic,
     ZERO_TERM,
 )
+from .qgrid import DEFAULT_POINTS
 from .states import InitialState
 
 
@@ -44,7 +45,7 @@ class Scenario:
     description: str = ""
     # grid hints for the exact reference
     grid_extent: tuple[float, float] | None = None
-    grid_points: int = 4096
+    grid_points: int = DEFAULT_POINTS
     periodic: bool = False
 
     @property

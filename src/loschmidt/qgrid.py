@@ -20,6 +20,7 @@ from functools import reduce
 
 import numpy as np
 
+from .estimators import EstimatorConfig
 from .hamiltonians import HamiltonianPair
 from .series import FidelitySeries, NumericalError
 from .states import GaussianComponent, InitialState
@@ -165,11 +166,13 @@ def fidelity_exact(
     stack of 1-D wavefunctions (2 branches, K components, M_d points) that
     one batched FFT pair steps in place, with a momentum buffer of the
     stack's shape and a (K, M_d) overlap row allocated once per axis.
-    f(0) = 1 by construction.  Unless ``check_leaks`` is false, each step
-    checks the Nyquist band of every axis, then the position edge bands of
-    every axis (not on a periodic grid), dividing the band probability by
-    the discrete norm, which is one.
+    f(0) = 1 by construction.  The run fields are checked and recorded as
+    an ``EstimatorConfig`` without ensemble.  Unless ``check_leaks`` is
+    false, each step checks the Nyquist band of every axis, then the
+    position edge bands of every axis (not on a periodic grid), dividing the
+    band probability by the discrete norm, which is one.
     """
+    config = EstimatorConfig(n_traj=None, seed=None, tau=tau, n_steps=n_steps, hbar=hbar)
     if pair.dims != state.dims:
         raise ValueError("state and Hamiltonian dimensions differ")
     if grid is None:
@@ -204,15 +207,6 @@ def fidelity_exact(
         ]
         values[n] = np.dot(weights, reduce(np.multiply, overlaps))
 
-    times = tau * np.arange(n_steps + 1)
-    meta = {
-        "estimator": "exact",
-        "n_traj": None,
-        "seed": None,
-        "tau": tau,
-        "n_steps": n_steps,
-        "hbar": hbar,
-        "grid_points": grid.points,
-        "grid_extents": grid.extents,
-    }
-    return FidelitySeries(times, values, np.zeros(n_steps + 1), meta)
+    meta = {"estimator": "exact", **config.run_meta,
+            "grid_points": grid.points, "grid_extents": grid.extents}
+    return FidelitySeries(config.times, values, np.zeros(n_steps + 1), meta)

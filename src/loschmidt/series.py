@@ -5,12 +5,12 @@ Every output table of a run (series, comparison, spectrum) goes through
 
 - ``.csv``: a header line of column names, then one comma-separated row per
   line; integer columns as ``%d``, float columns with 17 significant digits;
-- ``.json``: one object, indented by one space, holding an optional leading
-  ``meta`` object and then one list per column, floats in their shortest
-  round-trip form.
+- ``.json``: one object, indented by one space, holding one list per
+  column and nothing else, floats in their shortest round-trip form.
 
 Either way a float parses back to the same bits, so ``read_series`` returns
-the in-memory series exactly.
+the in-memory values exactly.  A table holds no meta: a run writes every
+series' meta to ``run_metadata.json``.
 """
 from __future__ import annotations
 
@@ -75,17 +75,13 @@ class FidelitySeries:
         return np.abs(self.values - other.values)
 
 
-def write_table(path, columns: dict, meta: dict | None = None) -> None:
-    """Write named, equally long columns as CSV or JSON by the suffix of ``path``.
-
-    ``meta`` goes into a JSON file only, ahead of the columns.
-    """
+def write_table(path, columns: dict) -> None:
+    """Write named, equally long columns as CSV or JSON by the suffix of ``path``."""
     path = Path(path)
     cols = {name: np.asarray(col) for name, col in columns.items()}
     if path.suffix == ".json":
-        payload = {} if meta is None else {"meta": meta}
-        payload.update({name: col.tolist() for name, col in cols.items()})
-        path.write_text(json.dumps(payload, indent=1, default=repr) + "\n")
+        payload = {name: col.tolist() for name, col in cols.items()}
+        path.write_text(json.dumps(payload, indent=1) + "\n")
     elif path.suffix == ".csv":
         row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols.values())
         lines = [",".join(cols)]
@@ -96,28 +92,28 @@ def write_table(path, columns: dict, meta: dict | None = None) -> None:
 
 
 def write_series(series: FidelitySeries, path) -> None:
-    """Write ``series`` with the columns of SERIES_COLUMNS (and its meta in JSON)."""
+    """Write ``series`` with the columns of SERIES_COLUMNS; its meta is not written."""
     values = series.values
     columns = (np.arange(len(series)), series.times, values.real, values.imag,
                series.abs_sq, series.stderr)
-    write_table(path, dict(zip(SERIES_COLUMNS, columns)), meta=series.meta)
+    write_table(path, dict(zip(SERIES_COLUMNS, columns)))
 
 
 def read_series(path) -> FidelitySeries:
     """Read a file written by ``write_series``; every bit of the values
-    survives.  A file it cannot parse raises a ValueError that names it."""
+    survives, and the meta is empty.  Any other key of a JSON file, such as
+    the ``meta`` object older files hold, is ignored.  A file it cannot
+    parse raises a ValueError that names it."""
     path = Path(path)
     try:
         if path.suffix == ".json":
             payload = json.loads(path.read_text())
-            meta = payload.get("meta", {})
             cols = {name: np.array(payload[name], dtype=float) for name in SERIES_COLUMNS}
         elif path.suffix == ".csv":
             lines = path.read_text().strip().splitlines()
             if not lines or lines[0].split(",") != list(SERIES_COLUMNS):
                 raise ValueError("unexpected series header")
             rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-            meta = {}
             # every row holds every column; a header alone is an empty series
             cols = dict(zip(SERIES_COLUMNS, np.reshape(rows, (len(rows), len(SERIES_COLUMNS))).T))
         else:
@@ -127,4 +123,4 @@ def read_series(path) -> FidelitySeries:
     # assigned part by part: re + 1j * im would turn an imaginary -0.0 into +0.0
     values = np.empty(len(cols["time"]), dtype=complex)
     values.real, values.imag = cols["re_f"], cols["im_f"]
-    return FidelitySeries(cols["time"], values, cols["stderr"], meta)
+    return FidelitySeries(cols["time"], values, cols["stderr"])

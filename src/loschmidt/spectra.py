@@ -54,7 +54,6 @@ def spectrum(series: FidelitySeries, damping_time: float) -> Spectrum:
         raise ValueError("spectrum requires a uniform time grid")
 
     g = series.values * np.exp(-times / damping_time)
-    g = g.astype(complex).copy()
     g[0] *= 0.5
     g[-1] *= 0.5
     m = len(g)

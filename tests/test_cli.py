@@ -11,7 +11,7 @@ from loschmidt.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_NUMERIC,
-    _KNOWN_KEYS,
+    _KEYS,
     build_run_config,
     main,
     parse_config_text,
@@ -19,7 +19,7 @@ from loschmidt.cli import (
 )
 from loschmidt import estimators as estimators_module
 from loschmidt.estimators import f1_dr
-from loschmidt.qgrid import Grid, fidelity_exact
+from loschmidt.qgrid import Grid, fidelity_exact, grid_for_state
 from loschmidt.series import FidelitySeries, read_series
 
 DISPLACED_CFG = """
@@ -323,7 +323,7 @@ _LIST_KEYS = (
 
 @pytest.mark.parametrize(
     "key, value",
-    [(key, "") for key in sorted(_KNOWN_KEYS)] + [(key, ",") for key in _LIST_KEYS],
+    [(key, "") for key in sorted(_KEYS)] + [(key, ",") for key in _LIST_KEYS],
 )
 def test_main_rejects_empty_value_naming_its_key(tmp_path, capsys, monkeypatch, key, value):
     # an empty value would otherwise run as a default (a zero term, say);
@@ -492,6 +492,22 @@ def test_run_metadata_records_stage_timings(tmp_path):
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
 
 
+def test_run_metadata_holds_every_series_meta(tmp_path):
+    text = DISPLACED_CFG.replace("exact, f1", "exact, f0, f1, f2_mc, f2_gaussian")
+    cfg = build_run_config(parse_config_text(text))
+    results = run(cfg, tmp_path / "out")
+    written = json.loads((tmp_path / "out" / "run_metadata.json").read_text())["series"]
+    # JSON holds the tuples of the meta as lists
+    assert written == json.loads(json.dumps({n: s.meta for n, s in results.items()}))
+    assert set(written) == {"exact", "f0", "f1", "f2_mc", "f2_gaussian"}
+    # the grid grid_for_state chose for exact, and f2_mc's contour and ESS
+    extents = grid_for_state(cfg.system.state).extents
+    assert written["exact"]["grid_extents"] == [list(extent) for extent in extents]
+    assert written["f2_mc"]["f2_contour"] == "thimble"
+    assert written["f2_mc"]["effective_sample_size"] == 2000.0
+    assert written["f2_gaussian"]["n_traj"] is None
+
+
 def test_main_scenarios_lists_all(capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out
@@ -554,7 +570,7 @@ def test_readme_documents_every_config_key():
     text = README.read_text()
     assert "`*_cos`" in text
     missing = [
-        key for key in _KNOWN_KEYS
+        key for key in _KEYS
         if not key.endswith("_cos") and not re.search(rf"\b{key}\b", text)
     ]
     assert missing == []

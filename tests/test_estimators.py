@@ -79,6 +79,19 @@ def test_estimator_config_validation():
         config(seed=-1)
 
 
+def test_monte_carlo_estimators_refuse_a_config_without_ensemble():
+    cfg = config(n_traj=None, seed=None)
+    assert cfg.run_meta["n_traj"] is None and cfg.run_meta["seed"] is None
+    sc = load("displaced_ho")
+    for est in (f0, f1_dr, f2_mc):
+        with pytest.raises(ValueError, match="n_traj"):
+            est(sc.state, sc.pair, cfg)
+    # the real-axis f2_mc samples an ensemble of its own
+    sc = load("cubic_perturbation")
+    with pytest.raises(ValueError, match="n_traj"):
+        f2_mc(sc.state, sc.pair, cfg)
+
+
 def test_series_shape_validation():
     with pytest.raises(ValueError, match="equal length"):
         FidelitySeries(np.arange(3.0), np.ones(2, complex), np.zeros(3))
@@ -178,9 +191,11 @@ def test_f0_f1_modulus_bounded_by_one_plus_stderr():
 
 
 def test_f0_f1_conjugate_under_swap():
+    # f2_mc too: the thimble takes the principal root, which commutes with
+    # conjugation, so each swapped smear is the conjugate of the original
     sc = load("ho_diff_k")
     cfg = config(n_traj=4000, tau=sc.tau, n_steps=60)
-    for est in (f0, f1_dr):
+    for est in (f0, f1_dr, f2_mc):
         fwd = est(sc.state, sc.pair, cfg)
         rev = est(sc.state, sc.pair.swapped(), cfg)
         np.testing.assert_allclose(
@@ -893,11 +908,13 @@ def test_f0_recurrence_tracks_direct_phasors(name, n_traj, seed, bound):
 def test_f0_f1_invariants_on_random_quadratic_pairs(system):
     state, h_a, h_b = system
     cfg = config(n_traj=500, n_steps=100)
-    for est in (f0, f1_dr):
+    for est in (f0, f1_dr, f2_mc):
         f = est(state, make_pair(h_a, h_b), cfg).values
         swapped = est(state, make_pair(h_b, h_a), cfg).values
         assert f[0] == 1.0
-        assert np.all(np.abs(f) <= 1.0 + 1e-12)
+        # a mean of unit phasors; the thimble's complex orbits give phasors
+        # of any modulus
+        assert est is f2_mc or np.all(np.abs(f) <= 1.0 + 1e-12)
         assert np.max(np.abs(swapped - np.conj(f))) <= 1e-15
 
 

@@ -274,6 +274,22 @@ def test_fidelity_rejects_dimension_mismatch():
         fidelity_exact(state, displaced_ho_pair(dims=2), 10, 0.05)
 
 
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("n_steps", {"n_steps": -1}), ("tau", {"tau": 0.0}), ("tau", {"tau": np.nan}),
+     ("tau", {"tau": -0.05}), ("hbar", {"hbar": 0.0})],
+    ids=["n_steps=-1", "tau=0", "tau=nan", "tau=-0.05", "hbar=0"],
+)
+def test_fidelity_checks_its_run_fields_before_any_grid_work(monkeypatch, name, kwargs):
+    def no_grid(*args, **kw):
+        raise AssertionError("grid built before the run fields were checked")
+
+    monkeypatch.setattr("loschmidt.qgrid.grid_for_state", no_grid)
+    run = {"n_steps": 10, "tau": 0.05, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        fidelity_exact(GROUND, displaced_ho_pair(), **run)
+
+
 def test_fidelity_rejects_grid_dimension_mismatch():
     grid = Grid(((-8.0, 8.0),) * 2, (64, 64))
     with pytest.raises(ValueError, match="grid dimensions"):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import loschmidt
 from loschmidt.estimators import EstimatorConfig, f1_dr
 from loschmidt.presets import load
-from loschmidt.series import FidelitySeries, NonFiniteSeriesError, read_series, write_series
+from loschmidt.series import (
+    SERIES_COLUMNS, FidelitySeries, NonFiniteSeriesError, read_series, write_series,
+)
 
 
 @pytest.mark.parametrize(
@@ -43,7 +45,23 @@ def test_series_round_trip_exact(tmp_path, suffix):
     assert np.array_equal(back.times, series.times)
     assert np.array_equal(back.values, series.values)
     assert np.array_equal(back.stderr, series.stderr)
-    assert back.meta == (series.meta if suffix == "json" else {})
+    # a table holds no meta; a run writes it to run_metadata.json
+    assert back.meta == {}
+
+
+def test_json_series_holds_only_the_six_columns(tmp_path):
+    write_series(series_fixture(), tmp_path / "f1.json")
+    assert list(json.loads((tmp_path / "f1.json").read_text())) == list(SERIES_COLUMNS)
+
+
+def test_read_series_ignores_the_meta_of_an_older_json_file(tmp_path):
+    series = series_fixture()
+    path = tmp_path / "f1.json"
+    write_series(series, path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({"meta": series.meta, **payload}, indent=1))
+    back = read_series(path)
+    assert np.array_equal(back.values, series.values) and back.meta == {}
 
 
 def test_csv_and_json_write_the_same_abs_f_sq(tmp_path):
