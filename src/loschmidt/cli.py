@@ -48,7 +48,6 @@ class RunConfig:
     system: Scenario
     estimator_config: EstimatorConfig
     reference: str = "average"
-    output_format: str = "csv"
     spectrum_damping_time: float | None = None
     raw: dict = field(default_factory=dict)
 
@@ -152,7 +151,8 @@ _KEYS = {
     "seed": ("estimator", int),
     "estimators": ("run", _estimator_names),
     "reference": ("run", _one_of("average", "h_prime")),
-    "output_format": ("run", _one_of("csv", "json")),
+    # kept so that configs naming it still run; CSV is the only table format
+    "output_format": ("run", _one_of("csv")),
     "spectrum_damping_time": ("run", _checked(_number, lambda t: t > 0.0, "a positive number")),
 }
 
@@ -216,6 +216,7 @@ def build_run_config(entries: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     inline, settings, run_settings = parsed["inline"], parsed["system"], parsed["run"]
+    run_settings.pop("output_format", None)
     if "estimators" not in run_settings:
         raise ConfigError("at least one estimator must be requested")
     sc = parsed["scenario"].get("scenario")
@@ -303,13 +304,12 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
     start = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = cfg.output_format
     for name, series in results.items():
-        write_series(series, out_dir / f"{name}.{suffix}")
+        write_series(series, out_dir / f"{name}.csv")
     exact = results.get("exact")
     if exact is not None and len(results) > 1:
         devs = {n: s.deviation_from(exact) for n, s in results.items() if n != "exact"}
-        write_table(out_dir / f"comparison.{suffix}", {
+        write_table(out_dir / "comparison.csv", {
             "step": np.arange(len(exact)), "time": exact.times,
             **{f"abs_dev_{n}": dev for n, dev in devs.items()},
         })
@@ -336,7 +336,6 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
         "estimators": names,
         **cfg.estimator_config.run_meta,
         "reference": cfg.reference,
-        "output_format": cfg.output_format,
         "timings_s": timings,
         "series": {name: series.meta for name, series in results.items()},
     }

@@ -33,6 +33,7 @@ correlated across time (flagged in the metadata).
 """
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 import warnings
@@ -76,6 +77,11 @@ class EstimatorConfig:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("n_traj", "seed", "n_steps"):
+            value = getattr(self, name)
+            if name == "n_steps" or value is not None:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_traj is not None and self.n_traj < 1:
             raise ValueError("n_traj must be positive")
         if self.seed is not None and self.seed < 0:
@@ -194,19 +200,28 @@ def _chunks(n: int) -> list:
     return [(range(b0, b1), edges[b0], edges[b1]) for b0, b1 in zip(cuts[:-1], cuts[1:])]
 
 
-def _run_chunks(tasks) -> list:
+def _run_chunks(tasks, stop) -> list:
     """Run the callables ``tasks``, the first on the calling thread and the
     others on a pool of their own, and return their results in task order.
     Returns once every task has finished; the first exception in task order
-    is then raised."""
+    is then raised.  An exception on the calling thread, an interrupt while
+    it waits for the pool included, sets the event ``stop``."""
     if len(tasks) == 1:
         return [tasks[0]()]
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor, wait
 
-    # leaving the block waits for every task, also when the caller's raised
     with ThreadPoolExecutor(len(tasks) - 1, "loschmidt-chunk") as pool:
-        futures = [pool.submit(task) for task in tasks[1:]]
-        first = tasks[0]()
+        try:
+            futures = [pool.submit(task) for task in tasks[1:]]
+            first = tasks[0]()
+            # timed waits let an interrupt through that only sets Python's
+            # flag, as _thread.interrupt_main() does
+            while wait(futures, timeout=0.1).not_done:
+                pass
+        except BaseException:
+            # before leaving the block, which waits for every task
+            stop.set()
+            raise
     return [first, *(future.result() for future in futures)]
 
 
@@ -253,12 +268,7 @@ def _ensemble_series(state, config, phasors):
         steps = phasors(q[lo:hi], p[lo:hi], batches)
         tasks.append(partial(_chunk_moments, steps, edges[batches] - lo, counts[batches], stop))
     del q, p
-    try:
-        results = _run_chunks(tasks)
-    except BaseException:
-        # also an interrupt that lands while the caller waits for the pool
-        stop.set()
-        raise
+    results = _run_chunks(tasks, stop)
     sums, m2s = (np.concatenate(part, axis=1) for part in zip(*results))
     return _merge_moments(sums, m2s, counts)
 

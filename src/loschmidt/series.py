@@ -1,20 +1,14 @@
 """The fidelity series and the tables it is written to.
 
 Every output table of a run (series, comparison, spectrum) goes through
-``write_table``, which picks the format from the path suffix:
-
-- ``.csv``: a header line of column names, then one comma-separated row per
-  line; integer columns as ``%d``, float columns with 17 significant digits;
-- ``.json``: one object, indented by one space, holding one list per
-  column and nothing else, floats in their shortest round-trip form.
-
-Either way a float parses back to the same bits, so ``read_series`` returns
-the in-memory values exactly.  A table holds no meta: a run writes every
-series' meta to ``run_metadata.json``.
+``write_table`` as CSV: a header line of column names, then one
+comma-separated row per line; integer columns as ``%d``, float columns with
+17 significant digits, so a float parses back to the same bits and
+``read_series`` returns the in-memory values exactly.  A table holds no
+meta: ``cli.run`` records every series' meta in the run's metadata file.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,19 +70,15 @@ class FidelitySeries:
 
 
 def write_table(path, columns: dict) -> None:
-    """Write named, equally long columns as CSV or JSON by the suffix of ``path``."""
+    """Write named, equally long columns to the CSV file ``path``."""
     path = Path(path)
-    cols = {name: np.asarray(col) for name, col in columns.items()}
-    if path.suffix == ".json":
-        payload = {name: col.tolist() for name, col in cols.items()}
-        path.write_text(json.dumps(payload, indent=1) + "\n")
-    elif path.suffix == ".csv":
-        row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols.values())
-        lines = [",".join(cols)]
-        lines += [row % cells for cells in zip(*(c.tolist() for c in cols.values()))]
-        path.write_text("\n".join(lines) + "\n")
-    else:
+    if path.suffix != ".csv":
         raise ValueError(f"unknown table format {path.suffix!r} in {path.name}")
+    cols = [np.asarray(col) for col in columns.values()]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols)
+    lines = [",".join(columns)]
+    lines += [row % cells for cells in zip(*(c.tolist() for c in cols))]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_series(series: FidelitySeries, path) -> None:
@@ -100,25 +90,20 @@ def write_series(series: FidelitySeries, path) -> None:
 
 
 def read_series(path) -> FidelitySeries:
-    """Read a file written by ``write_series``; every bit of the values
-    survives, and the meta is empty.  Any other key of a JSON file, such as
-    the ``meta`` object older files hold, is ignored.  A file it cannot
-    parse raises a ValueError that names it."""
+    """Read a CSV file written by ``write_series``; every bit of the values
+    survives, and the meta is empty.  A file it cannot parse raises a
+    ValueError that names it."""
     path = Path(path)
     try:
-        if path.suffix == ".json":
-            payload = json.loads(path.read_text())
-            cols = {name: np.array(payload[name], dtype=float) for name in SERIES_COLUMNS}
-        elif path.suffix == ".csv":
-            lines = path.read_text().strip().splitlines()
-            if not lines or lines[0].split(",") != list(SERIES_COLUMNS):
-                raise ValueError("unexpected series header")
-            rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-            # every row holds every column; a header alone is an empty series
-            cols = dict(zip(SERIES_COLUMNS, np.reshape(rows, (len(rows), len(SERIES_COLUMNS))).T))
-        else:
+        if path.suffix != ".csv":
             raise ValueError(f"unknown series format {path.suffix!r}")
-    except (KeyError, ValueError) as exc:
+        lines = path.read_text().strip().splitlines()
+        if not lines or lines[0].split(",") != list(SERIES_COLUMNS):
+            raise ValueError("unexpected series header")
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        # every row holds every column; a header alone is an empty series
+        cols = dict(zip(SERIES_COLUMNS, np.reshape(rows, (len(rows), len(SERIES_COLUMNS))).T))
+    except ValueError as exc:
         raise ValueError(f"cannot read series file {path}: {type(exc).__name__} {exc}") from exc
     # assigned part by part: re + 1j * im would turn an imaginary -0.0 into +0.0
     values = np.empty(len(cols["time"]), dtype=complex)

@@ -234,13 +234,23 @@ n_steps = 12
     assert all(v == 1.0 for v in abs_sq)
 
 
-def test_run_json_format_and_spectrum(tmp_path):
-    text = DISPLACED_CFG + "output_format = json\nspectrum_damping_time = 4.0\n"
+def test_run_json_format_and_spectrum(tmp_path, capsys):
+    # CSV is the one table format; the key stays so that configs naming it run
+    text = DISPLACED_CFG + "output_format = csv\nspectrum_damping_time = 4.0\n"
     cfg = build_run_config(parse_config_text(text))
     run(cfg, tmp_path / "out")
     names = {p.name for p in (tmp_path / "out").iterdir()}
-    assert {"exact.json", "f1.json", "comparison.json", "spectrum_exact.csv",
-            "spectrum_f1.csv"} <= names
+    assert names == {"exact.csv", "f1.csv", "comparison.csv", "comparison_max.json",
+                     "spectrum_exact.csv", "spectrum_f1.csv", "run_metadata.json"}
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
+    assert "output_format" not in meta
+    json_text = text.replace("output_format = csv", "output_format = json")
+    with pytest.raises(ConfigError, match="output_format: expected csv, got 'json'"):
+        build_run_config(parse_config_text(json_text))
+    cfg_path = write_cfg(tmp_path, json_text)
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "json")]) == EXIT_CONFIG
+    assert "output_format: expected csv, got 'json'" in capsys.readouterr().err
+    assert not (tmp_path / "json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +576,9 @@ def test_readme_config_examples_build():
 
 
 def test_readme_documents_every_config_key():
-    # the *_cos forms are documented together by README's `*_cos` note
+    # by its full name: kinetic_prime inside kinetic_prime_cos does not count
     text = README.read_text()
-    assert "`*_cos`" in text
-    missing = [
-        key for key in _KEYS
-        if not key.endswith("_cos") and not re.search(rf"\b{key}\b", text)
-    ]
+    missing = [key for key in _KEYS if not re.search(rf"\b{key}\b", text)]
     assert missing == []
 
 

@@ -1,3 +1,4 @@
+import _thread
 import math
 import multiprocessing
 import os
@@ -77,6 +78,13 @@ def test_estimator_config_validation():
                 config(**{name: value})
     with pytest.raises(ValueError, match="seed"):
         config(seed=-1)
+    # counts and seeds are integers, NumPy's included, and never bools
+    for name, value in (("n_traj", 100.5), ("n_traj", True), ("seed", 1.5), ("seed", False),
+                        ("n_steps", 2.5), ("n_steps", None)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            config(**{name: value})
+    cfg = config(n_traj=np.int64(300), seed=np.uint32(1), n_steps=np.int32(5))
+    assert cfg.times.shape == (6,)
 
 
 def test_monte_carlo_estimators_refuse_a_config_without_ensemble():
@@ -521,12 +529,14 @@ def test_run_chunks_raises_the_first_failure_once_every_chunk_finished(monkeypat
     with pytest.raises(ValueError, match="second chunk"):
         estimators._run_chunks([
             task(0), task(1, 0.2, ValueError("second chunk")), task(2, 0.0, KeyError("third")),
-        ])
+        ], threading.Event())
     assert sorted(finished) == [0, 1, 2]
     # the caller's chunk fails first: it still waits for the others
     finished.clear()
     with pytest.raises(RuntimeError, match="first chunk"):
-        estimators._run_chunks([task(0, 0.0, RuntimeError("first chunk")), task(1, 0.2)])
+        estimators._run_chunks(
+            [task(0, 0.0, RuntimeError("first chunk")), task(1, 0.2)], threading.Event()
+        )
     assert sorted(finished) == [0, 1]
 
 
@@ -592,17 +602,23 @@ def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
     assert all(pool_steps) and 0 < len(pool_steps) < 100, len(pool_steps)
 
 
-@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs POSIX signals")
-def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch):
+@pytest.mark.parametrize("interrupt", [
+    pytest.param("sigint", marks=pytest.mark.skipif(
+        not hasattr(signal, "pthread_kill"), reason="needs POSIX signals"
+    )),
+    "interrupt_main",
+])
+def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch, interrupt):
     # the pool's chunk holds its first step until the caller's chunk has run
-    # all 2000 steps and returned, then sends the caller, now waiting for the
-    # pool, a SIGINT as Ctrl-C does; at 1 ms a step it must stop long before
-    # its 2000th.  A real signal, not _thread.interrupt_main(): only a signal
-    # wakes a blocked join
+    # all 2000 steps and returned, then interrupts the caller, now waiting for
+    # the pool: by a SIGINT as Ctrl-C does, or by _thread.interrupt_main() as
+    # IDLE does, which only sets Python's flag and so is seen only between
+    # the caller's timed waits.  At 1 ms a step it must stop long before its
+    # 2000th
     caller_done, pool_done, pool_steps = threading.Event(), threading.Event(), []
     run_chunks = estimators._run_chunks
 
-    def marked_run_chunks(tasks):
+    def marked_run_chunks(tasks, stop):
         def caller_task():
             result = tasks[0]()
             caller_done.set()
@@ -614,12 +630,15 @@ def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch
             finally:
                 pool_done.set()
 
-        return run_chunks([caller_task, pool_task])
+        return run_chunks([caller_task, pool_task], stop)
 
     def slow_pool_check_escape(q, p):
         if threading.current_thread() is not threading.main_thread():
             if caller_done.wait(timeout=60) and not pool_steps:
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                if interrupt == "sigint":
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                else:
+                    _thread.interrupt_main()
             pool_steps.append(None)
             time.sleep(1e-3)
 

@@ -277,8 +277,8 @@ def test_fidelity_rejects_dimension_mismatch():
 @pytest.mark.parametrize(
     "name, kwargs",
     [("n_steps", {"n_steps": -1}), ("tau", {"tau": 0.0}), ("tau", {"tau": np.nan}),
-     ("tau", {"tau": -0.05}), ("hbar", {"hbar": 0.0})],
-    ids=["n_steps=-1", "tau=0", "tau=nan", "tau=-0.05", "hbar=0"],
+     ("tau", {"tau": -0.05}), ("hbar", {"hbar": 0.0}), ("n_steps", {"n_steps": 2.5})],
+    ids=["n_steps=-1", "tau=0", "tau=nan", "tau=-0.05", "hbar=0", "n_steps=2.5"],
 )
 def test_fidelity_checks_its_run_fields_before_any_grid_work(monkeypatch, name, kwargs):
     def no_grid(*args, **kw):

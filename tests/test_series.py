@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -9,9 +8,7 @@ from hypothesis import strategies as st
 import loschmidt
 from loschmidt.estimators import EstimatorConfig, f1_dr
 from loschmidt.presets import load
-from loschmidt.series import (
-    SERIES_COLUMNS, FidelitySeries, NonFiniteSeriesError, read_series, write_series,
-)
+from loschmidt.series import FidelitySeries, NonFiniteSeriesError, read_series, write_series
 
 
 @pytest.mark.parametrize(
@@ -36,10 +33,9 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("suffix", ["csv", "json"])
-def test_series_round_trip_exact(tmp_path, suffix):
+def test_series_round_trip_exact(tmp_path):
     series = series_fixture()
-    path = tmp_path / f"f1.{suffix}"
+    path = tmp_path / "f1.csv"
     write_series(series, path)
     back = read_series(path)
     assert np.array_equal(back.times, series.times)
@@ -49,31 +45,19 @@ def test_series_round_trip_exact(tmp_path, suffix):
     assert back.meta == {}
 
 
-def test_json_series_holds_only_the_six_columns(tmp_path):
-    write_series(series_fixture(), tmp_path / "f1.json")
-    assert list(json.loads((tmp_path / "f1.json").read_text())) == list(SERIES_COLUMNS)
-
-
-def test_read_series_ignores_the_meta_of_an_older_json_file(tmp_path):
-    series = series_fixture()
-    path = tmp_path / "f1.json"
-    write_series(series, path)
-    payload = json.loads(path.read_text())
-    path.write_text(json.dumps({"meta": series.meta, **payload}, indent=1))
-    back = read_series(path)
-    assert np.array_equal(back.values, series.values) and back.meta == {}
-
-
-def test_csv_and_json_write_the_same_abs_f_sq(tmp_path):
+def test_csv_writes_every_bit_of_abs_f_sq(tmp_path):
     series = series_fixture()
     write_series(series, tmp_path / "f1.csv")
-    write_series(series, tmp_path / "f1.json")
     rows = (tmp_path / "f1.csv").read_text().splitlines()
     column = rows[0].split(",").index("abs_f_sq")
     from_csv = [float(row.split(",")[column]) for row in rows[1:]]
-    from_json = json.loads((tmp_path / "f1.json").read_text())["abs_f_sq"]
-    assert np.array_equal(bits(from_csv), bits(from_json))
-    assert np.array_equal(bits(from_json), bits(series.abs_sq))
+    assert np.array_equal(bits(from_csv), bits(series.abs_sq))
+
+
+def test_write_series_refuses_any_file_but_csv(tmp_path):
+    with pytest.raises(ValueError, match=r"unknown table format '\.json' in f1\.json"):
+        write_series(series_fixture(), tmp_path / "f1.json")
+    assert not (tmp_path / "f1.json").exists()
 
 
 HEADER = "step,time,re_f,im_f,abs_f_sq,stderr\n"
@@ -84,8 +68,8 @@ UNREADABLE = [
     ("short.csv", HEADER + "0,0,1,0,1\n" * 6, "cannot reshape"),
     ("ragged.csv", HEADER + "0,0,1,0,1,0\n1,0.1,1,0\n", "inhomogeneous"),
     ("cell.csv", HEADER + "0,0,1,x,1,0\n", "could not convert"),
-    ("empty.json", "", "JSONDecodeError"),
-    ("columns.json", '{"time": [0.0], "re_f": [1.0], "im_f": [0.0]}', "KeyError 'step'"),
+    # CSV is the only table format
+    ("empty.json", "", "unknown series format '.json'"),
     ("series.txt", "", "unknown series format '.txt'"),
 ]
 
@@ -123,16 +107,15 @@ def test_series_allows_infinite_stderr():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@pytest.mark.parametrize("suffix", ["csv", "json"])
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=12))
-def test_round_trip_keeps_every_bit(tmp_path_factory, suffix, rows):
+def test_round_trip_keeps_every_bit(tmp_path_factory, rows):
     # drawn values include +-0.0, subnormals and exponents near the limits
     times, re, im, stderr = (np.array(col) for col in zip(*rows))
     values = np.empty(len(rows), dtype=complex)
     values.real, values.imag = re, im
     series = FidelitySeries(times, values, stderr)
-    path = tmp_path_factory.mktemp("series") / f"s.{suffix}"
+    path = tmp_path_factory.mktemp("series") / "s.csv"
     with np.errstate(over="ignore"):  # abs_f_sq of huge values is inf
         write_series(series, path)
     back = read_series(path)
