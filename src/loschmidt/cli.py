@@ -308,7 +308,7 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
         write_series(series, out_dir / f"{name}.csv")
     exact = results.get("exact")
     if exact is not None and len(results) > 1:
-        devs = {n: s.deviation_from(exact) for n, s in results.items() if n != "exact"}
+        devs = {n: np.abs(s.values - exact.values) for n, s in results.items() if n != "exact"}
         write_table(out_dir / "comparison.csv", {
             "step": np.arange(len(exact)), "time": exact.times,
             **{f"abs_dev_{n}": dev for n, dev in devs.items()},

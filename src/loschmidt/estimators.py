@@ -1,35 +1,34 @@
 """Phase-space estimators of the fidelity amplitude.
 
 Three approximations of increasing order are provided: ``f0`` averages static
-phases of the perturbation over the initial Wigner density, ``f1_dr`` is the
-dephasing representation (phases accumulated along classical trajectories of
-the reference Hamiltonian), and ``f2_mc`` smears the deterministic momentum
-update with a Fresnel (complex Gaussian) kernel.  ``f1_dr`` and ``f2_mc``
-share one orbit loop over ``dynamics.map_step`` and differ only in the kick:
-the classical momentum update (a delta function) at first order, a smeared
-draw at second order wherever the curvature of the perturbing potential is
-not an exact zero.  When the average Hamiltonian is quadratic, ``f2_mc``
-draws each smear on the kernel's steepest-descent line (the Lefschetz
-thimble), so every path has weight one and the orbit continues at complex
-(q, p); other averages keep a one-dimensional real-axis sampler with
-complex importance weights.
-``f2_gaussian_chain`` evaluates the same second-order object in closed form
-when the dynamics is quadratic and the perturbation is a quadratic
-potential, as one O(N) chain per coordinate and component.  Both refuse a
-perturbation with a kinetic part.
+phases of the perturbation over the initial Wigner density, by quadrature,
+``f1_dr`` is the dephasing representation (phases accumulated along
+classical trajectories of the reference Hamiltonian), and ``f2_mc`` smears
+the deterministic momentum update with a Fresnel (complex Gaussian) kernel.
+``f1_dr`` and ``f2_mc`` share one orbit loop over ``dynamics.map_step`` and
+differ only in the kick: the classical momentum update (a delta function) at
+first order, a smeared draw at second order wherever the curvature of the
+perturbing potential is not an exact zero.  When the average Hamiltonian is
+quadratic, ``f2_mc`` draws each smear on the kernel's steepest-descent line
+(the Lefschetz thimble), so every path has weight one and the orbit
+continues at complex (q, p); other averages keep a one-dimensional
+real-axis sampler with complex importance weights.  ``f2_gaussian_chain``
+evaluates the same second-order object in closed form when the dynamics is
+quadratic and the perturbation a quadratic potential, as one O(N) chain per
+coordinate and component.  Both refuse a perturbation with a kinetic part.
 
-All Monte Carlo reductions run over fixed, index-ordered batches so results
-are reproducible bit-for-bit for a given seed regardless of how work is
-scheduled.  ``f0``, ``f1_dr`` and the thimble ``f2_mc`` cut an ensemble of
-at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of whole batches,
-one per CPU the process may run on.  Each chunk is a generator of its
-phasors, stepped and reduced on a thread of its own (numpy releases the GIL
-in its array loops), and a chunk that raises, or an interrupt while the
-caller waits for the pool, stops the others after their current step.
-Every draw is keyed by its batch and every sum runs in batch order, so the
-results are the same bits for any CPU count.  Within one
-series the time steps reuse a single path ensemble, so errors are
-correlated across time (flagged in the metadata).
+``f0`` and the chain are deterministic.  The Monte Carlo reductions run over
+fixed, index-ordered batches, so results are the same bits for a given seed
+however work is scheduled.  ``f1_dr`` and the thimble ``f2_mc`` cut an
+ensemble of at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of
+whole batches, one per CPU the process may run on, each a generator of its
+phasors stepped and reduced on a thread of its own (numpy releases the GIL
+in its array loops); a chunk that raises, or an interrupt while the caller
+waits for the pool, stops the others after their current step.  Every draw
+is keyed by its batch and every sum runs in batch order, so the results are
+the same bits for any CPU count.  Within one series the time steps reuse a
+single path ensemble, so errors are correlated across time (flagged in the
+metadata).
 """
 from __future__ import annotations
 
@@ -50,9 +49,6 @@ from .states import InitialState, sample
 DEFAULT_ERROR_BATCHES = 32
 # f2_mc proposal width in units of hbar * sqrt(pi * |a_n|)
 PROPOSAL_WIDTH_FACTOR = 2.0
-# f0 advances its phasors by one step's factor and recomputes them directly
-# every this many steps, so rounding cannot accumulate beyond it
-_F0_REANCHOR_STEPS = 64
 _SINGULAR_RTOL = 1e-12
 # an ensemble is split only into chunks of about this many trajectories or
 # more, as a chunk pays a thread and, on every step, the fixed cost of each
@@ -107,15 +103,14 @@ class EstimatorConfig:
 # fixed-order reductions
 
 
-def _moments(starts, counts, z, theta, dev=None):
+def _moments(starts, counts, z, theta):
     """Sum S_b and two-pass moment M2_b = sum |z - S_b / n_b|^2 of each batch
     b of ``z``, which starts at starts[b] and holds counts[b] samples.
-    Overwrites ``dev`` (z itself by default) with the deviations and the
-    float buffer ``theta`` of z's length with their squared moduli."""
-    dev = z if dev is None else dev
+    Overwrites z with the deviations and the float buffer ``theta`` of z's
+    length with their squared moduli."""
     sums = np.add.reduceat(z, starts)
-    np.subtract(z, np.repeat(sums / counts, counts), out=dev)
-    np.abs(dev, out=theta)
+    np.subtract(z, np.repeat(sums / counts, counts), out=z)
+    np.abs(z, out=theta)
     np.square(theta, out=theta)
     return sums, np.add.reduceat(theta, starts)
 
@@ -274,40 +269,48 @@ def _ensemble_series(state, config, phasors):
 
 
 # ---------------------------------------------------------------------------
-# zeroth order: static phase average
+# zeroth order: static phase average, by quadrature
 
 
-def _f0_phasors(delta, config, q, p, batches):
-    """The static phasors z of one chunk of ``_ensemble_series``, yielded as
-    (z, theta, dev): z is the recurrence state, so its deviations go to dev."""
-    phi = delta.value(q, p)
-    del q, p
-    dev = np.empty(len(phi), dtype=complex)
-    theta = np.empty(len(phi))
-    # the direct form of step 1, whose t = times[1] is tau as a float64
-    step = np.exp(-1j * np.float64(config.tau) / config.hbar * phi)
-    for n, t in enumerate(config.times):
-        if n % _F0_REANCHOR_STEPS == 0:
-            z = np.exp(-1j * t / config.hbar * phi)
-        else:
-            z *= step
-        yield z, theta, dev
+def _f0_factor(part, centre, width, config):
+    """E[exp(-i t part(x) / hbar)], x ~ N(centre, width^2 / 2), at each t > 0
+    of the run: the trapezoid rule in y = (x - centre) / width on [-12, 12],
+    weights exp(-y^2) h / sqrt(pi), from 257 nodes, doubled (m -> 2m - 1)
+    until the series moves by less than 1e-13.  Summed one time at a time,
+    without BLAS, whose threads could change the bits."""
+    previous, nodes = np.full(config.n_steps, np.inf), 257
+    while nodes < 2**21:
+        y, h = np.linspace(-12.0, 12.0, nodes, retstep=True)
+        w = np.exp(-y * y) * (h / np.sqrt(np.pi))
+        v = part.value(centre + width * y) * (-1j / config.hbar)
+        series = np.array([(w * np.exp(t * v)).sum() for t in config.times[1:]])
+        if np.max(np.abs(series - previous), initial=0.0) < 1e-13:
+            return series
+        previous, nodes = series, 2 * nodes - 1
+    raise NumericalError(f"f0 quadrature unconverged at {nodes // 2 + 1} nodes; use fewer steps")
 
 
 def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> FidelitySeries:
     """Static average exp(-i t dH(x0) / hbar) over the initial Wigner density.
 
-    No trajectories are run; the estimator is exact whenever the average
-    Hamiltonian is constant and the perturbation affine in phase space.
-    The phasors follow z_n = z_{n-1} exp(-i tau dH / hbar), one complex
-    product per sample and step instead of a complex ``exp``, and are
-    recomputed directly every ``_F0_REANCHOR_STEPS`` steps, so the rounding
-    of the products never builds up over more than that many of them; the
-    mean stays within a few 1e-16 of the direct form.
+    Nothing is sampled.  dH is separable and each component's density a
+    product of normals, so f0(t) = sum_k w_k prod_d I_q I_p, one
+    ``_f0_factor`` per nonzero term: q ~ N(q0, sigma^2 / 2) and
+    p ~ N(p0, hbar^2 / (2 sigma^2)).  Deterministic (stderr 0, no ``n_traj``
+    or ``seed``); exact for a constant average Hamiltonian and affine dH.
     """
-    meta = {"estimator": "f0", **config.run_meta, "correlated_time_steps": True}
-    values, stderr = _ensemble_series(state, config, partial(_f0_phasors, pair.delta, config))
-    return FidelitySeries(config.times, values, stderr, meta)
+    if state.dims != pair.dims:
+        raise ValueError("state and Hamiltonian dimensions differ")
+    values = np.zeros(config.n_steps, dtype=complex)
+    for c in state.components:
+        term = c.weight
+        for part, centre, width in [*zip(pair.delta.potential, c.center_q, c.sigma),
+                                    *zip(pair.delta.kinetic, c.center_p, config.hbar / c.sigma)]:
+            if not part.is_zero:
+                term = term * _f0_factor(part, centre, width, config)
+        values += term
+    meta = {"estimator": "f0", **replace(config, n_traj=None, seed=None).run_meta}
+    return FidelitySeries(config.times, np.append(1.0, values), np.zeros(config.n_steps + 1), meta)
 
 
 # ---------------------------------------------------------------------------

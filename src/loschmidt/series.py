@@ -65,9 +65,6 @@ class FidelitySeries:
     def abs_sq(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
-    def deviation_from(self, other: "FidelitySeries") -> np.ndarray:
-        return np.abs(self.values - other.values)
-
 
 def write_table(path, columns: dict) -> None:
     """Write named, equally long columns to the CSV file ``path``."""
