@@ -12,7 +12,6 @@ import math
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -276,30 +275,20 @@ ESTIMATORS = {
 }
 
 
-def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
-    """Execute the configured estimators and write all output files.
+def run(cfg: RunConfig, out_dir: Path) -> dict:
+    """Execute the configured estimators in config order and write all
+    output files.
 
-    Independent estimators may run on a thread pool; each one reduces its
-    ensemble in a fixed batch order, however many CPUs step it, so results
-    do not depend on ``threads``.  ``out_dir`` is created only once every
-    estimator has returned, so a run that aborts leaves no directory behind.
-    ``run_metadata.json`` holds each series' meta under ``series``.
+    ``out_dir`` is created only once every estimator has returned, so a run
+    that aborts leaves no directory behind.  ``run_metadata.json`` holds
+    each series' meta under ``series``.
     Returns the mapping estimator name -> FidelitySeries.
     """
-    names = list(cfg.estimators)
-
-    def timed(name):
+    results, timings = {}, {}
+    for name in cfg.estimators:
         start = time.perf_counter()
-        series = ESTIMATORS[name](cfg)
-        return series, time.perf_counter() - start
-
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(timed, names))
-    else:
-        outcomes = [timed(name) for name in names]
-    results = {name: series for name, (series, _) in zip(names, outcomes)}
-    timings = {name: seconds for name, (_, seconds) in zip(names, outcomes)}
+        results[name] = ESTIMATORS[name](cfg)
+        timings[name] = time.perf_counter() - start
 
     start = time.perf_counter()
     out_dir = Path(out_dir)
@@ -333,7 +322,7 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
         "config": cfg.raw,
         "label": cfg.system.name,
         "scenario": cfg.raw.get("scenario"),
-        "estimators": names,
+        "estimators": cfg.estimators,
         **cfg.estimator_config.run_meta,
         "reference": cfg.reference,
         "timings_s": timings,
@@ -350,9 +339,6 @@ def run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
 
 
 def _cmd_run(args) -> int:
-    if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return EXIT_CONFIG
     config_path = Path(args.config)
     if not config_path.is_file():
         print(f"error: config file not found: {config_path}", file=sys.stderr)
@@ -364,7 +350,7 @@ def _cmd_run(args) -> int:
         entries = parse_config_text(config_path.read_text())
         if args.seed is not None:
             entries["seed"] = str(args.seed)
-        results = run(build_run_config(entries), out_dir, threads=args.threads)
+        results = run(build_run_config(entries), out_dir)
     except ValueError as exc:  # ConfigError included
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -399,7 +385,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a key=value config file")
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--seed", type=int, default=None, help="override the seed")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
     p_scen = sub.add_parser("scenarios", help="list preset scenarios")
     p_scen.set_defaults(func=_cmd_scenarios)

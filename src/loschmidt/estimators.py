@@ -299,8 +299,7 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
     p ~ N(p0, hbar^2 / (2 sigma^2)).  Deterministic (stderr 0, no ``n_traj``
     or ``seed``); exact for a constant average Hamiltonian and affine dH.
     """
-    if state.dims != pair.dims:
-        raise ValueError("state and Hamiltonian dimensions differ")
+    pair.check_state(state)
     values = np.zeros(config.n_steps, dtype=complex)
     for c in state.components:
         term = c.weight
@@ -375,6 +374,7 @@ def f1_dr(
     unperturbed Hamiltonian instead of the average one, which demonstrably
     breaks exactness even for displaced harmonic oscillators.
     """
+    pair.check_state(state)
     if reference not in ("average", "h_prime"):
         raise ValueError(f"unknown reference {reference!r}")
     h_ref = pair.average if reference == "average" else pair.h_prime
@@ -386,8 +386,7 @@ def f1_dr(
 
 
 def _require_position_perturbation(state, pair):
-    if state.dims != pair.dims:
-        raise ValueError("state and Hamiltonian dimensions differ")
+    pair.check_state(state)
     if not all(t.is_zero for t in pair.delta.kinetic):
         raise ValueError("perturbation must be momentum independent")
 
@@ -412,7 +411,7 @@ def _thimble_kick(pair, config, batches):
     Draws come from one Philox stream per error batch, keyed
     (seed, 1, batch), so they do not depend on how the ensemble is split.
     """
-    if all(t.cos_amp == 0.0 and t.degree <= 1 for t in pair.delta.potential):
+    if pair.delta.degree <= 1:
         return lambda q, p: p
     edges = _batch_edges(config.n_traj)
     lo = edges[batches.start]
@@ -566,8 +565,7 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     ``meta["effective_sample_size"]`` is ``n_traj`` on the thimble.
     """
     _require_position_perturbation(state, pair)
-    average_terms = pair.average.kinetic + pair.average.potential
-    if all(t.cos_amp == 0.0 and t.degree <= 2 for t in average_terms):
+    if pair.average.degree <= 2:
         kick = partial(_thimble_kick, pair, config)
         phasors = partial(_orbit_phasors, pair.average, pair.delta, config, kick)
         values, stderr = _ensemble_series(state, config, phasors)

@@ -227,8 +227,13 @@ class SeparableHamiltonian:
         return self._per_coord(self.potential, CoordFunction.d2, q)
 
     @property
-    def is_zero(self) -> bool:
-        return all(t.is_zero for t in self.kinetic + self.potential)
+    def degree(self) -> float:
+        """Largest polynomial degree of its terms; infinite if any term has a
+        cosine."""
+        terms = self.kinetic + self.potential
+        if any(t.cos_amp != 0.0 for t in terms):
+            return float("inf")
+        return max(t.degree for t in terms)
 
     def __add__(self, other: "SeparableHamiltonian") -> "SeparableHamiltonian":
         if not isinstance(other, SeparableHamiltonian):
@@ -274,6 +279,13 @@ class HamiltonianPair:
     @property
     def dims(self) -> int:
         return self.h_prime.dims
+
+    def check_state(self, state) -> None:
+        """Refuse an initial state whose dimension is not the pair's."""
+        if state.dims != self.dims:
+            raise ValueError(
+                f"state and Hamiltonian dimensions differ: {state.dims} vs {self.dims}"
+            )
 
     def swapped(self) -> "HamiltonianPair":
         return make_pair(self.h_double_prime, self.h_prime)
@@ -337,8 +349,8 @@ def predicted_exactness(pair: HamiltonianPair) -> dict:
 
     The order-k estimator is exact when the order-k ``expansion_remainder``
     vanishes identically.  For terms of degree <= 4 plus a cosine, that is
-    when no term carries a cosine and the degrees of the average Hamiltonian
-    and of delta-H meet the bounds below; ``f2_gaussian`` also needs delta-H
+    when the ``degree`` of the average Hamiltonian and of delta-H (infinite
+    with a cosine) meet the bounds below; ``f2_gaussian`` also needs delta-H
     quadratic, as its closed form does.
 
     The verdicts follow the expansion, which treats q and p alike, and not
@@ -346,15 +358,11 @@ def predicted_exactness(pair: HamiltonianPair) -> dict:
     the momentum, so they refuse a delta-H with a kinetic part even where the
     verdict is exact.
     """
-    avg_terms = pair.average.kinetic + pair.average.potential
-    delta_terms = pair.delta.kinetic + pair.delta.potential
-    polynomial = all(t.cos_amp == 0.0 for t in avg_terms + delta_terms)
-    avg = max(t.degree for t in avg_terms)
-    delta = max(t.degree for t in delta_terms)
+    avg, delta = pair.average.degree, pair.delta.degree
     exact = {
         "f0": avg == 0 and delta <= 1,
         "f1": avg <= 2 and delta <= 1,
         "f2_mc": avg <= 2 and delta <= 3,
         "f2_gaussian": avg <= 2 and delta <= 2,
     }
-    return {name: EXACT if polynomial and ok else APPROXIMATE for name, ok in exact.items()}
+    return {name: EXACT if ok else APPROXIMATE for name, ok in exact.items()}

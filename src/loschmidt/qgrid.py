@@ -173,8 +173,7 @@ def fidelity_exact(
     band probability by the discrete norm, which is one.
     """
     config = EstimatorConfig(n_traj=None, seed=None, tau=tau, n_steps=n_steps, hbar=hbar)
-    if pair.dims != state.dims:
-        raise ValueError("state and Hamiltonian dimensions differ")
+    pair.check_state(state)
     if grid is None:
         grid = grid_for_state(state, points=points)
     if grid.dims != state.dims:

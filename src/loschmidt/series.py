@@ -22,7 +22,7 @@ class NumericalError(RuntimeError):
 
 
 class NonFiniteSeriesError(NumericalError):
-    """Raised when a series would hold a NaN or infinite value."""
+    """Raised when a series would hold a NaN or infinite value or stderr."""
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,8 @@ class FidelitySeries:
 
     ``stderr`` holds the statistical error per time step (zero for
     deterministic evaluations).  ``meta`` records estimator name, trajectory
-    count, seed and related run parameters.  Every value must be finite
-    (``NonFiniteSeriesError`` otherwise); an infinite ``stderr`` is allowed,
-    since it is how ``f2_mc``'s bootstrap reports an error bar it cannot size.
+    count, seed and related run parameters.  Every value and every error
+    must be finite (``NonFiniteSeriesError`` otherwise).
     """
 
     times: np.ndarray
@@ -47,11 +46,13 @@ class FidelitySeries:
         stderr = np.asarray(self.stderr, dtype=float)
         if not (times.shape == values.shape == stderr.shape):
             raise ValueError("times, values and stderr must have equal length")
-        bad = np.flatnonzero(~np.isfinite(values))
+        bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(stderr)))
         if bad.size:
+            n = bad[0]
+            what, x = ("value", values[n]) if not np.isfinite(values[n]) else ("stderr", stderr[n])
             raise NonFiniteSeriesError(
                 f"estimator {self.meta.get('estimator', '?')} produced a non-finite "
-                f"value {values[bad[0]]} at step {bad[0]} of {len(values) - 1}; "
+                f"{what} {x} at step {n} of {len(values) - 1}; "
                 "use a smaller tau, fewer steps or another estimator"
             )
         object.__setattr__(self, "times", times)

@@ -182,27 +182,6 @@ def test_run_is_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    displaced = DISPLACED_CFG.replace("exact, f1", "exact, f0, f1")
-    diff_k = DISPLACED_CFG.replace("displaced_ho", "ho_diff_k").replace("exact, f1", "f1, f2_mc")
-    # 1e5 trajectories on two CPUs split each estimator's ensemble in two, so
-    # --threads 4 runs chunk tasks under concurrent estimators
-    split = diff_k.replace("n_traj = 2000", "n_traj = 100000")
-    monkeypatch.setattr(estimators_module, "_available_cpus", lambda: 2)
-    assert len(estimators_module._chunks(100_000)) == 2
-    for label, text, estimators in (
-        ("displaced", displaced, ("exact", "f0", "f1")),
-        ("diff_k", diff_k, ("f1", "f2_mc")),
-        ("split", split, ("f1", "f2_mc")),
-    ):
-        cfg = build_run_config(parse_config_text(text))
-        run(cfg, tmp_path / f"{label}_t1", threads=1)
-        run(cfg, tmp_path / f"{label}_t4", threads=4)
-        for est in estimators:
-            one, four = (tmp_path / f"{label}_t{k}" / f"{est}.csv" for k in (1, 4))
-            assert one.read_bytes() == four.read_bytes(), (label, est)
-
-
 def test_run_looks_estimators_up_at_call_time(tmp_path, monkeypatch):
     # a rebinding of the module-level name (as a span tracer does) is seen
     calls = []
@@ -424,14 +403,6 @@ def test_main_rejects_bad_settings_before_running(tmp_path, capsys, extra, args,
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir), *args]) == EXIT_CONFIG
     assert f"invalid config: {key}" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
-def test_main_rejects_threads_below_one(tmp_path, capsys):
-    cfg_path = write_cfg(tmp_path, DISPLACED_CFG)
-    out_dir = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--output-dir", str(out_dir), "--threads", "0"]) == EXIT_CONFIG
-    assert "--threads" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

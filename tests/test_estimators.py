@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -54,6 +55,11 @@ def config(**kw):
     base = dict(n_traj=20000, seed=7, tau=0.05, n_steps=40, hbar=1.0)
     base.update(kw)
     return EstimatorConfig(**base)
+
+
+def exact_series(state, pair, cfg, grid=None):
+    """``fidelity_exact`` with the run fields of ``cfg``, called as an estimator."""
+    return fidelity_exact(state, pair, cfg.n_steps, cfg.tau, hbar=cfg.hbar, grid=grid)
 
 
 def zero_pair():
@@ -418,7 +424,8 @@ def test_f2_mc_matches_exact_on_diff_k():
 def test_second_order_refuses_a_state_and_pair_of_different_dimensions():
     cfg = config(n_traj=10)
     state_2d = InitialState.gaussian([0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
-    for estimator in (f2_mc, f2_gaussian_chain):
+    # every estimator and the exact reference run the one check before any work
+    for estimator in (f0, f1_dr, f2_mc, f2_gaussian_chain, exact_series):
         with pytest.raises(ValueError, match="dimensions differ"):
             estimator(state_2d, displaced_ho_pair(dims=1), cfg)
         with pytest.raises(ValueError, match="dimensions differ"):
@@ -990,11 +997,14 @@ def quadratic_systems(draw):
 def test_chain_invariants_on_random_quadratic_pairs(system):
     state, h_a, h_b = system
     cfg = config(n_traj=1, n_steps=100)
-    f = f2_gaussian_chain(state, make_pair(h_a, h_b), cfg).values
-    swapped = f2_gaussian_chain(state, make_pair(h_b, h_a), cfg).values
-    assert f[0] == 1.0
-    assert np.all(np.abs(f) <= 1.0 + 1e-12)
-    assert np.max(np.abs(swapped - np.conj(f))) <= 1e-12
+    # packets that move need more room than the default 8-sigma grid
+    grid = grid_for_state(state, pad_sigmas=16.0)
+    for est in (f2_gaussian_chain, partial(exact_series, grid=grid)):
+        f = est(state, make_pair(h_a, h_b), cfg).values
+        swapped = est(state, make_pair(h_b, h_a), cfg).values
+        assert f[0] == 1.0
+        assert np.all(np.abs(f) <= 1.0 + 1e-12)
+        assert np.max(np.abs(swapped - np.conj(f))) <= 1e-12
 
 
 @settings(max_examples=6, deadline=None)

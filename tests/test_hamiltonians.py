@@ -117,7 +117,7 @@ def test_make_pair_displaced_ho_coefficients():
 def test_make_pair_identity_case():
     h = hamiltonian_1d(quadratic_kinetic(), harmonic_potential(1.3))
     pair = make_pair(h, h)
-    assert pair.delta.is_zero
+    assert all(t.is_zero for t in pair.delta.kinetic + pair.delta.potential)
     assert pair.average == h
 
 

@@ -89,19 +89,22 @@ def test_read_series_reads_a_header_alone_as_an_empty_series(tmp_path):
     assert len(read_series(path)) == 0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_series_rejects_non_finite_values(bad):
+@pytest.mark.parametrize("what, bad", [
+    pytest.param("value", np.nan, id="nan"),
+    pytest.param("value", np.inf, id="inf"),
+    pytest.param("value", complex(0.0, -np.inf), id="-infj"),
+    pytest.param("stderr", np.inf, id="stderr-inf"),
+    pytest.param("stderr", np.nan, id="stderr-nan"),
+])
+def test_series_rejects_non_finite_values(what, bad):
     values = np.ones(5, dtype=complex)
-    values[3] = bad
-    with pytest.raises(NonFiniteSeriesError, match=r"estimator f1 .* at step 3 of 4"):
-        FidelitySeries(np.arange(5.0), values, np.zeros(5), {"estimator": "f1"})
-
-
-def test_series_allows_infinite_stderr():
-    # f2_mc's batch bootstrap reports an error bar it cannot size as inf
-    stderr = np.array([0.0, np.inf])
-    series = FidelitySeries(np.arange(2.0), np.ones(2, complex), stderr)
-    assert np.isinf(series.stderr[1])
+    stderr = np.zeros(5)
+    (values if what == "value" else stderr)[3] = bad
+    # the first bad step is named, whichever column holds it
+    (stderr if what == "value" else values)[4] = np.inf
+    pattern = rf"estimator f1 .* non-finite {what} .* at step 3 of 4"
+    with pytest.raises(NonFiniteSeriesError, match=pattern):
+        FidelitySeries(np.arange(5.0), values, stderr, {"estimator": "f1"})
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
