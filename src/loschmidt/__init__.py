@@ -23,6 +23,7 @@ from .series import FidelitySeries, NonFiniteSeriesError, NumericalError
 from .estimators import (
     EstimatorConfig,
     SingularExponentError,
+    ThimbleDivergenceError,
     f0,
     f1_dr,
     f2_gaussian_chain,
@@ -57,6 +58,7 @@ __all__ = [
     "SeparableHamiltonian",
     "SingularExponentError",
     "Spectrum",
+    "ThimbleDivergenceError",
     "TrajectoryEscapeError",
     "cosine_potential",
     "displaced_ho_pair",

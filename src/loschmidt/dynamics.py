@@ -19,26 +19,43 @@ class TrajectoryEscapeError(NumericalError):
     """Raised when a trajectory leaves the numerically safe region."""
 
 
+def drift(q, p, h: SeparableHamiltonian, tau: float, work) -> None:
+    """The drift of one step, in place: q += tau T'(p).  ``work``, an array
+    of q's shape and dtype, is scratch."""
+    np.multiply(tau, h.kinetic_d1(p, work), out=work)
+    np.add(q, work, out=q)
+
+
+def kick(q, p, h: SeparableHamiltonian, tau: float, work) -> None:
+    """The kick of one step, in place: p -= tau V'(q), at the drifted q."""
+    np.multiply(tau, h.potential_d1(q, work), out=work)
+    np.subtract(p, work, out=p)
+
+
 def map_step(q, p, h: SeparableHamiltonian, tau: float):
     """Advance one kick-map step: q' = q + tau T'(p), then p' = p - tau V'(q').
 
     ``q`` and ``p`` carry coordinates on the last axis and may hold whole
-    ensembles in leading axes.  Returns the new ``(q, p)``.
+    ensembles in leading axes.  Returns the new ``(q, p)``: ``drift`` and
+    ``kick`` applied to copies.
     """
-    q = h._coords(q)
-    p = h._coords(p)
-    q_new = q + tau * h.kinetic_d1(p)
-    p_new = p - tau * h.potential_d1(q_new)
-    return q_new, p_new
+    q, p = h._coords(q), h._coords(p)
+    dtype = np.result_type(q, p)
+    q, p = (np.array(x, dtype) for x in np.broadcast_arrays(q, p))
+    work = np.empty_like(q)
+    drift(q, p, h, tau, work)
+    kick(q, p, h, tau, work)
+    return q, p
 
 
-def check_escape(q, p) -> None:
-    """Abort when an ensemble member escapes beyond the overflow guard."""
-    bad = not (
-        np.all(np.abs(q) < ESCAPE_LIMIT) and np.all(np.abs(p) < ESCAPE_LIMIT)
-    )
-    if bad:
-        raise TrajectoryEscapeError(
-            f"trajectory escaped: |x| exceeded {ESCAPE_LIMIT:g} "
-            "(unbounded potential or too large a step)"
-        )
+def check_escape(q, p, work=None) -> None:
+    """Abort when an ensemble member escapes beyond the overflow guard.
+
+    ``work``, a float array of the shape of q and p, takes |q| and then |p|;
+    the largest of them is NaN where any is, which also aborts."""
+    for x in (q, p):
+        if not np.max(np.abs(x, out=work), initial=0.0) < ESCAPE_LIMIT:
+            raise TrajectoryEscapeError(
+                f"trajectory escaped: |x| exceeded {ESCAPE_LIMIT:g} "
+                "(unbounded potential or too large a step)"
+            )

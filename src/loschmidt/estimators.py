@@ -5,17 +5,19 @@ phases of the perturbation over the initial Wigner density, by quadrature,
 ``f1_dr`` is the dephasing representation (phases accumulated along
 classical trajectories of the reference Hamiltonian), and ``f2_mc`` smears
 the deterministic momentum update with a Fresnel (complex Gaussian) kernel.
-``f1_dr`` and ``f2_mc`` share one orbit loop over ``dynamics.map_step`` and
-differ only in the kick: the classical momentum update (a delta function) at
-first order, a smeared draw at second order wherever the curvature of the
-perturbing potential is not an exact zero.  When the average Hamiltonian is
-quadratic, ``f2_mc`` draws each smear on the kernel's steepest-descent line
-(the Lefschetz thimble), so every path has weight one and the orbit
-continues at complex (q, p); other averages keep a one-dimensional
-real-axis sampler with complex importance weights.  ``f2_gaussian_chain``
-evaluates the same second-order object in closed form when the dynamics is
-quadratic and the perturbation a quadratic potential, as one O(N) chain per
-coordinate and component.  Both refuse a perturbation with a kinetic part.
+``f1_dr`` and ``f2_mc`` share one orbit loop over the in-place
+``dynamics.drift`` and ``dynamics.kick``, the kernel of
+``dynamics.map_step``, and differ only in the kick: the classical momentum
+update (a delta function) at first order, a smeared draw at second order
+wherever the curvature of the perturbing potential is not an exact zero.
+When the average Hamiltonian is quadratic, ``f2_mc`` draws each smear on
+the kernel's steepest-descent line (the Lefschetz thimble), so every path
+has weight one and the orbit continues at complex (q, p); other averages
+keep a one-dimensional real-axis sampler with complex importance weights.
+``f2_gaussian_chain`` evaluates the same second-order object in closed form
+when the dynamics is quadratic and the perturbation a quadratic potential,
+as one O(N) chain per coordinate and component.  Both refuse a perturbation
+with a kinetic part.
 
 ``f0`` and the chain are deterministic.  The Monte Carlo reductions run over
 fixed, index-ordered batches, so results are the same bits for a given seed
@@ -26,9 +28,13 @@ phasors stepped and reduced on a thread of its own (numpy releases the GIL
 in its array loops); a chunk that raises, or an interrupt while the caller
 waits for the pool, stops the others after their current step.  Every draw
 is keyed by its batch and every sum runs in batch order, so the results are
-the same bits for any CPU count.  Within one series the time steps reuse a
-single path ensemble, so errors are correlated across time (flagged in the
-metadata).
+the same bits for any CPU count.  Each chunk steps in buffers it allocates
+once, so a step takes no fresh ensemble-sized array (and no page fault).
+Within one series the time steps reuse a single path ensemble, so errors are
+correlated across time (flagged in the metadata).  The thimble's standard
+error can grow faster than exponentially with the strength of the
+perturbation; ``f2_mc`` raises ``ThimbleDivergenceError`` at the first step
+where it exceeds 1, which no amplitude of modulus at most 1 needs.
 """
 from __future__ import annotations
 
@@ -41,7 +47,8 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from .dynamics import check_escape, map_step
+from .dynamics import check_escape, drift
+from .dynamics import kick as classical_kick
 from .hamiltonians import EXACT, HamiltonianPair, predicted_exactness
 from .series import FidelitySeries, NumericalError
 from .states import InitialState, sample
@@ -59,6 +66,11 @@ _TINY = np.finfo(float).tiny
 
 class SingularExponentError(NumericalError):
     """Raised when a pivot of the chain's Gaussian integrals is numerically zero."""
+
+
+class ThimbleDivergenceError(NumericalError):
+    """Raised when the thimble ``f2_mc``'s standard error exceeds 1, which
+    the amplitude itself, at most 1 in modulus, never does."""
 
 
 @dataclass(frozen=True)
@@ -328,20 +340,32 @@ def _orbit_phasors(h, delta, config, kick, q, p, batches):
     return complex momenta; from then on the orbit, phi and the phasor are
     complex, and the phasor is exp(tau Im phi / hbar) (cos, sin)(-tau Re phi
     / hbar).
+
+    Every step runs in place, ``dynamics.drift`` and ``dynamics.kick`` on
+    copies of q and p (so the first step frees the sampled ensemble), in
+    buffers allocated before the first step and, where the orbit turns
+    complex, once more at that kick.  After that a step allocates no
+    ensemble-sized array on polynomial terms (a cosine term takes
+    temporaries, see ``CoordFunction``).  ``work``, of the orbit's dtype,
+    takes every Hamiltonian evaluation, the kick's V'' included; the kick
+    writes the new momenta to ``p_next``, which then swaps with p.  Between
+    a yield and the next phasor theta is free, so it is the start of the
+    float scratch ``real`` that the escape check takes |q| and |p| in.
     """
     tau, hbar = config.tau, config.hbar
     kick = None if kick is None else kick(batches)
+    q, p = q.copy(), p.copy()
+    work, p_next = np.empty_like(q), None
+    real = np.empty(q.shape)
     phi = np.zeros(len(q))
-    theta = np.empty(len(q))
+    theta = real.reshape(-1)[:len(q)]
     z = np.ones(len(q), dtype=complex)
     yield z, theta
     for n in range(1, config.n_steps + 1):
-        q_new, p_new = map_step(q, p, h, tau)
-        phi += delta.value(q_new, p)
-        # rebind before the phasor so the old orbit is freed early
-        q, p = q_new, p_new
-        del q_new, p_new
-        check_escape(q, p)
+        drift(q, p, h, tau, work)
+        phi += delta.value(q, p, work[..., 0])
+        classical_kick(q, p, h, tau, work)
+        check_escape(q, p, real)
         # z = exp(-1j * tau / hbar * phi), bit for bit for real phi: that
         # argument has a zero real part and the imaginary part -tau / hbar * phi
         np.multiply(phi.real, -tau / hbar, out=theta)
@@ -354,9 +378,12 @@ def _orbit_phasors(h, delta, config, kick, q, p, batches):
             np.multiply(z.imag, theta, out=z.imag)
         yield z, theta
         if kick is not None and n < config.n_steps:
-            p = kick(q, p)
-            if p.dtype.kind == "c" and phi.dtype.kind != "c":
-                phi = phi.astype(complex)  # the orbit leaves the real axis
+            kicked = kick(q, p, p_next, work)
+            if kicked.dtype != q.dtype:  # the orbit leaves the real axis
+                q, phi = q.astype(complex), phi.astype(complex)
+                work, p_next, p = np.empty_like(q), np.empty_like(q), kicked
+            elif kicked is not p:
+                p, p_next = kicked, p
 
 
 def f1_dr(
@@ -410,9 +437,12 @@ def _thimble_kick(pair, config, batches):
 
     Draws come from one Philox stream per error batch, keyed
     (seed, 1, batch), so they do not depend on how the ensemble is split.
+    The kick is called as ``kick(q, p, out=None, work=None)``: it returns the
+    new momenta, written to ``out`` when given, and takes V_delta'' in
+    ``work`` (q's shape and dtype) when given; fresh arrays otherwise.
     """
     if pair.delta.degree <= 1:
-        return lambda q, p: p
+        return lambda q, p, out=None, work=None: p
     edges = _batch_edges(config.n_traj)
     lo = edges[batches.start]
     slices = [slice(edges[b] - lo, edges[b + 1] - lo) for b in batches]
@@ -426,12 +456,14 @@ def _thimble_kick(pair, config, batches):
     # sqrt(a) sqrt(2) hbar = sqrt(V_delta'') sqrt(tau hbar) / 2
     scale = 0.5 * np.sqrt(config.tau * config.hbar)
 
-    def kick(q, p):
-        u = pair.delta.potential_d2(q).astype(complex, copy=False)
+    def kick(q, p, out=None, work=None):
+        # V_delta'' at q, in work when given; on a real orbit u stays real,
+        # which gives the bits of its complex form with a zero imaginary part
+        u = pair.delta.potential_d2(q, work)
         # the principal root of i u from real operations that cancel nothing:
         # with t = sqrt(2 (|u| + |Im u|)) it is t / 2 + i Re(u) / t where
         # Im u <= 0 and |Re u| / t + i copysign(t / 2, Re u) elsewhere
-        np.add(np.abs(u.imag, out=t), np.abs(u), out=t)
+        np.add(np.abs(u.imag, out=t), np.abs(u, out=small), out=t)
         np.sqrt(np.multiply(t, 2.0, out=t), out=t)
         # t is 0 only where u is 0, and above 1e-162 elsewhere, so flooring it
         # at the smallest normal float gives eta = 0 there and no other change
@@ -439,7 +471,7 @@ def _thimble_kick(pair, config, batches):
         larger = np.multiply(t, 0.5, out=t)
         # select by g in {0, 1}: exact products, and no branch on a random sign
         np.less_equal(u.imag, 0.0, out=g)
-        root = np.empty_like(u)  # becomes the new momenta
+        root = np.empty(u.shape, complex) if out is None else out  # the new momenta
         np.multiply(g, larger, out=root.real)
         np.multiply(g, small, out=root.imag)
         g_not = np.subtract(1.0, g, out=g)
@@ -482,7 +514,7 @@ def _real_axis_f2(state, pair, config):
     weight = np.ones(n, dtype=complex)
     planck = 2.0 * np.pi * hbar
 
-    def smeared_kick(q, p):
+    def smeared_kick(q, p, out, work):  # fresh arrays: one chunk, no reuse
         nonlocal weight
         a = tau / (8.0 * hbar) * pair.delta.potential_d2(q)[..., 0]
         smear = a != 0.0
@@ -558,6 +590,9 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
       complex (q, p), and the reduction is the plain mean with its standard
       error, as for ``f1_dr``.  By Cauchy's theorem this is the same
       second-order integral, and the linear complexified flow cannot blow up.
+      Its path phases can: at a large perturbation the standard error grows
+      faster than exponentially, and ``ThimbleDivergenceError`` (exit 3)
+      names the first step where it exceeds 1.
     - ``"real"`` otherwise: real momenta with complex importance weights
       (``_real_axis_f2``, one coordinate only), whose heavy tails call for a
       bootstrap and a RuntimeWarning when the effective sample size is < 1%.
@@ -569,6 +604,13 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
         kick = partial(_thimble_kick, pair, config)
         phasors = partial(_orbit_phasors, pair.average, pair.delta, config, kick)
         values, stderr = _ensemble_series(state, config, phasors)
+        diverged = np.flatnonzero(stderr > 1.0)
+        if diverged.size:
+            n = diverged[0]
+            raise ThimbleDivergenceError(
+                f"f2_mc thimble diverged at step {n} (t = {config.times[n]:g}): "
+                f"stderr {stderr[n]:.3g} > 1; use f2_gaussian, or fewer steps"
+            )
         contour, ess = "thimble", float(config.n_traj)
     else:
         values, stderr, ess = _real_axis_f2(state, pair, config)

@@ -25,8 +25,9 @@ def _trimmed(coeffs) -> tuple[float, ...]:
     return tuple(out) if out else (0.0,)
 
 
-def _horner(x, c):
-    """numpy's ``polyval(x, c)`` bit for bit, done in place on one array.
+def _horner(x, c, out=None):
+    """numpy's ``polyval(x, c)`` bit for bit, done in place on one array:
+    ``out`` when given (x's shape, not sharing memory with x), else a fresh one.
 
     polyval seeds with ``c[-1] + x * 0`` and steps ``c0 * x + c[k]``.  Past a
     constant, a trimmed ``c[-1]`` is nonzero, so for finite x the seed
@@ -34,8 +35,8 @@ def _horner(x, c):
     kept, zeros included, so signed zeros match polyval too.  The dtype of
     ``x`` is kept (float64 at least, as with polyval's float64 coefficients)."""
     if len(c) == 1:
-        return c[0] + x * 0
-    out = x * c[-1]
+        return np.add(c[0], np.multiply(x, 0, out=out), out=out)
+    out = np.multiply(x, c[-1], out=out)
     out += c[-2]
     for ck in c[-3::-1]:
         out *= x
@@ -70,20 +71,23 @@ class CoordFunction:
         for name, c in (("_c0", coeffs), ("_c1", d1), ("_c2", d2)):
             object.__setattr__(self, name, tuple(np.float64(ck) for ck in c))
 
-    def value(self, x):
-        out = _horner(x, self._c0)
+    # value, d1 and d2 write to ``out`` when given, as ``_horner`` does; a
+    # cosine term still takes two temporaries of x's size
+
+    def value(self, x, out=None):
+        out = _horner(x, self._c0, out)
         if self.cos_amp:
             out += self.cos_amp * np.cos(x)
         return out
 
-    def d1(self, x):
-        out = _horner(x, self._c1)
+    def d1(self, x, out=None):
+        out = _horner(x, self._c1, out)
         if self.cos_amp:
             out -= self.cos_amp * np.sin(x)
         return out
 
-    def d2(self, x):
-        out = _horner(x, self._c2)
+    def d2(self, x, out=None):
+        out = _horner(x, self._c2, out)
         if self.cos_amp:
             out -= self.cos_amp * np.cos(x)
         return out
@@ -186,45 +190,54 @@ class SeparableHamiltonian:
             )
         return x
 
-    def _sum(self, terms, x):
-        """Sum of the nonzero ``terms`` at their coordinates (zeros if none)."""
+    def _sum(self, terms, x, out=None):
+        """Sum of the nonzero ``terms`` at their coordinates (zeros if none),
+        in coordinate order; every term after the first takes a temporary."""
         x = self._coords(x)
-        parts = [t.value(x[..., d]) for d, t in enumerate(terms) if not t.is_zero]
-        return sum(parts[1:], parts[0]) if parts else ZERO_TERM.value(x[..., 0])
+        parts = [(t, x[..., d]) for d, t in enumerate(terms) if not t.is_zero]
+        (first, x0), *rest = parts or [(ZERO_TERM, x[..., 0])]
+        out = first.value(x0, out)
+        for t, xd in rest:
+            np.add(out, t.value(xd), out=out)
+        return out
 
-    def kinetic_value(self, p):
-        return self._sum(self.kinetic, p)
+    def kinetic_value(self, p, out=None):
+        return self._sum(self.kinetic, p, out)
 
-    def potential_value(self, q):
-        return self._sum(self.potential, q)
+    def potential_value(self, q, out=None):
+        return self._sum(self.potential, q, out)
 
-    def value(self, q, p):
-        """H(q, p).  A part whose terms are all zero is skipped, so a
-        momentum-independent delta-H costs one potential evaluation."""
+    def value(self, q, p, out=None):
+        """H(q, p), written to ``out`` when given.  A part whose terms are all
+        zero is skipped, so a momentum-independent delta-H costs one potential
+        evaluation; with both parts the potential one takes a temporary."""
         if all(t.is_zero for t in self.kinetic):
-            return self.potential_value(q)
+            return self.potential_value(q, out)
         if all(t.is_zero for t in self.potential):
-            return self.kinetic_value(p)
-        return self.kinetic_value(p) + self.potential_value(q)
+            return self.kinetic_value(p, out)
+        return np.add(self.kinetic_value(p, out), self.potential_value(q), out=out)
 
-    def _per_coord(self, terms, derivative, x):
-        """Stack ``derivative`` of each term at its coordinate on the last axis."""
+    def _per_coord(self, terms, derivative, x, out=None):
+        """``derivative`` of each term at its coordinate, on the last axis of
+        ``out`` (x's shape, not sharing memory with x; fresh if None)."""
         x = self._coords(x)
-        cols = [derivative(t, x[..., d]) for d, t in enumerate(terms)]
-        # one coordinate: a view of the fresh column, not a stacked copy
-        return cols[0][..., None] if len(cols) == 1 else np.stack(cols, axis=-1)
+        if out is None:
+            out = np.empty(x.shape, np.result_type(x, float))
+        for d, t in enumerate(terms):
+            derivative(t, x[..., d], out[..., d])
+        return out
 
-    def kinetic_d1(self, p):
-        return self._per_coord(self.kinetic, CoordFunction.d1, p)
+    def kinetic_d1(self, p, out=None):
+        return self._per_coord(self.kinetic, CoordFunction.d1, p, out)
 
-    def potential_d1(self, q):
-        return self._per_coord(self.potential, CoordFunction.d1, q)
+    def potential_d1(self, q, out=None):
+        return self._per_coord(self.potential, CoordFunction.d1, q, out)
 
-    def kinetic_d2(self, p):
-        return self._per_coord(self.kinetic, CoordFunction.d2, p)
+    def kinetic_d2(self, p, out=None):
+        return self._per_coord(self.kinetic, CoordFunction.d2, p, out)
 
-    def potential_d2(self, q):
-        return self._per_coord(self.potential, CoordFunction.d2, q)
+    def potential_d2(self, q, out=None):
+        return self._per_coord(self.potential, CoordFunction.d2, q, out)
 
     @property
     def degree(self) -> float:

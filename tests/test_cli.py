@@ -435,6 +435,40 @@ def test_main_numerical_abort_in_a_split_ensemble_exit_three(tmp_path, capsys, m
     assert not out_dir.exists()
 
 
+# force constants 1 and 0.25, sigma = 1: f2 is exact, but the thimble's
+# stderr grows faster than exponentially and, unguarded, this run wrote
+# |f(T)| = 5.9e38 and exited 0
+DIVERGING_CFG = """
+estimators = f2_mc
+kinetic_prime = 0 0 0.5
+kinetic_double_prime = 0 0 0.5
+potential_prime = 0 0 0.5
+potential_double_prime = 0 0 0.125
+state_q = 0
+state_sigma = 1
+tau = 0.05
+n_steps = 400
+n_traj = 20000
+seed = 1
+"""
+
+
+def test_main_diverging_thimble_exit_three(tmp_path, capsys, monkeypatch):
+    # one chunk, then two: the guard fires at the same step with the same message
+    cfg_path = write_cfg(tmp_path, DIVERGING_CFG)
+    messages = []
+    for cpus, min_chunk in ((1, 50_000), (2, 1000)):
+        monkeypatch.setattr(estimators_module, "_available_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(estimators_module, "_MIN_CHUNK_TRAJ", min_chunk)
+        out_dir = tmp_path / f"out{cpus}"
+        assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_NUMERIC
+        assert not out_dir.exists()
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert "thimble diverged at step 104 (t = 5.2): stderr 1.03 > 1" in messages[0]
+    assert "use f2_gaussian, or fewer steps" in messages[0]
+
+
 def test_main_non_finite_series_exit_three(tmp_path, capsys, monkeypatch):
     # an estimator whose values turn NaN aborts the run before its output
     # directory is created
