@@ -249,13 +249,13 @@ def build_run_config(entries: dict) -> RunConfig:
 
 
 def _exact(cfg: RunConfig) -> FidelitySeries:
-    sc = cfg.system
+    sc, est = cfg.system, cfg.estimator_config
     grid = None
     if sc.grid_extent is not None:
         dims = sc.state.dims
         grid = Grid((sc.grid_extent,) * dims, (sc.grid_points,) * dims, periodic=sc.periodic)
     return fidelity_exact(
-        sc.state, sc.pair, sc.n_steps, sc.tau, hbar=sc.hbar, grid=grid, points=sc.grid_points
+        sc.state, sc.pair, est.n_steps, est.tau, hbar=est.hbar, grid=grid, points=sc.grid_points
     )
 
 

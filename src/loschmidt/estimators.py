@@ -8,28 +8,32 @@ the deterministic momentum update with a Fresnel (complex Gaussian) kernel.
 ``f1_dr`` and ``f2_mc`` share one orbit loop over the in-place
 ``dynamics.drift`` and ``dynamics.kick``, the kernel of
 ``dynamics.map_step``, and differ only in the kick: the classical momentum
-update (a delta function) at first order, a smeared draw at second order
-wherever the curvature of the perturbing potential is not an exact zero.
-When the average Hamiltonian is quadratic, ``f2_mc`` draws each smear on
-the kernel's steepest-descent line (the Lefschetz thimble), so every path
-has weight one and the orbit continues at complex (q, p); other averages
-keep a one-dimensional real-axis sampler with complex importance weights.
-``f2_gaussian_chain`` evaluates the same second-order object in closed form
-when the dynamics is quadratic and the perturbation a quadratic potential,
-as one O(N) chain per coordinate and component.  Both refuse a perturbation
-with a kinetic part.
+update (a delta function) at first order and for an affine perturbing
+potential, a smeared draw at second order wherever the curvature of the
+perturbing potential is not an exact zero.  When the average Hamiltonian is
+quadratic, ``f2_mc`` draws each smear on the kernel's steepest-descent line
+(the Lefschetz thimble), so every path has weight one and the orbit
+continues at complex (q, p); other averages keep a one-dimensional
+real-axis sampler with complex importance weights.  ``f2_gaussian_chain``
+evaluates the same second-order object in closed form when the dynamics is
+quadratic and the perturbation a quadratic potential, as one O(N) chain per
+coordinate and component.  Both refuse a perturbation with a kinetic part.
 
-``f0`` and the chain are deterministic.  The Monte Carlo reductions run over
+Every estimator, ``qgrid.fidelity_exact`` included, returns the series that
+``EstimatorConfig.series`` builds, so every meta has one layout: the
+estimator's name, the run's fields and the estimator's own entries.  ``f0``
+and the chain are deterministic.  The Monte Carlo reductions run over
 fixed, index-ordered batches, so results are the same bits for a given seed
-however work is scheduled.  ``f1_dr`` and the thimble ``f2_mc`` cut an
-ensemble of at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of
-whole batches, one per CPU the process may run on, each a generator of its
-phasors stepped and reduced on a thread of its own (numpy releases the GIL
-in its array loops); a chunk that raises, or an interrupt while the caller
-waits for the pool, stops the others after their current step.  Every draw
-is keyed by its batch and every sum runs in batch order, so the results are
-the same bits for any CPU count.  Each chunk steps in buffers it allocates
-once, so a step takes no fresh ensemble-sized array (and no page fault).
+however work is scheduled.  ``f1_dr`` and the thimble ``f2_mc`` make one
+call, ``_ensemble_series``, with or without a kick.  It cuts an ensemble of
+at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of whole batches,
+one per CPU the process may run on, each a generator of its phasors stepped
+and reduced on a thread of its own (numpy releases the GIL in its array
+loops); a chunk that raises, or an interrupt while the caller waits for the
+pool, stops the others after their current step.  Every draw is keyed by its
+batch and every sum runs in batch order, so the results are the same bits
+for any CPU count.  Each chunk steps in buffers it allocates once, so a step
+takes no fresh ensemble-sized array (and no page fault).
 Within one series the time steps reuse a single path ensemble, so errors are
 correlated across time (flagged in the metadata).  The thimble's standard
 error can grow faster than exponentially with the strength of the
@@ -42,7 +46,7 @@ import numbers
 import os
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
@@ -109,6 +113,16 @@ class EstimatorConfig:
         """The run fields every series records in its meta, in this order."""
         return {"n_traj": self.n_traj, "seed": self.seed, "tau": self.tau,
                 "n_steps": self.n_steps, "hbar": self.hbar}
+
+    def series(self, estimator: str, values, stderr=None, **meta) -> FidelitySeries:
+        """The series of ``values`` at ``times``, with the meta
+        ``{"estimator", **run_meta, **meta}``.  Without ``stderr`` the run is
+        deterministic: zero stderr, and ``n_traj`` and ``seed`` None."""
+        run = self.run_meta
+        if stderr is None:
+            run.update(n_traj=None, seed=None)
+            stderr = np.zeros(self.n_steps + 1)
+        return FidelitySeries(self.times, values, stderr, {"estimator": estimator, **run, **meta})
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +269,16 @@ def _ensemble_size(config) -> int:
     return config.n_traj
 
 
-def _ensemble_series(state, config, phasors):
-    """Mean and standard error at every step of a per-sample series over
-    one sampled ensemble, cut into ``_chunks`` run by ``_run_chunks``.
+def _ensemble_series(state, config, h, delta, kick=None):
+    """Mean and standard error at every step of the ``_orbit_phasors`` of
+    ``h`` and ``delta`` over one sampled ensemble, cut into ``_chunks`` run
+    by ``_run_chunks``.
 
-    ``phasors(q, p, batches)`` gets one chunk's samples, as generator
-    arguments so that its first step frees them, and the range of its error
-    batches; it yields every step's phasors with the buffers ``_moments``
-    overwrites.  Every sample sees the same operations however the ensemble
-    is cut, so the results are the same bits for any CPU count.
+    ``kick(batches)``, when given, builds the kick of the trajectories of a
+    chunk's error batches (a range).  Each orbit gets its chunk's samples as
+    generator arguments, so that its first step frees them.  Every sample
+    sees the same operations however the ensemble is cut, so the results are
+    the same bits for any CPU count.
     """
     n = _ensemble_size(config)
     q, p = sample(state, n, config.seed, config.hbar)
@@ -272,7 +287,7 @@ def _ensemble_series(state, config, phasors):
     stop = threading.Event()
     tasks = []
     for batches, lo, hi in _chunks(n):
-        steps = phasors(q[lo:hi], p[lo:hi], batches)
+        steps = _orbit_phasors(h, delta, config, kick and kick(batches), q[lo:hi], p[lo:hi])
         tasks.append(partial(_chunk_moments, steps, edges[batches] - lo, counts[batches], stop))
     del q, p
     results = _run_chunks(tasks, stop)
@@ -320,23 +335,22 @@ def f0(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -> F
             if not part.is_zero:
                 term = term * _f0_factor(part, centre, width, config)
         values += term
-    meta = {"estimator": "f0", **replace(config, n_traj=None, seed=None).run_meta}
-    return FidelitySeries(config.times, np.append(1.0, values), np.zeros(config.n_steps + 1), meta)
+    return config.series("f0", np.append(1.0, values))
 
 
 # ---------------------------------------------------------------------------
 # first and second order: one orbit loop
 
 
-def _orbit_phasors(h, delta, config, kick, q, p, batches):
+def _orbit_phasors(h, delta, config, kick, q, p):
     """The samples (q, p) followed along the kick map of ``h``, yielding
     (z, theta) with z = exp(-i tau phi / hbar) at every step, the first
     included.
 
     phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``; the next
-    step overwrites the buffers z and theta.  ``kick``, when given, maps
-    ``batches`` to the kick of their trajectories, which replaces the
-    classical momenta once a step is yielded, but for the last.  A kick may
+    step overwrites the buffers z and theta.  ``kick``, when given, is
+    called as ``kick(q, p, work)`` once a step is yielded, but for the last,
+    and returns the momenta that replace the classical ones.  A kick may
     return complex momenta; from then on the orbit, phi and the phasor are
     complex, and the phasor is exp(tau Im phi / hbar) (cos, sin)(-tau Re phi
     / hbar).
@@ -347,15 +361,13 @@ def _orbit_phasors(h, delta, config, kick, q, p, batches):
     complex, once more at that kick.  After that a step allocates no
     ensemble-sized array on polynomial terms (a cosine term takes
     temporaries, see ``CoordFunction``).  ``work``, of the orbit's dtype,
-    takes every Hamiltonian evaluation, the kick's V'' included; the kick
-    writes the new momenta to ``p_next``, which then swaps with p.  Between
-    a yield and the next phasor theta is free, so it is the start of the
+    takes every Hamiltonian evaluation, the kick's V'' included.  Between a
+    yield and the next phasor theta is free, so it is the start of the
     float scratch ``real`` that the escape check takes |q| and |p| in.
     """
     tau, hbar = config.tau, config.hbar
-    kick = None if kick is None else kick(batches)
     q, p = q.copy(), p.copy()
-    work, p_next = np.empty_like(q), None
+    work = np.empty_like(q)
     real = np.empty(q.shape)
     phi = np.zeros(len(q))
     theta = real.reshape(-1)[:len(q)]
@@ -378,12 +390,10 @@ def _orbit_phasors(h, delta, config, kick, q, p, batches):
             np.multiply(z.imag, theta, out=z.imag)
         yield z, theta
         if kick is not None and n < config.n_steps:
-            kicked = kick(q, p, p_next, work)
-            if kicked.dtype != q.dtype:  # the orbit leaves the real axis
+            p = kick(q, p, work)
+            if p.dtype != q.dtype:  # the orbit leaves the real axis
                 q, phi = q.astype(complex), phi.astype(complex)
-                work, p_next, p = np.empty_like(q), np.empty_like(q), kicked
-            elif kicked is not p:
-                p, p_next = kicked, p
+                work = np.empty_like(q)
 
 
 def f1_dr(
@@ -405,11 +415,8 @@ def f1_dr(
     if reference not in ("average", "h_prime"):
         raise ValueError(f"unknown reference {reference!r}")
     h_ref = pair.average if reference == "average" else pair.h_prime
-    phasors = partial(_orbit_phasors, h_ref, pair.delta, config, None)
-    values, stderr = _ensemble_series(state, config, phasors)
-    meta = {"estimator": "f1", "reference": reference, **config.run_meta,
-            "correlated_time_steps": True}
-    return FidelitySeries(config.times, values, stderr, meta)
+    values, stderr = _ensemble_series(state, config, h_ref, pair.delta)
+    return config.series("f1", values, stderr, reference=reference, correlated_time_steps=True)
 
 
 def _require_position_perturbation(state, pair):
@@ -431,18 +438,16 @@ def _thimble_kick(pair, config, batches):
     with conjugation, and swapping the pair conjugates the orbit and
     negates V_delta'', so ``f2_mc`` of the swapped pair is the conjugate
     series to the last bit.  Where a is an exact zero, eta is an exact
-    zero.  An affine V_delta has a = 0 everywhere, which the pair tells
-    without a look at the orbit: its kick returns the momenta as given,
-    and the orbit stays real.
+    zero.
 
     Draws come from one Philox stream per error batch, keyed
     (seed, 1, batch), so they do not depend on how the ensemble is split.
-    The kick is called as ``kick(q, p, out=None, work=None)``: it returns the
-    new momenta, written to ``out`` when given, and takes V_delta'' in
-    ``work`` (q's shape and dtype) when given; fresh arrays otherwise.
+    The kick is called as ``kick(q, p, work=None)`` and takes V_delta'' in
+    ``work`` (q's shape and dtype) when given, in a fresh array otherwise.
+    It owns its smear buffer, allocated once: real momenta (the orbit's
+    first smear) get p + eta in a fresh complex array, complex momenta
+    p += eta in place.
     """
-    if pair.delta.degree <= 1:
-        return lambda q, p, out=None, work=None: p
     edges = _batch_edges(config.n_traj)
     lo = edges[batches.start]
     slices = [slice(edges[b] - lo, edges[b + 1] - lo) for b in batches]
@@ -451,12 +456,13 @@ def _thimble_kick(pair, config, batches):
         for b in batches
     ]
     # reused buffers: a fresh ensemble-sized array costs more (page faults)
-    # than the arithmetic done on it here
+    # than the arithmetic done on it here; root becomes the smear eta
     t, small, g = np.empty((3, edges[batches.stop] - lo, pair.dims))
+    root = np.empty(t.shape, complex)
     # sqrt(a) sqrt(2) hbar = sqrt(V_delta'') sqrt(tau hbar) / 2
     scale = 0.5 * np.sqrt(config.tau * config.hbar)
 
-    def kick(q, p, out=None, work=None):
+    def kick(q, p, work=None):
         # V_delta'' at q, in work when given; on a real orbit u stays real,
         # which gives the bits of its complex form with a zero imaginary part
         u = pair.delta.potential_d2(q, work)
@@ -471,7 +477,6 @@ def _thimble_kick(pair, config, batches):
         larger = np.multiply(t, 0.5, out=t)
         # select by g in {0, 1}: exact products, and no branch on a random sign
         np.less_equal(u.imag, 0.0, out=g)
-        root = np.empty(u.shape, complex) if out is None else out  # the new momenta
         np.multiply(g, larger, out=root.real)
         np.multiply(g, small, out=root.imag)
         g_not = np.subtract(1.0, g, out=g)
@@ -482,8 +487,10 @@ def _thimble_kick(pair, config, batches):
         for stream, sl in zip(streams, slices):
             stream.standard_normal(out=xi[sl])
         np.multiply(root, np.multiply(xi, scale, out=xi), out=root)
-        root += p
-        return root
+        if p.dtype != root.dtype:
+            return p + root
+        p += root
+        return p
 
     return kick
 
@@ -514,7 +521,7 @@ def _real_axis_f2(state, pair, config):
     weight = np.ones(n, dtype=complex)
     planck = 2.0 * np.pi * hbar
 
-    def smeared_kick(q, p, out, work):  # fresh arrays: one chunk, no reuse
+    def smeared_kick(q, p, work):  # fresh arrays: one chunk, no reuse
         nonlocal weight
         a = tau / (8.0 * hbar) * pair.delta.potential_d2(q)[..., 0]
         smear = a != 0.0
@@ -547,8 +554,7 @@ def _real_axis_f2(state, pair, config):
     # whose momentum factor integrates to one and would only add variance
     starts = _batch_edges(n)[:-1]
     steps = _orbit_phasors(
-        pair.average, pair.delta, config, lambda batches: smeared_kick,
-        *sample(state, n, config.seed, config.hbar), range(len(starts)),
+        pair.average, pair.delta, config, smeared_kick, *sample(state, n, config.seed, config.hbar)
     )
     rows = [_weighted_mean_stderr(weight, z, starts) for z, _ in steps]
     values, stderr = map(np.array, zip(*rows))
@@ -601,9 +607,9 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     """
     _require_position_perturbation(state, pair)
     if pair.average.degree <= 2:
-        kick = partial(_thimble_kick, pair, config)
-        phasors = partial(_orbit_phasors, pair.average, pair.delta, config, kick)
-        values, stderr = _ensemble_series(state, config, phasors)
+        # an affine V_delta has a = 0 everywhere: no smear, and f1's orbit
+        kick = partial(_thimble_kick, pair, config) if pair.delta.degree > 1 else None
+        values, stderr = _ensemble_series(state, config, pair.average, pair.delta, kick)
         diverged = np.flatnonzero(stderr > 1.0)
         if diverged.size:
             n = diverged[0]
@@ -615,14 +621,8 @@ def f2_mc(state: InitialState, pair: HamiltonianPair, config: EstimatorConfig) -
     else:
         values, stderr, ess = _real_axis_f2(state, pair, config)
         contour = "real"
-    meta = {
-        "estimator": "f2_mc",
-        **config.run_meta,
-        "f2_contour": contour,
-        "effective_sample_size": ess,
-        "correlated_time_steps": True,
-    }
-    return FidelitySeries(config.times, values, stderr, meta)
+    return config.series("f2_mc", values, stderr, f2_contour=contour,
+                         effective_sample_size=ess, correlated_time_steps=True)
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +744,8 @@ def f2_gaussian_chain(
     comps = state.components
     chains = [[_chain_1d(c, pair, d, config) for d in range(pair.dims)] for c in comps]
     terms = [c.weight * reduce(np.multiply, [f for f, *_ in row]) for c, row in zip(comps, chains)]
-    meta = {
-        "estimator": "f2_gaussian",
-        **replace(config, n_traj=None, seed=None).run_meta,
-        "degenerate_chain": all(skip for row in chains for _, _, skip in row),
-        "chain_min_pivot_ratio": float(min(r for row in chains for _, r, _ in row)),
-    }
-    return FidelitySeries(config.times, reduce(np.add, terms), np.zeros(config.n_steps + 1), meta)
+    return config.series(
+        "f2_gaussian", reduce(np.add, terms),
+        degenerate_chain=all(skip for row in chains for _, _, skip in row),
+        chain_min_pivot_ratio=float(min(r for row in chains for _, r, _ in row)),
+    )

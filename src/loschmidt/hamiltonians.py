@@ -7,6 +7,7 @@ family and all derivatives reduce to exact coefficient arithmetic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,10 @@ class CoordFunction:
 
     def __post_init__(self) -> None:
         coeffs = _trimmed(self.coeffs)
+        # math, not numpy, whose per-call cost shows in a preset's set-up time
+        for name, values in (("coeffs", coeffs), ("cos_amp", (self.cos_amp,))):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if len(coeffs) > MAX_POLY_DEGREE + 1:
             raise ValueError(
                 f"polynomial degree {len(coeffs) - 1} exceeds supported "

@@ -57,8 +57,8 @@ class Grid:
         if not extents or len(points) != len(extents):
             raise ValueError("a grid needs one extent and one point count per axis")
         for (lo, hi), m in zip(extents, points):
-            if hi <= lo:
-                raise ValueError("grid extent must be increasing")
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError(f"grid extent must be finite and increasing, got {(lo, hi)}")
             if not _is_power_of_two(m):
                 raise ValueError(f"point count {m} is not a power of two")
         object.__setattr__(self, "extents", extents)
@@ -206,6 +206,4 @@ def fidelity_exact(
         ]
         values[n] = np.dot(weights, reduce(np.multiply, overlaps))
 
-    meta = {"estimator": "exact", **config.run_meta,
-            "grid_points": grid.points, "grid_extents": grid.extents}
-    return FidelitySeries(config.times, values, np.zeros(n_steps + 1), meta)
+    return config.series("exact", values, grid_points=grid.points, grid_extents=grid.extents)

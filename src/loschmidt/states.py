@@ -41,6 +41,9 @@ class GaussianComponent:
             s = _readonly(np.full(q.shape, s[0]))
         if not (q.shape == p.shape == s.shape):
             raise ValueError("center_q, center_p and sigma must share one shape")
+        for name, values in (("center_q", q), ("center_p", p), ("sigma", s)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {values}")
         if np.any(s <= 0.0):
             raise ValueError("sigma must be positive")
         w = float(self.weight)

@@ -508,19 +508,33 @@ def test_run_metadata_records_stage_timings(tmp_path):
 
 
 def test_run_metadata_holds_every_series_meta(tmp_path):
-    text = DISPLACED_CFG.replace("exact, f1", "exact, f0, f1, f2_mc, f2_gaussian")
-    cfg = build_run_config(parse_config_text(text))
-    results = run(cfg, tmp_path / "out")
-    written = json.loads((tmp_path / "out" / "run_metadata.json").read_text())["series"]
-    # JSON holds the tuples of the meta as lists
-    assert written == json.loads(json.dumps({n: s.meta for n, s in results.items()}))
-    assert set(written) == {"exact", "f0", "f1", "f2_mc", "f2_gaussian"}
-    # the grid grid_for_state chose for exact, and f2_mc's contour and ESS
-    extents = grid_for_state(cfg.system.state).extents
-    assert written["exact"]["grid_extents"] == [list(extent) for extent in extents]
-    assert written["f2_mc"]["f2_contour"] == "thimble"
-    assert written["f2_mc"]["effective_sample_size"] == 2000.0
-    assert written["f2_gaussian"]["n_traj"] is None
+    # an affine delta-V (f2_mc without a smear) and a quadratic one (the
+    # thimble kick): every series records the run's fields in one layout
+    for scenario in ("displaced_ho", "ho_diff_k"):
+        text = DISPLACED_CFG.replace("exact, f1", "exact, f0, f1, f2_mc, f2_gaussian")
+        cfg = build_run_config(parse_config_text(text.replace("displaced_ho", scenario)))
+        results = run(cfg, tmp_path / scenario)
+        written = json.loads((tmp_path / scenario / "run_metadata.json").read_text())["series"]
+        # JSON holds the tuples of the meta as lists
+        assert written == json.loads(json.dumps({n: s.meta for n, s in results.items()}))
+        assert set(written) == {"exact", "f0", "f1", "f2_mc", "f2_gaussian"}
+        # the grid grid_for_state chose for exact, and f2_mc's contour and ESS
+        extents = grid_for_state(cfg.system.state).extents
+        assert written["exact"]["grid_extents"] == [list(extent) for extent in extents]
+        assert written["f2_mc"]["f2_contour"] == "thimble"
+        assert written["f2_mc"]["effective_sample_size"] == 2000.0
+        # the Monte Carlo series carry the run's fields; the deterministic
+        # ones carry them without ensemble, with a zero stderr
+        run_meta = cfg.estimator_config.run_meta
+        deterministic = {**run_meta, "n_traj": None, "seed": None}
+        for name, series in results.items():
+            assert series.meta["estimator"] == name
+            recorded = {key: series.meta[key] for key in run_meta}
+            if name in ("f1", "f2_mc"):
+                assert recorded == run_meta
+            else:
+                assert recorded == deterministic
+                assert series.stderr.tolist() == [0.0] * len(series)
 
 
 def test_main_scenarios_lists_all(capsys):

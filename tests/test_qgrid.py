@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from loschmidt.hamiltonians import (
     ZERO_TERM,
+    CoordFunction,
     SeparableHamiltonian,
     hamiltonian_1d,
     harmonic_potential,
@@ -74,6 +75,26 @@ def test_grid_validation():
         Grid(((1.0, -1.0),), (64,))
     with pytest.raises(ValueError, match="per axis"):
         Grid(((-1.0, 1.0),) * 2, (64,))
+
+
+@pytest.mark.parametrize("field, build", [
+    pytest.param("center_q", lambda bad: GaussianComponent([bad], [0.0], [1.0]), id="center_q"),
+    pytest.param("center_p", lambda bad: GaussianComponent([0.0, 1.0], [0.0, bad], [1.0]),
+                 id="center_p"),
+    pytest.param("sigma", lambda bad: GaussianComponent([0.0], [0.0], [bad]), id="sigma"),
+    pytest.param("grid extent", lambda bad: Grid(((bad, 0.0),), (8,)), id="extent"),
+    pytest.param("grid extent", lambda bad: Grid(((-1.0, 1.0), (0.0, bad)), (8, 8)),
+                 id="second-axis-extent"),
+    pytest.param("coeffs", lambda bad: CoordFunction((0.0, bad, 0.5)), id="coeffs"),
+    pytest.param("coeffs", lambda bad: polynomial_term(bad), id="constant"),
+    pytest.param("cos_amp", lambda bad: CoordFunction((0.0,), cos_amp=bad), id="cos_amp"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_model_inputs_refuse_non_finite_values(field, build, bad):
+    # refused where they are built, naming the field, rather than by a
+    # numerical abort of whichever estimator first meets them
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        build(bad)
 
 
 def test_three_dimensional_displaced_wells_are_the_one_dimensional_series_cubed():

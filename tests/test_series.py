@@ -68,6 +68,8 @@ UNREADABLE = [
     ("short.csv", HEADER + "0,0,1,0,1\n" * 6, "cannot reshape"),
     ("ragged.csv", HEADER + "0,0,1,0,1,0\n1,0.1,1,0\n", "inhomogeneous"),
     ("cell.csv", HEADER + "0,0,1,x,1,0\n", "could not convert"),
+    # a cell that parses but is not finite
+    ("nan.csv", HEADER + "0,0,1,0,1,0\n1,0.1,nan,0,1,0\n", "non-finite value"),
     # CSV is the only table format
     ("empty.json", "", "unknown series format '.json'"),
     ("series.txt", "", "unknown series format '.txt'"),
