@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .estimators import EstimatorConfig, f0, f1_dr, f2_gaussian_chain, f2_mc
-from .hamiltonians import CoordFunction, SeparableHamiltonian, make_pair
+from .hamiltonians import CoordFunction, PairOverflowError, SeparableHamiltonian, make_pair
 from .presets import SCENARIO_NAMES, Scenario, load
-from .qgrid import Grid, _is_power_of_two, fidelity_exact
+from .qgrid import Grid, _is_power_of_two, _nyquist_points, fidelity_exact
 from .series import FidelitySeries, NumericalError, write_series, write_table
 from .spectra import MIN_SERIES_LENGTH, spectrum
 from .states import GaussianComponent, InitialState
@@ -192,6 +192,10 @@ def _inline_system(inline: dict) -> Scenario:
         raise ConfigError("state_q, state_p, state_sigma, state_weights lengths differ")
     try:
         pair = make_pair(h_prime, h_double)
+    except PairOverflowError as exc:
+        keys = [f"{exc.part}{h}{cos}" for cos in ("", "_cos") for h in ("_prime", "_double_prime")]
+        raise ConfigError(f"{', '.join(k for k in keys if k in inline)}: {exc}") from exc
+    try:
         comps = tuple(
             GaussianComponent([q], [p], [s], w)
             for q, p, s, w in zip(qs, ps, sigmas, weights)
@@ -252,8 +256,12 @@ def _exact(cfg: RunConfig) -> FidelitySeries:
     sc, est = cfg.system, cfg.estimator_config
     grid = None
     if sc.grid_extent is not None:
-        dims = sc.state.dims
-        grid = Grid((sc.grid_extent,) * dims, (sc.grid_points,) * dims, periodic=sc.periodic)
+        extents = (sc.grid_extent,) * sc.state.dims
+        points = (
+            (sc.grid_points,) * sc.state.dims if sc.grid_points
+            else _nyquist_points(sc.state, extents, est.hbar)
+        )
+        grid = Grid(extents, points, periodic=sc.periodic)
     return fidelity_exact(
         sc.state, sc.pair, est.n_steps, est.tau, hbar=est.hbar, grid=grid, points=sc.grid_points
     )

@@ -309,16 +309,43 @@ class HamiltonianPair:
         return make_pair(self.h_double_prime, self.h_prime)
 
 
+class PairOverflowError(ValueError):
+    """The average or the difference of two finite terms is not finite;
+    ``part`` is "kinetic" or "potential"."""
+
+    def __init__(self, part: str, d: int, combination: str) -> None:
+        super().__init__(
+            f"the {combination} of the {part} terms of coordinate {d} overflows"
+        )
+        self.part = part
+
+
 def make_pair(
     h_prime: SeparableHamiltonian, h_double_prime: SeparableHamiltonian
 ) -> HamiltonianPair:
-    """Build a pair with exact average and difference Hamiltonians."""
+    """Build a pair with exact average and difference Hamiltonians; raises
+    ``PairOverflowError`` naming the term whose average or difference
+    overflows."""
     if h_prime.dims != h_double_prime.dims:
         raise ValueError(
             f"dimension mismatch: {h_prime.dims} vs {h_double_prime.dims}"
         )
-    average = (h_prime + h_double_prime) * 0.5
-    delta = h_double_prime - h_prime
+
+    def combined(combination, op):
+        parts = []
+        for part in ("kinetic", "potential"):
+            terms = []
+            for d, (a, b) in enumerate(zip(getattr(h_prime, part), getattr(h_double_prime, part))):
+                try:
+                    # a CoordFunction refuses the non-finite coefficient of an overflow
+                    terms.append(op(a, b))
+                except ValueError:
+                    raise PairOverflowError(part, d, combination) from None
+            parts.append(tuple(terms))
+        return SeparableHamiltonian(*parts)
+
+    average = combined("average", lambda a, b: (a + b) * 0.5)
+    delta = combined("difference", lambda a, b: b - a)
     return HamiltonianPair(h_prime, h_double_prime, average, delta)
 
 

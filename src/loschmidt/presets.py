@@ -28,7 +28,6 @@ from .hamiltonians import (  # EXACT and APPROXIMATE name the verdicts
     quadratic_kinetic,
     ZERO_TERM,
 )
-from .qgrid import DEFAULT_POINTS
 from .states import InitialState
 
 
@@ -43,9 +42,9 @@ class Scenario:
     n_steps: int = 252
     hbar: float = 1.0
     description: str = ""
-    # grid hints for the exact reference
+    # grid hints for the exact reference; without them it sizes its own grid
     grid_extent: tuple[float, float] | None = None
-    grid_points: int = DEFAULT_POINTS
+    grid_points: int | None = None
     periodic: bool = False
 
     @property

@@ -11,10 +11,13 @@ axis.  The step runs in place in per-axis buffers allocated once per call
 (``out=`` on ``np.fft``, NumPy 2.0), so no step allocates a stack-sized
 array.  Probability near the position edges or the Nyquist edge of the
 momentum grid aborts the run rather than silently aliasing; the check reads
-only those bands.
+only those bands.  Without a grid or a point count, the run starts on the
+state's phase-space box (``grid_for_state``) and reruns on a larger grid
+after each such abort, up to ``MAX_POINTS`` points per axis.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -25,10 +28,10 @@ from .hamiltonians import HamiltonianPair
 from .series import FidelitySeries, NumericalError
 from .states import GaussianComponent, InitialState
 
-DEFAULT_POINTS = 4096
 DEFAULT_PAD_SIGMAS = 8.0
 LEAK_TOL = 1e-8
 EDGE_FRACTION = 0.05
+MAX_POINTS = 2**16  # per axis, where a derived grid stops growing
 
 
 class GridLeakError(NumericalError):
@@ -80,19 +83,47 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.points[d], d=self.spacing(d))
 
 
+def _nyquist_points(state, extents, hbar, pad_sigmas=DEFAULT_PAD_SIGMAS) -> tuple[int, ...]:
+    """Per axis, the smallest power of two M that keeps p_hi = max over
+    components of |p0| + pad_sigmas hbar / sigma below the Nyquist band of
+    the leak check, p_hi <= (1 - 2 EDGE_FRACTION) pi hbar M / L, and at
+    most ``MAX_POINTS``."""
+    points = []
+    for d, (lo, hi) in enumerate(extents):
+        p_hi = max(abs(c.center_p[d]) + pad_sigmas * hbar / c.sigma[d] for c in state.components)
+        m = p_hi / (1.0 - 2.0 * EDGE_FRACTION) * (hi - lo) / (math.pi * hbar)
+        points.append(min(MAX_POINTS, max(2, 2 ** math.ceil(math.log2(m)))))
+    return tuple(points)
+
+
 def grid_for_state(
     state: InitialState,
-    points: int = DEFAULT_POINTS,
+    points: int | None = None,
     pad_sigmas: float = DEFAULT_PAD_SIGMAS,
+    hbar: float = 1.0,
 ) -> Grid:
-    """Grid whose extent covers every component to ``pad_sigmas`` widths."""
+    """Grid whose extent covers every component to ``pad_sigmas`` widths,
+    with ``points`` per axis, or by default the fewest that hold every
+    component's momenta to ``pad_sigmas`` widths clear of the Nyquist band
+    (64 for a packet of unit width at hbar = 1)."""
     dims = state.dims
     extents = []
     for d in range(dims):
         lo = min(c.center_q[d] - pad_sigmas * c.sigma[d] for c in state.components)
         hi = max(c.center_q[d] + pad_sigmas * c.sigma[d] for c in state.components)
         extents.append((lo, hi))
+    if points is None:
+        return Grid(tuple(extents), _nyquist_points(state, extents, hbar, pad_sigmas))
     return Grid(tuple(extents), (points,) * dims)
+
+
+def _grown(grid: Grid, leak: NumericalError) -> Grid:
+    """The grid to rerun on after ``leak``: twice the points on every axis,
+    and after a position leak also twice every extent about its centre."""
+    extents = grid.extents
+    if isinstance(leak, GridLeakError):
+        extents = tuple((lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo)) for lo, hi in extents)
+    return Grid(extents, tuple(2 * m for m in grid.points))
 
 
 def _gaussian_factor(
@@ -146,6 +177,40 @@ def _check_leaks(grid: Grid, dx: list, phats: list, stacks: list) -> None:
             )
 
 
+def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray:
+    """The amplitude at steps 0 to n_steps on ``grid``, as fidelity_exact
+    describes it."""
+    tau, hbar = config.tau, config.hbar
+    comps = state.components
+    weights = np.array([c.weight for c in comps])
+    hs = (pair.h_prime, pair.h_double_prime)
+    dx = [grid.spacing(d) for d in range(grid.dims)]
+    stacks, factors = [], []
+    for d in range(grid.dims):
+        psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
+        stacks.append(np.stack([psi0, psi0]))
+        factors.append(_axis_factors(hs, grid, tau, hbar, d))
+
+    phats = [np.empty_like(s) for s in stacks]
+    rows = [np.empty_like(s[0]) for s in stacks]
+    values = np.empty(config.n_steps + 1, dtype=complex)
+    values[0] = 1.0
+    for n in range(1, config.n_steps + 1):
+        for stack, phat, (exp_t, exp_v) in zip(stacks, phats, factors):
+            np.fft.fft(stack, norm="ortho", out=phat)
+            np.multiply(exp_t, phat, out=stack)
+            np.fft.ifft(stack, norm="ortho", out=stack)
+            np.multiply(exp_v, stack, out=stack)
+        if check_leaks:
+            _check_leaks(grid, dx, phats, stacks)
+        overlaps = [
+            np.multiply(np.conj(psi[0], out=w), psi[1], out=w).sum(axis=-1) * h
+            for psi, w, h in zip(stacks, rows, dx)
+        ]
+        values[n] = np.dot(weights, reduce(np.multiply, overlaps))
+    return values
+
+
 def fidelity_exact(
     state: InitialState,
     pair: HamiltonianPair,
@@ -154,7 +219,7 @@ def fidelity_exact(
     *,
     hbar: float = 1.0,
     grid: Grid | None = None,
-    points: int = DEFAULT_POINTS,
+    points: int | None = None,
     check_leaks: bool = True,
 ) -> FidelitySeries:
     """Exact fidelity amplitude by propagating both branches on the grid.
@@ -171,39 +236,37 @@ def fidelity_exact(
     false, each step checks the Nyquist band of every axis, then the
     position edge bands of every axis (not on a periodic grid), dividing the
     band probability by the discrete norm, which is one.
+
+    The run takes ``grid``, else ``grid_for_state(state, points)``.  With
+    neither, it starts on ``grid_for_state(state, hbar=hbar)`` and reruns
+    from step 0 after each leak: with twice the points per axis after an
+    ``AliasingError``, and also twice every extent about its centre after a
+    ``GridLeakError``.  A leak on a grid whose next size would pass
+    ``MAX_POINTS`` points per axis is raised, naming that grid.  The meta
+    records the grid of the series and ``grid_growths``, the number of
+    reruns.
     """
     config = EstimatorConfig(n_traj=None, seed=None, tau=tau, n_steps=n_steps, hbar=hbar)
     pair.check_state(state)
+    grows = grid is None and points is None
     if grid is None:
-        grid = grid_for_state(state, points=points)
+        grid = grid_for_state(state, points=points, hbar=hbar)
     if grid.dims != state.dims:
         raise ValueError("state and grid dimensions differ")
-    comps = state.components
-    weights = np.array([c.weight for c in comps])
-    hs = (pair.h_prime, pair.h_double_prime)
-    dx = [grid.spacing(d) for d in range(grid.dims)]
-    stacks, factors = [], []
-    for d in range(grid.dims):
-        psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
-        stacks.append(np.stack([psi0, psi0]))
-        factors.append(_axis_factors(hs, grid, tau, hbar, d))
-
-    phats = [np.empty_like(s) for s in stacks]
-    rows = [np.empty_like(s[0]) for s in stacks]
-    values = np.empty(n_steps + 1, dtype=complex)
-    values[0] = 1.0
-    for n in range(1, n_steps + 1):
-        for stack, phat, (exp_t, exp_v) in zip(stacks, phats, factors):
-            np.fft.fft(stack, norm="ortho", out=phat)
-            np.multiply(exp_t, phat, out=stack)
-            np.fft.ifft(stack, norm="ortho", out=stack)
-            np.multiply(exp_v, stack, out=stack)
-        if check_leaks:
-            _check_leaks(grid, dx, phats, stacks)
-        overlaps = [
-            np.multiply(np.conj(psi[0], out=w), psi[1], out=w).sum(axis=-1) * h
-            for psi, w, h in zip(stacks, rows, dx)
-        ]
-        values[n] = np.dot(weights, reduce(np.multiply, overlaps))
-
-    return config.series("exact", values, grid_points=grid.points, grid_extents=grid.extents)
+    growths = 0
+    while True:
+        try:
+            values = _propagate(state, pair, config, grid, check_leaks)
+            break
+        except (AliasingError, GridLeakError) as leak:
+            if not grows:
+                raise
+            larger = _grown(grid, leak)
+            if max(larger.points) > MAX_POINTS:
+                raise type(leak)(
+                    f"{leak}; largest grid tried: points {grid.points} on extents {grid.extents}"
+                ) from leak
+            grid, growths = larger, growths + 1
+    return config.series(
+        "exact", values, grid_points=grid.points, grid_extents=grid.extents, grid_growths=growths
+    )

@@ -89,8 +89,9 @@ def write_series(series: FidelitySeries, path) -> None:
 
 def read_series(path) -> FidelitySeries:
     """Read a CSV file written by ``write_series``; every bit of the values
-    survives, and the meta is empty.  A file it cannot parse, or whose
-    series holds a non-finite cell, raises a ValueError that names it."""
+    survives, and the meta is empty.  A file it cannot parse, or that holds
+    a non-finite cell, raises a ValueError that names it (and the cell's
+    column and step)."""
     path = Path(path)
     try:
         if path.suffix != ".csv":
@@ -101,9 +102,14 @@ def read_series(path) -> FidelitySeries:
         rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
         # every row holds every column; a header alone is an empty series
         cols = dict(zip(SERIES_COLUMNS, np.reshape(rows, (len(rows), len(SERIES_COLUMNS))).T))
+        for name in ("time", "re_f", "im_f", "stderr"):  # the columns read
+            bad = np.flatnonzero(~np.isfinite(cols[name]))
+            if bad.size:
+                n = bad[0]
+                raise ValueError(f"non-finite value {cols[name][n]} in column {name} at step {n}")
         # assigned part by part: re + 1j * im would turn an imaginary -0.0 into +0.0
         values = np.empty(len(cols["time"]), dtype=complex)
         values.real, values.imag = cols["re_f"], cols["im_f"]
         return FidelitySeries(cols["time"], values, cols["stderr"])
-    except (ValueError, NonFiniteSeriesError) as exc:
+    except ValueError as exc:
         raise ValueError(f"cannot read series file {path}: {type(exc).__name__} {exc}") from exc

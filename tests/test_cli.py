@@ -157,6 +157,22 @@ def test_inline_system_validates_invariants():
         build_run_config(parse_config_text(bad))
 
 
+@pytest.mark.parametrize("double_prime, combination", [("0 0 1e308", "average"),
+                                                        ("0 0 -1e308", "difference")])
+def test_overflowing_pair_names_its_keys(tmp_path, capsys, double_prime, combination):
+    # finite coefficients whose average or difference is not finite
+    text = INLINE_CFG.replace("potential_prime = 0 -0.5", "potential_prime = 0 0 1e308")
+    text = text.replace("potential_double_prime = 0 0.5", f"potential_double_prime = {double_prime}")
+    cfg_path = write_cfg(tmp_path, text)
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (
+        "invalid config: potential_prime, potential_double_prime: "
+        f"the {combination} of the potential terms of coordinate 0 overflows"
+    ) in err
+    assert "inf" not in err
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -351,6 +367,16 @@ def test_periodic_key_sets_a_periodic_grid(tmp_path, value):
     grid = Grid(((0.0, 2.0 * np.pi),), (1024,), periodic=True)
     expected = fidelity_exact(cfg.system.state, cfg.system.pair, 50, 1.0, grid=grid)
     assert written.values.view(np.uint64).tobytes() == expected.values.view(np.uint64).tobytes()
+
+
+def test_grid_extent_without_grid_points_derives_the_points_for_that_extent(tmp_path):
+    # +-16 for a unit-width packet at rest: twice the 8-sigma box, so twice
+    # its 64 points; the run keeps that grid
+    text = DISPLACED_CFG.replace("exact, f1", "exact") + "grid_extent = -16 16\n"
+    run(build_run_config(parse_config_text(text)), tmp_path / "out")
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text())["series"]["exact"]
+    assert meta["grid_points"] == [128] and meta["grid_extents"] == [[-16.0, 16.0]]
+    assert meta["grid_growths"] == 0
 
 
 @pytest.mark.parametrize("value", ["false", "no", "0"])

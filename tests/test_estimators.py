@@ -301,7 +301,7 @@ def test_f0_matches_exact_on_random_affine_pairs(system):
     state, pair, hbar = system
     assert predicted_exactness(pair)["f0"] == EXACT
     cfg = config(n_traj=None, seed=None, n_steps=40, hbar=hbar)
-    grid = grid_for_state(state, pad_sigmas=16.0)
+    grid = grid_for_state(state, points=4096, pad_sigmas=16.0)
     exact = fidelity_exact(state, pair, 40, cfg.tau, hbar=hbar, grid=grid)
     assert np.max(np.abs(f0(state, pair, cfg).values - exact.values)) <= 1e-12
 
@@ -488,6 +488,21 @@ def test_thimble_kick_draws_on_the_steepest_descent_line():
         ratio = eta[q != 0] ** 2 / (1j * a[q != 0]) / (2 * hbar**2)
         assert np.all(ratio.real > 0)
         assert np.all(np.abs(ratio.imag) <= 1e-14 * ratio.real)
+
+
+def test_thimble_kick_smears_complex_momenta_in_place():
+    # the orbit's first smear turns real momenta complex in a new array; from
+    # then on each smear adds to the complex momenta themselves
+    kick = _thimble_kick(load("cubic_perturbation").pair, config(n_traj=8), range(8))
+    q = np.linspace(-1.0, 1.0, 8)[:, None]
+    real_p = np.zeros((8, 1))
+    first = kick(q, real_p)
+    assert first.dtype == complex and not np.shares_memory(first, real_p)
+    assert np.all(real_p == 0.0)
+    kept = first.copy()
+    complex_p = first.copy()
+    assert kick(q + 0j, complex_p) is complex_p
+    assert np.array_equal(first, kept)  # a later smear leaves the first result alone
 
 
 @pytest.mark.parametrize("name, n_steps", [("ho_diff_k", 100), ("cubic_perturbation", 252)])
@@ -1048,7 +1063,7 @@ def test_second_order_per_coordinate_and_component(state, pair):
     # products of 1-D chains and the thimble smears each coordinate, so both
     # are exact wherever the ladder says so
     cfg = config(n_traj=20000, n_steps=100, seed=1)
-    exact = fidelity_exact(state, pair, cfg.n_steps, cfg.tau, grid=grid_for_state(state, pad_sigmas=16.0))
+    exact = fidelity_exact(state, pair, cfg.n_steps, cfg.tau, grid=grid_for_state(state, points=4096, pad_sigmas=16.0))
     assert np.max(np.abs(exact.values - 1.0)) > 0.1  # the perturbation acts
     mc = f2_mc(state, pair, cfg)
     assert mc.meta["f2_contour"] == "thimble"
@@ -1091,7 +1106,7 @@ def test_chain_invariants_on_random_quadratic_pairs(system):
     state, h_a, h_b = system
     cfg = config(n_traj=1, n_steps=100)
     # packets that move need more room than the default 8-sigma grid
-    grid = grid_for_state(state, pad_sigmas=16.0)
+    grid = grid_for_state(state, points=4096, pad_sigmas=16.0)
     for est in (f2_gaussian_chain, partial(exact_series, grid=grid)):
         f = est(state, make_pair(h_a, h_b), cfg).values
         swapped = est(state, make_pair(h_b, h_a), cfg).values
@@ -1123,7 +1138,7 @@ def test_chain_matches_exact_on_random_quadratic_pairs(system):
     pair = make_pair(h_a, h_b)
     cfg = config(n_traj=1, n_steps=60)
     # packets that move need more room than the default 8-sigma grid
-    exact = fidelity_exact(state, pair, 60, cfg.tau, grid=grid_for_state(state, pad_sigmas=16.0))
+    exact = fidelity_exact(state, pair, 60, cfg.tau, grid=grid_for_state(state, points=4096, pad_sigmas=16.0))
     chain = f2_gaussian_chain(state, pair, cfg)
     assert np.max(np.abs(chain.values - exact.values)) <= 1e-9
 
@@ -1209,7 +1224,7 @@ def test_momentum_displacement_variant_exact_for_f0_f1():
         hamiltonian_1d(polynomial_term(0.0, +0.5), ZERO_TERM),
     )
     # constant drift moves the packet, so pad the grid beyond the 8-sigma rule
-    exact = fidelity_exact(state, pair, 150, 0.05, grid=grid_for_state(state, pad_sigmas=16.0))
+    exact = fidelity_exact(state, pair, 150, 0.05, grid=grid_for_state(state, points=4096, pad_sigmas=16.0))
     cfg = config(n_traj=30000, n_steps=150)
     series = f1_dr(state, pair, cfg)
     assert np.all(np.abs(series.values - exact.values) <= 3 * series.stderr + 1e-8)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loschmidt.estimators import EstimatorConfig, f2_gaussian_chain
 from loschmidt.hamiltonians import (
     ZERO_TERM,
     CoordFunction,
@@ -17,6 +18,7 @@ from loschmidt.hamiltonians import (
 )
 from loschmidt.presets import displaced_ho_pair, load
 from loschmidt.qgrid import (
+    MAX_POINTS,
     AliasingError,
     Grid,
     GridLeakError,
@@ -466,7 +468,7 @@ IN_PLACE_CASES = {
 
 @pytest.mark.parametrize("state, pair, n_steps, grid", IN_PLACE_CASES.values(), ids=IN_PLACE_CASES.keys())
 def test_in_place_step_keeps_the_out_of_place_bits(monkeypatch, state, pair, n_steps, grid):
-    grid = grid or grid_for_state(state)
+    grid = grid or grid_for_state(state, points=4096)
     reference = out_of_place_exact(state, pair, n_steps, 0.05, grid)
     buffers = []
 
@@ -487,18 +489,25 @@ def test_in_place_step_keeps_the_out_of_place_bits(monkeypatch, state, pair, n_s
 
 
 # ---------------------------------------------------------------------------
-# known defects
+# the derived grid and its growth on a leak
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=GridLeakError,
-    reason="grid_for_state sizes the grid from the initial width only; "
-    "ROADMAP item 6 (grid_for_run) sizes it from the whole run",
-)
+def test_derived_grid_holds_the_momenta_clear_of_the_nyquist_band():
+    # p_hi = |p0| + 8 hbar / sigma must stay below 90% of pi hbar M / L
+    assert grid_for_state(GROUND).points == (64,)
+    for p0, sigma, hbar in ((0.0, 1.0, 1.0), (3.0, 0.4, 0.5), (-2.0, 2.5, 2.0)):
+        state = InitialState.gaussian([1.0], [p0], [sigma])
+        grid = grid_for_state(state, hbar=hbar)
+        (lo, hi), (m,) = grid.extents[0], grid.points
+        p_hi = abs(p0) + 8.0 * hbar / sigma
+        assert 0.9 * np.pi * hbar * m / (hi - lo) >= p_hi > 0.45 * np.pi * hbar * m / (hi - lo)
+        assert grid.extents == grid_for_state(state, points=4096).extents
+
+
 def test_breathing_packet_stays_on_its_default_grid():
     # the squeezed packet breathes to 3.6 times its initial width in the
-    # softer well within the run; it leaks even on a 16-sigma grid
+    # softer well within the run; it leaks even on a 16-sigma grid, and the
+    # derived grid grows once, doubling its extent and its point count
     kinetic = (quadratic_kinetic(0.5),)
     pair = make_pair(
         SeparableHamiltonian(kinetic, (harmonic_potential(0.5),)),
@@ -506,3 +515,81 @@ def test_breathing_packet_stays_on_its_default_grid():
     )
     series = fidelity_exact(InitialState.gaussian([0.0], [0.0], [0.75]), pair, 60, 0.05)
     assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
+    assert series.meta["grid_growths"] == 1
+    assert series.meta["grid_points"] == (128,)
+    assert series.meta["grid_extents"] == ((-12.0, 12.0),)
+
+
+def test_displaced_distorted_oscillator_on_the_default_grid_matches_the_chain():
+    # ground state of H' (omega' = 1) under H'' with omega'' = 0.8 centred at
+    # d = 2: the packet swings past the 8-sigma box, so the grid grows
+    kin = (quadratic_kinetic(1.0),)
+    pair = make_pair(
+        SeparableHamiltonian(kin, (harmonic_potential(1.0),)),
+        SeparableHamiltonian(kin, (harmonic_potential(0.64, 2.0),)),
+    )
+    cfg = EstimatorConfig(n_traj=1, seed=1, tau=0.05, n_steps=400)
+    series = fidelity_exact(GROUND, pair, 400, 0.05)
+    assert series.meta["grid_growths"] == 1
+    assert series.meta["grid_extents"] == ((-16.0, 16.0),)
+    chain = f2_gaussian_chain(GROUND, pair, cfg)
+    assert np.max(np.abs(series.values - chain.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, n_steps", [
+    *((name, None) for name in ("linear_gradient", "displaced_ho", "ho_diff_k",
+                                "cubic_perturbation", "morse_like")),
+    ("displaced_ho", 1000), ("morse_like", 1000),
+])
+def test_derived_grid_agrees_with_the_4096_point_grid(name, n_steps):
+    # the difference is FFT roundoff; against the closed-form chain the
+    # derived grid is no farther than the 4096-point grid
+    sc = load(name)
+    n_steps = n_steps or sc.n_steps
+    derived = fidelity_exact(sc.state, sc.pair, n_steps, sc.tau)
+    fine = fidelity_exact(sc.state, sc.pair, n_steps, sc.tau, points=4096)
+    assert np.max(np.abs(derived.values - fine.values)) <= 1e-12
+    if max(sc.pair.average.degree, sc.pair.delta.degree) <= 2:
+        cfg = EstimatorConfig(n_traj=1, seed=1, tau=sc.tau, n_steps=n_steps)
+        chain = f2_gaussian_chain(sc.state, sc.pair, cfg).values
+        assert np.max(np.abs(derived.values - chain)) <= np.max(np.abs(fine.values - chain)) + 1e-13
+
+
+STIFF = make_pair(
+    hamiltonian_1d(quadratic_kinetic(1.0), harmonic_potential(16.0)),
+    hamiltonian_1d(quadratic_kinetic(1.0), harmonic_potential(16.8)),
+)
+
+
+def test_momentum_aliasing_doubles_the_points_on_the_same_extent():
+    # the unit-width packet in a well of frequency 4 squeezes to width 1/4,
+    # which spreads its momenta past the Nyquist band of 64 points on +-8
+    first = grid_for_state(GROUND)
+    with pytest.raises(AliasingError):
+        fidelity_exact(GROUND, STIFF, 100, 0.05, grid=first)
+    series = fidelity_exact(GROUND, STIFF, 100, 0.05)
+    assert series.meta["grid_growths"] == 1
+    assert series.meta["grid_extents"] == first.extents
+    assert series.meta["grid_points"] == (128,)
+    on_grown = fidelity_exact(GROUND, STIFF, 100, 0.05, grid=Grid(first.extents, (128,)))
+    assert np.array_equal(series.values, on_grown.values)
+    fine = fidelity_exact(GROUND, STIFF, 100, 0.05, points=4096)
+    assert np.max(np.abs(series.values - fine.values)) <= 1e-12
+
+
+def test_unchecked_run_stays_on_the_first_derived_grid():
+    series = fidelity_exact(GROUND, STIFF, 100, 0.05, check_leaks=False)
+    assert series.meta["grid_growths"] == 0
+    assert series.meta["grid_points"] == (64,)
+
+
+@pytest.mark.parametrize("state, pair, tau, error", [
+    # each kick scatters the momenta over the whole band on any grid
+    (GROUND, make_pair(hamiltonian_1d(quadratic_kinetic(1.0), harmonic_potential(1e9)), HARMONIC),
+     0.5, AliasingError),
+    # the rule asks for 2^23 points; the run starts on 2^16 and leaks at once
+    (InitialState.gaussian([0.0], [1e6], [1.0]), make_pair(FREE, FREE), 1.0, GridLeakError),
+], ids=["aliasing", "start_above_the_cap"])
+def test_growth_stops_at_the_cap_naming_the_largest_grid_tried(state, pair, tau, error):
+    with pytest.raises(error, match=rf"largest grid tried: points \({MAX_POINTS},\) on"):
+        fidelity_exact(state, pair, 50, tau)

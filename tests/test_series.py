@@ -69,7 +69,7 @@ UNREADABLE = [
     ("ragged.csv", HEADER + "0,0,1,0,1,0\n1,0.1,1,0\n", "inhomogeneous"),
     ("cell.csv", HEADER + "0,0,1,x,1,0\n", "could not convert"),
     # a cell that parses but is not finite
-    ("nan.csv", HEADER + "0,0,1,0,1,0\n1,0.1,nan,0,1,0\n", "non-finite value"),
+    ("nan.csv", HEADER + "0,0,1,0,1,0\n1,0.1,nan,0,1,0\n", "non-finite value nan in column re_f at step 1"),
     # CSV is the only table format
     ("empty.json", "", "unknown series format '.json'"),
     ("series.txt", "", "unknown series format '.txt'"),
@@ -81,8 +81,10 @@ def test_read_series_names_the_file_it_cannot_read(tmp_path, name, text, reason)
     path = tmp_path / name
     path.write_text(text)
     pattern = rf"cannot read series file .*{re.escape(name)}: .*{re.escape(reason)}"
-    with pytest.raises(ValueError, match=pattern):
+    with pytest.raises(ValueError, match=pattern) as error:
         read_series(path)
+    # a fault of the file, not of a run: no advice on how to run
+    assert "use a smaller tau" not in str(error.value)
 
 
 def test_read_series_reads_a_header_alone_as_an_empty_series(tmp_path):
