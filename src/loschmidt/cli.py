@@ -21,8 +21,8 @@ from . import __version__
 from .estimators import EstimatorConfig, f0, f1_dr, f2_gaussian_chain, f2_mc
 from .hamiltonians import CoordFunction, PairOverflowError, SeparableHamiltonian, make_pair
 from .presets import SCENARIO_NAMES, Scenario, load
-from .qgrid import Grid, _is_power_of_two, _nyquist_points, fidelity_exact
-from .series import FidelitySeries, NumericalError, write_series, write_table
+from .qgrid import _is_power_of_two, fidelity_exact
+from .series import NumericalError, write_series, write_table
 from .spectra import MIN_SERIES_LENGTH, spectrum
 from .states import GaussianComponent, InitialState
 
@@ -252,26 +252,15 @@ def build_run_config(entries: dict) -> RunConfig:
 # running
 
 
-def _exact(cfg: RunConfig) -> FidelitySeries:
-    sc, est = cfg.system, cfg.estimator_config
-    grid = None
-    if sc.grid_extent is not None:
-        extents = (sc.grid_extent,) * sc.state.dims
-        points = (
-            (sc.grid_points,) * sc.state.dims if sc.grid_points
-            else _nyquist_points(sc.state, extents, est.hbar)
-        )
-        grid = Grid(extents, points, periodic=sc.periodic)
-    return fidelity_exact(
-        sc.state, sc.pair, est.n_steps, est.tau, hbar=est.hbar, grid=grid, points=sc.grid_points
-    )
-
-
 # name -> estimator run on a RunConfig.  Each entry looks its estimator up by
 # module-level name at call time, so a rebinding of that name (a tracer, a
 # test double) is seen.
 ESTIMATORS = {
-    "exact": _exact,
+    "exact": lambda cfg: fidelity_exact(
+        cfg.system.state, cfg.system.pair, cfg.estimator_config.n_steps, cfg.estimator_config.tau,
+        hbar=cfg.estimator_config.hbar, points=cfg.system.grid_points,
+        extent=cfg.system.grid_extent, periodic=cfg.system.periodic,
+    ),
     "f0": lambda cfg: f0(cfg.system.state, cfg.system.pair, cfg.estimator_config),
     "f1": lambda cfg: f1_dr(
         cfg.system.state, cfg.system.pair, cfg.estimator_config, reference=cfg.reference

@@ -10,10 +10,14 @@ coordinates, so the step is a product of commuting one-axis steps, which
 axis.  The step runs in place in per-axis buffers allocated once per call
 (``out=`` on ``np.fft``, NumPy 2.0), so no step allocates a stack-sized
 array.  Probability near the position edges or the Nyquist edge of the
-momentum grid aborts the run rather than silently aliasing; the check reads
-only those bands.  Without a grid or a point count, the run starts on the
-state's phase-space box (``grid_for_state``) and reruns on a larger grid
-after each such abort, up to ``MAX_POINTS`` points per axis.
+momentum grid aborts the run rather than silently aliasing; the check
+weighs each stack against band weights worked out once per run.
+
+The grid follows one rule.  A hint that is given (an extent, a point
+count, or an explicit ``Grid``, which gives both) stays fixed.  A hint that
+is left out is derived from the state (``grid_for_state``) and may grow:
+after each abort the run restarts on a larger grid if the hint that the
+abort needs is free, up to ``MAX_POINTS`` points per axis.
 """
 from __future__ import annotations
 
@@ -83,52 +87,59 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.points[d], d=self.spacing(d))
 
 
-def _nyquist_points(state, extents, hbar, pad_sigmas=DEFAULT_PAD_SIGMAS) -> tuple[int, ...]:
-    """Per axis, the smallest power of two M that keeps p_hi = max over
-    components of |p0| + pad_sigmas hbar / sigma below the Nyquist band of
-    the leak check, p_hi <= (1 - 2 EDGE_FRACTION) pi hbar M / L, and at
-    most ``MAX_POINTS``."""
-    points = []
-    for d, (lo, hi) in enumerate(extents):
-        p_hi = max(abs(c.center_p[d]) + pad_sigmas * hbar / c.sigma[d] for c in state.components)
-        m = p_hi / (1.0 - 2.0 * EDGE_FRACTION) * (hi - lo) / (math.pi * hbar)
-        points.append(min(MAX_POINTS, max(2, 2 ** math.ceil(math.log2(m)))))
-    return tuple(points)
-
-
 def grid_for_state(
     state: InitialState,
     points: int | None = None,
     pad_sigmas: float = DEFAULT_PAD_SIGMAS,
     hbar: float = 1.0,
+    extent: tuple[float, float] | None = None,
+    periodic: bool = False,
 ) -> Grid:
-    """Grid whose extent covers every component to ``pad_sigmas`` widths,
-    with ``points`` per axis, or by default the fewest that hold every
-    component's momenta to ``pad_sigmas`` widths clear of the Nyquist band
-    (64 for a packet of unit width at hbar = 1)."""
-    dims = state.dims
-    extents = []
-    for d in range(dims):
-        lo = min(c.center_q[d] - pad_sigmas * c.sigma[d] for c in state.components)
-        hi = max(c.center_q[d] + pad_sigmas * c.sigma[d] for c in state.components)
-        extents.append((lo, hi))
+    """Grid on ``extent`` on every axis, by default the box that covers every
+    component to ``pad_sigmas`` widths, with ``points`` per axis, by default
+    the smallest power of two M that keeps p_hi = max over components of
+    |p0| + pad_sigmas hbar / sigma below the Nyquist band of the leak check,
+    p_hi <= (1 - 2 EDGE_FRACTION) pi hbar M / L, and at most ``MAX_POINTS``
+    (64 for a packet of unit width at hbar = 1).  A periodic grid needs an
+    ``extent``."""
+    if periodic and extent is None:
+        raise ValueError("a periodic grid needs an extent, which sets the period")
+    comps = state.components
+    extents = [extent] * state.dims if extent is not None else [
+        (min(c.center_q[d] - pad_sigmas * c.sigma[d] for c in comps),
+         max(c.center_q[d] + pad_sigmas * c.sigma[d] for c in comps))
+        for d in range(state.dims)
+    ]
+    counts = [points] * state.dims
     if points is None:
-        return Grid(tuple(extents), _nyquist_points(state, extents, hbar, pad_sigmas))
-    return Grid(tuple(extents), (points,) * dims)
+        for d, (lo, hi) in enumerate(extents):
+            p_hi = max(abs(c.center_p[d]) + pad_sigmas * hbar / c.sigma[d] for c in comps)
+            m = p_hi / (1.0 - 2.0 * EDGE_FRACTION) * (hi - lo) / (math.pi * hbar)
+            counts[d] = min(MAX_POINTS, max(2, 2 ** math.ceil(math.log2(m))))
+    return Grid(tuple(extents), tuple(counts), periodic)
 
 
-def _grown(grid: Grid, leak: NumericalError) -> Grid:
-    """The grid to rerun on after ``leak``: twice the points on every axis,
-    and after a position leak also twice every extent about its centre."""
+def _grown(grid: Grid, leak: NumericalError, free_extent: bool, free_points: bool) -> Grid:
+    """The grid to rerun on after ``leak``.  An ``AliasingError`` needs free
+    points and a ``GridLeakError`` a free extent, which doubles about its
+    centre on every axis; free points double on every axis after either.
+    Raises ``leak`` when the hint it needs is fixed, and a leak of its type
+    naming ``grid`` when the next grid would pass ``MAX_POINTS``."""
+    position = isinstance(leak, GridLeakError)
+    if not (free_extent if position else free_points):
+        raise leak
     extents = grid.extents
-    if isinstance(leak, GridLeakError):
+    if position:
         extents = tuple((lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo)) for lo, hi in extents)
-    return Grid(extents, tuple(2 * m for m in grid.points))
+    points = tuple(2 * m for m in grid.points) if free_points else grid.points
+    if max(points) > MAX_POINTS:
+        raise type(leak)(
+            f"{leak}; largest grid tried: points {grid.points} on extents {grid.extents}"
+        ) from leak
+    return Grid(extents, points, grid.periodic)
 
 
-def _gaussian_factor(
-    comp: GaussianComponent, grid: Grid, d: int, hbar: float
-) -> np.ndarray:
+def _gaussian_factor(comp: GaussianComponent, grid: Grid, d: int, hbar: float) -> np.ndarray:
     """Axis-d factor exp[-(q-q0)^2/(2 sigma^2) + i p0 (q-q0)/hbar] of a
     product Gaussian, renormalised so its discrete norm on that axis is one."""
     dq = grid.axis(d) - comp.center_q[d]
@@ -147,29 +158,40 @@ def _axis_factors(hs, grid: Grid, tau: float, hbar: float, d: int):
     return np.exp(-1j * tau * t / hbar)[:, None], np.exp(-1j * tau * v / hbar)[:, None]
 
 
-def _band_mass(values: np.ndarray, band: slice) -> np.ndarray:
-    a = np.abs(values[..., band])
-    return (a * a).sum(axis=-1)
+def _leak_bands(grid: Grid) -> list:
+    """Per axis, the weights of the Nyquist band and of the two edge bands
+    (None on a periodic grid), b = max(1, int(EDGE_FRACTION M)) points each:
+    the spacing inside the band and 0 outside, repeated for the real and
+    the imaginary part of every point."""
+    bands = []
+    for d, m in enumerate(grid.points):
+        b = max(1, int(EDGE_FRACTION * m))
+        nyquist, edges = np.zeros((2, m))
+        nyquist[m // 2 - b : m // 2 + b] = edges[:b] = edges[-b:] = grid.spacing(d)
+        bands.append((np.repeat(nyquist, 2), None if grid.periodic else np.repeat(edges, 2)))
+    return bands
 
 
-def _check_leaks(grid: Grid, dx: list, phats: list, stacks: list) -> None:
+def _band_mass(stack: np.ndarray, weights: np.ndarray) -> float:
+    """Largest probability under ``weights`` over the rows of a complex stack."""
+    return (np.square(stack.view(np.float64)) @ weights).max()
+
+
+def _check_leaks(bands: list, phats: list, stacks: list) -> None:
     """Largest probability, over branches and components, in the Nyquist band
-    of each axis, then in the position edge bands of each axis; every row has
-    discrete norm one."""
-    bands = [max(1, int(EDGE_FRACTION * m)) for m in grid.points]
-    for d, (phat, b) in enumerate(zip(phats, bands)):
-        m = grid.points[d]
-        frac = _band_mass(phat, slice(m // 2 - b, m // 2 + b)).max() * dx[d]
+    of each axis, then in the position edge bands of each axis, under the
+    ``_leak_bands`` rows; every row has discrete norm one."""
+    for d, (phat, (nyquist, _)) in enumerate(zip(phats, bands)):
+        frac = _band_mass(phat, nyquist)
         if frac > LEAK_TOL:
             raise AliasingError(
                 f"momentum probability {frac:.3e} near the Nyquist edge "
                 f"of axis {d}; enlarge the grid or reduce tau"
             )
-    if grid.periodic:
-        return
-    for d, (psi, b) in enumerate(zip(stacks, bands)):
-        edges = _band_mass(psi, slice(0, b)) + _band_mass(psi, slice(-b, None))
-        frac = edges.max() * dx[d]
+    for d, (psi, (_, edges)) in enumerate(zip(stacks, bands)):
+        if edges is None:  # periodic: no edges
+            return
+        frac = _band_mass(psi, edges)
         if frac > LEAK_TOL:
             raise GridLeakError(
                 f"position probability {frac:.3e} within "
@@ -185,6 +207,7 @@ def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray
     weights = np.array([c.weight for c in comps])
     hs = (pair.h_prime, pair.h_double_prime)
     dx = [grid.spacing(d) for d in range(grid.dims)]
+    bands = _leak_bands(grid)
     stacks, factors = [], []
     for d in range(grid.dims):
         psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
@@ -202,7 +225,7 @@ def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray
             np.fft.ifft(stack, norm="ortho", out=stack)
             np.multiply(exp_v, stack, out=stack)
         if check_leaks:
-            _check_leaks(grid, dx, phats, stacks)
+            _check_leaks(bands, phats, stacks)
         overlaps = [
             np.multiply(np.conj(psi[0], out=w), psi[1], out=w).sum(axis=-1) * h
             for psi, w, h in zip(stacks, rows, dx)
@@ -212,15 +235,9 @@ def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray
 
 
 def fidelity_exact(
-    state: InitialState,
-    pair: HamiltonianPair,
-    n_steps: int,
-    tau: float,
-    *,
-    hbar: float = 1.0,
-    grid: Grid | None = None,
-    points: int | None = None,
-    check_leaks: bool = True,
+    state: InitialState, pair: HamiltonianPair, n_steps: int, tau: float, *, hbar: float = 1.0,
+    grid: Grid | None = None, points: int | None = None,
+    extent: tuple[float, float] | None = None, periodic: bool = False, check_leaks: bool = True,
 ) -> FidelitySeries:
     """Exact fidelity amplitude by propagating both branches on the grid.
 
@@ -237,20 +254,23 @@ def fidelity_exact(
     position edge bands of every axis (not on a periodic grid), dividing the
     band probability by the discrete norm, which is one.
 
-    The run takes ``grid``, else ``grid_for_state(state, points)``.  With
-    neither, it starts on ``grid_for_state(state, hbar=hbar)`` and reruns
-    from step 0 after each leak: with twice the points per axis after an
-    ``AliasingError``, and also twice every extent about its centre after a
-    ``GridLeakError``.  A leak on a grid whose next size would pass
-    ``MAX_POINTS`` points per axis is raised, naming that grid.  The meta
-    records the grid of the series and ``grid_growths``, the number of
-    reruns.
+    The run takes ``grid``, else ``grid_for_state(state, points, hbar=hbar,
+    extent=extent, periodic=periodic)``: ``points`` and ``extent`` hold on
+    every axis.  A hint that is given stays fixed, and ``grid`` gives both.
+    A hint that is left out is derived and may grow: after a leak the run
+    restarts from step 0 on ``_grown``'s grid, with twice the points per axis
+    after an ``AliasingError``, and twice every extent about its centre
+    after a ``GridLeakError``, with twice the points too if they are free.
+    A leak whose hint is fixed is raised, and so is a leak on a grid whose
+    next size would pass ``MAX_POINTS`` points per axis, naming that grid.
+    The meta records the grid of the series and ``grid_growths``, the
+    number of restarts.
     """
     config = EstimatorConfig(n_traj=None, seed=None, tau=tau, n_steps=n_steps, hbar=hbar)
     pair.check_state(state)
-    grows = grid is None and points is None
+    free_extent, free_points = grid is None and extent is None, grid is None and points is None
     if grid is None:
-        grid = grid_for_state(state, points=points, hbar=hbar)
+        grid = grid_for_state(state, points, hbar=hbar, extent=extent, periodic=periodic)
     if grid.dims != state.dims:
         raise ValueError("state and grid dimensions differ")
     growths = 0
@@ -259,14 +279,7 @@ def fidelity_exact(
             values = _propagate(state, pair, config, grid, check_leaks)
             break
         except (AliasingError, GridLeakError) as leak:
-            if not grows:
-                raise
-            larger = _grown(grid, leak)
-            if max(larger.points) > MAX_POINTS:
-                raise type(leak)(
-                    f"{leak}; largest grid tried: points {grid.points} on extents {grid.extents}"
-                ) from leak
-            grid, growths = larger, growths + 1
+            grid, growths = _grown(grid, leak, free_extent, free_points), growths + 1
     return config.series(
         "exact", values, grid_points=grid.points, grid_extents=grid.extents, grid_growths=growths
     )

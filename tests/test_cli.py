@@ -379,6 +379,22 @@ def test_grid_extent_without_grid_points_derives_the_points_for_that_extent(tmp_
     assert meta["grid_growths"] == 0
 
 
+def test_periodic_run_without_grid_points_grows_its_points_on_the_period(tmp_path):
+    # the kicks push the momenta into the Nyquist band of the 64 points
+    # derived for the packet; the extent is the period and stays, and the
+    # points double until the run passes
+    text = KICKED_ROTOR_INLINE_CFG.replace("grid_points = 1024\n", "") + "periodic = true\n"
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(out)]) == 0
+    meta = json.loads((out / "run_metadata.json").read_text())["series"]["exact"]
+    assert meta["grid_growths"] == 3 and meta["grid_points"] == [512]
+    assert meta["grid_extents"] == [[0.0, 2.0 * np.pi]]
+    cfg = build_run_config(parse_config_text(text))
+    fine = Grid(((0.0, 2.0 * np.pi),), (1024,), periodic=True)
+    expected = fidelity_exact(cfg.system.state, cfg.system.pair, 50, 1.0, grid=fine).values
+    assert np.max(np.abs(read_series(out / "exact.csv").values - expected)) <= 1e-12
+
+
 @pytest.mark.parametrize("value", ["false", "no", "0"])
 def test_periodic_key_false_keeps_the_edge_check(tmp_path, capsys, value):
     # the kicked packet reaches the edges of [0, 2 pi]; only a periodic grid

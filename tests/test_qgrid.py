@@ -2,7 +2,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loschmidt.estimators import EstimatorConfig, f2_gaussian_chain
@@ -23,8 +23,11 @@ from loschmidt.qgrid import (
     Grid,
     GridLeakError,
     _axis_factors,
+    _band_mass,
     _check_leaks,
     _gaussian_factor,
+    _leak_bands,
+    LEAK_TOL,
     fidelity_exact,
     grid_for_state,
 )
@@ -163,13 +166,13 @@ def test_norm_drift_thousand_steps():
 
 
 @st.composite
-def separable_systems(draw):
+def separable_systems(draw, dims=None):
     """A harmonic separable Hamiltonian and a one- or two-component product
-    state in one or two dimensions, in the ranges of the chain property
-    tests."""
+    state in ``dims`` dimensions, by default one or two, in the ranges of
+    the chain property tests."""
     unit = st.floats(0.7, 1.4)
     centre = st.floats(-1.0, 1.0)
-    dims = draw(st.integers(1, 2))
+    dims = dims or draw(st.integers(1, 2))
     h = SeparableHamiltonian(
         tuple(quadratic_kinetic(draw(unit)) for _ in range(dims)),
         tuple(harmonic_potential(draw(unit), draw(centre)) for _ in range(dims)),
@@ -234,11 +237,29 @@ def test_fidelity_modulus_bounded():
     assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
 
 
-def test_fidelity_conjugation_on_swap():
-    sc = load("ho_diff_k")
-    fwd = fidelity_exact(sc.state, sc.pair, 80, sc.tau)
-    rev = fidelity_exact(sc.state, sc.pair.swapped(), 80, sc.tau)
-    np.testing.assert_allclose(rev.values, np.conj(fwd.values), atol=1e-12)
+@st.composite
+def separable_pairs(draw):
+    """A state and a pair of two harmonic Hamiltonians from ``separable_systems``."""
+    h_prime, state = draw(separable_systems())
+    h_double_prime, _ = draw(separable_systems(dims=state.dims))
+    return state, make_pair(h_prime, h_double_prime)
+
+
+HO_DIFF_K = load("ho_diff_k")
+
+
+@settings(max_examples=20, deadline=None)
+@given(system=separable_pairs())
+@example(system=(HO_DIFF_K.state, HO_DIFF_K.pair))
+def test_fidelity_conjugation_on_swap(system):
+    # on derived grids: both branches are checked for leaks, so the swapped
+    # pair grows the same grid
+    state, pair = system
+    fwd = fidelity_exact(state, pair, 80, 0.05)
+    rev = fidelity_exact(state, pair.swapped(), 80, 0.05)
+    np.testing.assert_allclose(rev.values, np.conj(fwd.values), rtol=0, atol=1e-12)
+    assert rev.meta["grid_points"] == fwd.meta["grid_points"]
+    assert rev.meta["grid_growths"] == fwd.meta["grid_growths"]
 
 
 def test_fidelity_mixture_is_weighted_sum():
@@ -270,6 +291,13 @@ def test_kicked_rotor_periodic_grid_runs():
     series = fidelity_exact(sc.state, sc.pair, 20, sc.tau, grid=grid)
     assert np.all(np.isfinite(series.values))
     assert np.all(np.abs(series.values) <= 1 + 1e-12)
+
+
+def test_a_periodic_grid_needs_an_extent():
+    # the extent is the period; a derived box would set an arbitrary one
+    sc = load("kicked_rotor")
+    with pytest.raises(ValueError, match="periodic grid needs an extent"):
+        fidelity_exact(sc.state, sc.pair, 20, sc.tau, periodic=True)
 
 
 def test_position_leak_detected():
@@ -425,6 +453,47 @@ def test_two_dimensional_leak_names_first_axis_at_first_step(
         fidelity_exact(state, pair, n_steps, tau, grid=grid)
 
 
+@pytest.mark.parametrize(
+    "points", [(2,), (4,), (64,), (2, 64), (4, 64)], ids=["2", "4", "64", "2x64", "4x64"]
+)
+def test_band_masses_are_the_slice_sums(points):
+    # b = max(1, int(0.05 M)): 1 point at M = 2 and 4, 3 points at M = 64
+    rng = np.random.default_rng(len(points) * 1000 + points[-1])
+    grid = Grid(tuple((-1.0 - d, 2.0 + 3.0 * d) for d in range(len(points))), points)
+    for d, (m, (nyquist, edges)) in enumerate(zip(points, _leak_bands(grid))):
+        b = max(1, int(0.05 * m))
+        x = rng.normal(size=(2, 3, m)) + 1j * rng.normal(size=(2, 3, m))
+        mass = np.abs(x) ** 2 * grid.spacing(d)
+        slices = {
+            "nyquist": (nyquist, mass[..., m // 2 - b : m // 2 + b].sum(axis=-1)),
+            "edges": (edges, mass[..., :b].sum(axis=-1) + mass[..., -b:].sum(axis=-1)),
+        }
+        for weights, expected in slices.values():
+            assert _band_mass(x, weights) == pytest.approx(expected.max(), rel=1e-12, abs=0)
+            for row in np.ndindex(2, 3):
+                assert _band_mass(x[row], weights) == pytest.approx(expected[row], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+def test_leak_check_fires_just_above_the_tolerance(periodic):
+    # one point of one row holds the whole band mass, 1e-9 relative above or
+    # below LEAK_TOL; a periodic grid checks no edges
+    grid = Grid(((-8.0, 8.0), (0.0, 4.0)), (64, 4), periodic=periodic)
+    bands = _leak_bands(grid)
+    for d, m in enumerate(grid.points):
+        for in_momentum, index, error in ((True, m // 2, AliasingError), (False, 0, GridLeakError)):
+            for factor in (1.0 + 1e-9, 1.0 - 1e-9):
+                stacks = [np.zeros((2, 1, k), dtype=complex) for k in grid.points]
+                phats = [np.zeros_like(s) for s in stacks]
+                target = phats if in_momentum else stacks
+                target[d][1, 0, index] = np.sqrt(factor * LEAK_TOL / grid.spacing(d))
+                if factor > 1.0 and (in_momentum or not periodic):
+                    with pytest.raises(error, match=f"axis {d}"):
+                        _check_leaks(bands, phats, stacks)
+                else:
+                    _check_leaks(bands, phats, stacks)
+
+
 # ---------------------------------------------------------------------------
 # the in-place step against the out-of-place one, bit for bit
 
@@ -441,12 +510,13 @@ def out_of_place_exact(state, pair, n_steps, tau, grid, hbar=1.0):
         psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
         stacks.append(np.stack([psi0, psi0]))
         factors.append(_axis_factors(hs, grid, tau, hbar, d))
+    bands = _leak_bands(grid)
     values = np.empty(n_steps + 1, dtype=complex)
     values[0] = 1.0
     for n in range(1, n_steps + 1):
         phats = [np.fft.fft(s, norm="ortho") for s in stacks]
         stacks = [exp_v * np.fft.ifft(exp_t * phat, norm="ortho") for phat, (exp_t, exp_v) in zip(phats, factors)]
-        _check_leaks(grid, dx, phats, stacks)
+        _check_leaks(bands, phats, stacks)
         overlaps = [(np.conj(psi[0]) * psi[1]).sum(axis=-1) * h for psi, h in zip(stacks, dx)]
         values[n] = np.dot(weights, reduce(np.multiply, overlaps))
     return values
@@ -575,6 +645,48 @@ def test_momentum_aliasing_doubles_the_points_on_the_same_extent():
     assert np.array_equal(series.values, on_grown.values)
     fine = fidelity_exact(GROUND, STIFF, 100, 0.05, points=4096)
     assert np.max(np.abs(series.values - fine.values)) <= 1e-12
+    # the derived extent, given: it stays, and the points grow the same way
+    given = fidelity_exact(GROUND, STIFF, 100, 0.05, extent=first.extents[0])
+    assert given.meta == series.meta
+    assert np.array_equal(given.values, series.values)
+
+
+# the fast free packet of test_position_leak_detected, 40 steps: it travels
+# 32 and spreads to width 8
+FAST_PACKET = InitialState.gaussian([0.0], [4.0], [1.0])
+DRIFT = make_pair(FREE, hamiltonian_1d(quadratic_kinetic(1.0), polynomial_term(0.0, 1e-4)))
+LEAKS = {
+    "aliasing": (GROUND, STIFF, 100, 0.05, AliasingError),
+    "position": (FAST_PACKET, DRIFT, 40, 0.2, GridLeakError),
+}
+
+
+@pytest.mark.parametrize("leak, hints, grown", [
+    # the rule: a given hint stays, a left-out one may grow.  Aliasing needs
+    # free points; a position leak needs a free extent, and doubles the
+    # points too where they are free.  None: the leak is raised.
+    ("aliasing", {}, (1, (-8.0, 8.0), 128)),
+    ("aliasing", {"points": 64}, None),
+    ("aliasing", {"extent": (-10.0, 10.0)}, (1, (-10.0, 10.0), 128)),
+    ("aliasing", {"grid": Grid(((-8.0, 8.0),), (64,))}, None),
+    ("position", {}, (4, (-128.0, 128.0), 2048)),
+    ("position", {"points": 1024}, (4, (-128.0, 128.0), 1024)),
+    ("position", {"extent": (-10.0, 10.0)}, None),
+    ("position", {"grid": Grid(((-10.0, 10.0),), (512,))}, None),
+], ids=[f"{leak}-{hint}" for leak in LEAKS for hint in ("neither", "points", "extent", "grid")])
+def test_a_given_grid_hint_stays_fixed_and_a_left_out_one_grows(leak, hints, grown):
+    state, pair, n_steps, tau, error = LEAKS[leak]
+    if grown is None:
+        with pytest.raises(error):
+            fidelity_exact(state, pair, n_steps, tau, **hints)
+        return
+    series = fidelity_exact(state, pair, n_steps, tau, **hints)
+    growths, extent, points = grown
+    assert series.meta["grid_growths"] == growths
+    assert series.meta["grid_extents"] == (extent,)
+    assert series.meta["grid_points"] == (points,)
+    direct = fidelity_exact(state, pair, n_steps, tau, grid=Grid((extent,), (points,)))
+    assert np.array_equal(series.values, direct.values)
 
 
 def test_unchecked_run_stays_on_the_first_derived_grid():
