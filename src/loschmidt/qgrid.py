@@ -7,11 +7,16 @@ are uniform with power-of-two point counts, in any number of dimensions.
 Every Hamiltonian is separable and every Gaussian component a product over
 coordinates, so the step is a product of commuting one-axis steps, which
 ``fidelity_exact`` applies to stacks of 1-D wavefunctions, one stack per
-axis.  The step runs in place in per-axis buffers allocated once per call
-(``out=`` on ``np.fft``, NumPy 2.0), so no step allocates a stack-sized
-array.  Probability near the position edges or the Nyquist edge of the
-momentum grid aborts the run rather than silently aliasing; the check
-weighs each stack against band weights worked out once per run.
+axis.  The steps run in blocks (``_block_steps``: about 4096 numbers of the
+longest axis per block, 1 to 64 steps).  Each axis steps a whole block into
+a ring of slots allocated once per call (``out=`` on ``np.fft``, NumPy
+2.0), so no step allocates a stack-sized array; one batched overlap per
+axis then fills the block's amplitudes.  Probability near the position
+edges or the Nyquist edge of the momentum grid aborts the run rather than
+silently aliasing.  One band mass per axis and band screens each block
+against band weights worked out once per run, and a block that passes the
+screen's slightly lower threshold is replayed step by step, so the abort
+names the step and the mass that a per-step check would.
 
 The grid follows one rule.  A hint that is given (an extent, a point
 count, or an explicit ``Grid``, which gives both) stays fixed.  A hint that
@@ -34,6 +39,10 @@ from .states import GaussianComponent, InitialState
 
 DEFAULT_PAD_SIGMAS = 8.0
 LEAK_TOL = 1e-8
+# a block's screen sums a band in another order than the per-step check; over
+# at most 0.2 MAX_POINTS nonzero squares the two differ by < 3e-12 relative,
+# so a screen this far below LEAK_TOL misses no step that the check fails
+SCREEN_TOL = LEAK_TOL * (1.0 - 1e-10)
 EDGE_FRACTION = 0.05
 MAX_POINTS = 2**16  # per axis, where a derived grid stops growing
 
@@ -119,23 +128,28 @@ def grid_for_state(
     return Grid(tuple(extents), tuple(counts), periodic)
 
 
-def _grown(grid: Grid, leak: NumericalError, free_extent: bool, free_points: bool) -> Grid:
-    """The grid to rerun on after ``leak``.  An ``AliasingError`` needs free
-    points and a ``GridLeakError`` a free extent, which doubles about its
-    centre on every axis; free points double on every axis after either.
-    Raises ``leak`` when the hint it needs is fixed, and a leak of its type
-    naming ``grid`` when the next grid would pass ``MAX_POINTS``."""
+def _grown(
+    grid: Grid, leak: NumericalError, free_extent: bool, free_points: bool, growths: int
+) -> Grid:
+    """The grid to rerun on after ``leak`` on ``grid``, reached after
+    ``growths`` restarts.  An ``AliasingError`` needs free points and a
+    ``GridLeakError`` a free extent, which doubles about its centre on every
+    axis; free points double on every axis after either.  When the hint the
+    leak needs is fixed, or the next grid would pass ``MAX_POINTS``, raises a
+    leak of its type that names ``grid``, the growths and the reason."""
     position = isinstance(leak, GridLeakError)
+    reached = f"points {grid.points} on extents {grid.extents} (grid_growths = {growths})"
     if not (free_extent if position else free_points):
-        raise leak
+        fixed = "extent" if position else "point count"
+        raise type(leak)(
+            f"{leak}; grid reached: {reached}; its {fixed} was given, so it stays fixed"
+        ) from leak
     extents = grid.extents
     if position:
         extents = tuple((lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo)) for lo, hi in extents)
     points = tuple(2 * m for m in grid.points) if free_points else grid.points
     if max(points) > MAX_POINTS:
-        raise type(leak)(
-            f"{leak}; largest grid tried: points {grid.points} on extents {grid.extents}"
-        ) from leak
+        raise type(leak)(f"{leak}; largest grid tried: {reached}") from leak
     return Grid(extents, points, grid.periodic)
 
 
@@ -177,16 +191,17 @@ def _band_mass(stack: np.ndarray, weights: np.ndarray) -> float:
     return (np.square(stack.view(np.float64)) @ weights).max()
 
 
-def _check_leaks(bands: list, phats: list, stacks: list) -> None:
+def _check_leaks(bands: list, phats: list, stacks: list, at: str = "") -> None:
     """Largest probability, over branches and components, in the Nyquist band
     of each axis, then in the position edge bands of each axis, under the
-    ``_leak_bands`` rows; every row has discrete norm one."""
+    ``_leak_bands`` rows; every row has discrete norm one.  ``at`` names the
+    step in the message."""
     for d, (phat, (nyquist, _)) in enumerate(zip(phats, bands)):
         frac = _band_mass(phat, nyquist)
         if frac > LEAK_TOL:
             raise AliasingError(
                 f"momentum probability {frac:.3e} near the Nyquist edge "
-                f"of axis {d}; enlarge the grid or reduce tau"
+                f"of axis {d}{at}; enlarge the grid or reduce tau"
             )
     for d, (psi, (_, edges)) in enumerate(zip(stacks, bands)):
         if edges is None:  # periodic: no edges
@@ -195,8 +210,30 @@ def _check_leaks(bands: list, phats: list, stacks: list) -> None:
         if frac > LEAK_TOL:
             raise GridLeakError(
                 f"position probability {frac:.3e} within "
-                f"{EDGE_FRACTION:.0%} of the edges of axis {d}"
+                f"{EDGE_FRACTION:.0%} of the edges of axis {d}{at}"
             )
+
+
+def _check_block(bands: list, phats: list, stacks: list, first: int, tau: float) -> None:
+    """``_check_leaks`` on a block of steps ``first``, ``first + 1``, ...,
+    stacked along the leading axis of each per-axis array: one band mass per
+    axis and band screens the whole block, and only a block with a mass
+    above ``SCREEN_TOL`` is replayed step by step, so the first leak raised
+    is the one the per-step check raises."""
+    masses = [_band_mass(phat, nyquist) for phat, (nyquist, _) in zip(phats, bands)]
+    masses += [
+        _band_mass(psi, edges) for psi, (_, edges) in zip(stacks, bands) if edges is not None
+    ]
+    if max(masses) > SCREEN_TOL:
+        for j in range(len(stacks[0])):
+            at = f" at step {first + j} (t = {(first + j) * tau:g})"
+            _check_leaks(bands, [phat[j] for phat in phats], [psi[j] for psi in stacks], at)
+
+
+def _block_steps(grid: Grid, components: int) -> int:
+    """Steps per block: a slot of one axis holds 2 K M_d numbers, and a block
+    about 4096 of them on its longest axis (64 KiB), at most 64 steps."""
+    return max(1, min(64, 4096 // (2 * components * max(grid.points))))
 
 
 def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray:
@@ -208,29 +245,41 @@ def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray
     hs = (pair.h_prime, pair.h_double_prime)
     dx = [grid.spacing(d) for d in range(grid.dims)]
     bands = _leak_bands(grid)
-    stacks, factors = [], []
+    block = _block_steps(grid, len(comps))
+    rings, factors = [], []
     for d in range(grid.dims):
         psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
-        stacks.append(np.stack([psi0, psi0]))
+        rings.append(np.broadcast_to(psi0, (block + 1, 2, *psi0.shape)).copy())
         factors.append(_axis_factors(hs, grid, tau, hbar, d))
 
-    phats = [np.empty_like(s) for s in stacks]
-    rows = [np.empty_like(s[0]) for s in stacks]
+    phats = [np.empty_like(ring[1:]) for ring in rings]
+    rows = [np.empty_like(ring[1:, 0]) for ring in rings]
+    # one view per slot, made once: indexing the rings costs a call per step
+    slots = [(list(ring), list(phat), f) for ring, phat, f in zip(rings, phats, factors)]
     values = np.empty(config.n_steps + 1, dtype=complex)
     values[0] = 1.0
-    for n in range(1, config.n_steps + 1):
-        for stack, phat, (exp_t, exp_v) in zip(stacks, phats, factors):
-            np.fft.fft(stack, norm="ortho", out=phat)
-            np.multiply(exp_t, phat, out=stack)
-            np.fft.ifft(stack, norm="ortho", out=stack)
-            np.multiply(exp_v, stack, out=stack)
+    last = 0  # the slot holding the latest step
+    for n in range(1, config.n_steps + 1, block):
+        used = min(block, config.n_steps + 1 - n)
+        for psis, hats, (exp_t, exp_v) in slots:
+            for psi, phat, nxt in zip([psis[last], *psis[1:used]], hats, psis[1 : used + 1]):
+                np.fft.fft(psi, norm="ortho", out=phat)
+                np.multiply(exp_t, phat, out=nxt)
+                np.fft.ifft(nxt, norm="ortho", out=nxt)
+                np.multiply(exp_v, nxt, out=nxt)
+        stacks = [ring[1 : used + 1] for ring in rings]
         if check_leaks:
-            _check_leaks(bands, phats, stacks)
+            _check_block(bands, [phat[:used] for phat in phats], stacks, n, tau)
         overlaps = [
-            np.multiply(np.conj(psi[0], out=w), psi[1], out=w).sum(axis=-1) * h
-            for psi, w, h in zip(stacks, rows, dx)
+            np.multiply(np.conj(psi[:, 0], out=w), psi[:, 1], out=w).sum(axis=-1) * h
+            for psi, w, h in zip(stacks, (row[:used] for row in rows), dx)
         ]
-        values[n] = np.dot(weights, reduce(np.multiply, overlaps))
+        prod = reduce(np.multiply, overlaps)
+        # a batched component sum adds in another order than np.dot, whose
+        # bits every series keeps; one component has nothing to add
+        sums = prod @ weights if len(weights) == 1 else [np.dot(weights, p) for p in prod]
+        values[n : n + used] = sums
+        last = used
     return values
 
 
@@ -246,13 +295,20 @@ def fidelity_exact(
     states stay products and, by linearity of the trace,
     f(n) = sum_k w_k prod_d <psi'_{k,d}(n)|psi''_{k,d}(n)>.  Axis d holds one
     stack of 1-D wavefunctions (2 branches, K components, M_d points) that
-    one batched FFT pair steps in place, with a momentum buffer of the
-    stack's shape and a (K, M_d) overlap row allocated once per axis.
-    f(0) = 1 by construction.  The run fields are checked and recorded as
-    an ``EstimatorConfig`` without ensemble.  Unless ``check_leaks`` is
-    false, each step checks the Nyquist band of every axis, then the
-    position edge bands of every axis (not on a periodic grid), dividing the
-    band probability by the discrete norm, which is one.
+    one batched FFT pair steps, in blocks of ``_block_steps`` =
+    max(1, min(64, 4096 // (2 K max_d M_d))) steps: every axis steps the
+    block into a ring of block + 1 slots, with block momentum slots and a
+    (block, K, M_d) overlap buffer, all allocated once per axis; one batched
+    overlap per axis then gives the block's amplitudes, and the next block
+    steps on from the block's last slot.  f(0) = 1 by construction.  The run
+    fields are checked and recorded as an ``EstimatorConfig`` without
+    ensemble.  Unless ``check_leaks`` is false, each step is checked for
+    probability in the Nyquist band of every axis, then in the position edge
+    bands of every axis (not on a periodic grid), dividing the band
+    probability by the discrete norm, which is one.  One band mass per axis
+    and band screens a whole block at ``SCREEN_TOL``, just below
+    ``LEAK_TOL``; a block above it is replayed step by step, and the first
+    step above ``LEAK_TOL`` raises, naming its axis, its mass and its step.
 
     The run takes ``grid``, else ``grid_for_state(state, points, hbar=hbar,
     extent=extent, periodic=periodic)``: ``points`` and ``extent`` hold on
@@ -262,7 +318,8 @@ def fidelity_exact(
     after an ``AliasingError``, and twice every extent about its centre
     after a ``GridLeakError``, with twice the points too if they are free.
     A leak whose hint is fixed is raised, and so is a leak on a grid whose
-    next size would pass ``MAX_POINTS`` points per axis, naming that grid.
+    next size would pass ``MAX_POINTS`` points per axis; either names the
+    grid it reached, the number of growths and why it stopped.
     The meta records the grid of the series and ``grid_growths``, the
     number of restarts.
     """
@@ -279,7 +336,7 @@ def fidelity_exact(
             values = _propagate(state, pair, config, grid, check_leaks)
             break
         except (AliasingError, GridLeakError) as leak:
-            grid, growths = _grown(grid, leak, free_extent, free_points), growths + 1
+            grid, growths = _grown(grid, leak, free_extent, free_points, growths), growths + 1
     return config.series(
         "exact", values, grid_points=grid.points, grid_extents=grid.extents, grid_growths=growths
     )

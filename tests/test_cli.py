@@ -395,6 +395,18 @@ def test_periodic_run_without_grid_points_grows_its_points_on_the_period(tmp_pat
     assert np.max(np.abs(read_series(out / "exact.csv").values - expected)) <= 1e-12
 
 
+def test_periodic_run_on_too_few_given_points_names_the_leaking_step(tmp_path, capsys):
+    # grid_points = 64 is given, so it stays; the momenta reach the Nyquist
+    # band at step 5, inside the first block of steps
+    text = KICKED_ROTOR_INLINE_CFG.replace("grid_points = 1024", "grid_points = 64") + "periodic = true\n"
+    out_dir = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(out_dir)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "momentum probability 2.768e-08 near the Nyquist edge of axis 0 at step 5 (t = 5)" in err
+    assert "grid reached: points (64,)" in err and "its point count was given" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("value", ["false", "no", "0"])
 def test_periodic_key_false_keeps_the_edge_check(tmp_path, capsys, value):
     # the kicked packet reaches the edges of [0, 2 pi]; only a periodic grid

@@ -24,10 +24,13 @@ from loschmidt.qgrid import (
     GridLeakError,
     _axis_factors,
     _band_mass,
+    _block_steps,
+    _check_block,
     _check_leaks,
     _gaussian_factor,
     _leak_bands,
     LEAK_TOL,
+    SCREEN_TOL,
     fidelity_exact,
     grid_for_state,
 )
@@ -446,10 +449,11 @@ def test_fidelity_starts_at_exactly_one(state, pair, grid):
 def test_two_dimensional_leak_names_first_axis_at_first_step(
     pair, state, grid, tau, n_steps, error, first_step
 ):
-    # axes step in lockstep: axis 0 of the free packet leaks too, but only at
-    # step 10, so running each axis through all steps in turn would blame it
+    # the checks run step by step over all axes: axis 0 of the free packet
+    # leaks too, but only at step 10, so checking each axis through all
+    # steps in turn would blame it
     fidelity_exact(state, pair, first_step - 1, tau, grid=grid)
-    with pytest.raises(error, match="axis 1"):
+    with pytest.raises(error, match=f"axis 1 at step {first_step} "):
         fidelity_exact(state, pair, n_steps, tau, grid=grid)
 
 
@@ -500,7 +504,8 @@ def test_leak_check_fires_just_above_the_tolerance(periodic):
 
 def out_of_place_exact(state, pair, n_steps, tau, grid, hbar=1.0):
     """The step with a fresh array for every operation, as it was before
-    ``fidelity_exact`` stepped in place: same factors, overlaps and weights."""
+    ``fidelity_exact`` stepped in place and in blocks: same factors,
+    overlaps and weights, and the leak check after every step."""
     comps = state.components
     weights = np.array([c.weight for c in comps])
     hs = (pair.h_prime, pair.h_double_prime)
@@ -516,7 +521,7 @@ def out_of_place_exact(state, pair, n_steps, tau, grid, hbar=1.0):
     for n in range(1, n_steps + 1):
         phats = [np.fft.fft(s, norm="ortho") for s in stacks]
         stacks = [exp_v * np.fft.ifft(exp_t * phat, norm="ortho") for phat, (exp_t, exp_v) in zip(phats, factors)]
-        _check_leaks(bands, phats, stacks)
+        _check_leaks(bands, phats, stacks, f" at step {n} (t = {n * tau:g})")
         overlaps = [(np.conj(psi[0]) * psi[1]).sum(axis=-1) * h for psi, h in zip(stacks, dx)]
         values[n] = np.dot(weights, reduce(np.multiply, overlaps))
     return values
@@ -556,6 +561,129 @@ def test_in_place_step_keeps_the_out_of_place_bits(monkeypatch, state, pair, n_s
     assert np.array_equal(first, reference)
     assert np.array_equal(second, first)
     assert buffers and not any(np.shares_memory(first, b) for b in buffers)
+
+
+# ---------------------------------------------------------------------------
+# block stepping: block edges, the screen and the replay
+
+MIXTURE = InitialState((GaussianComponent([0.5], [0.0], [1.0], 0.5),
+                        GaussianComponent([-0.5], [0.5], [1.0], 0.5)))
+BLOCK_CASES = {
+    # name: state, pair, grid, steps per block
+    "one_d_64": (GROUND, displaced_ho_pair(), grid_for_state(GROUND), 32),
+    "two_components_64": (MIXTURE, displaced_ho_pair(), grid_for_state(MIXTURE), 16),
+    "two_d_256": (STATE_2D, displaced_ho_pair(dims=2), grid_for_state(STATE_2D, points=256), 8),
+    "two_d_two_components": (MIXTURE_2D, PAIR_2D, GRID_2D, 4),
+    "periodic_1024": (ROTOR.state, ROTOR.pair, Grid((ROTOR.grid_extent,), (1024,), periodic=True), 2),
+}
+
+
+@pytest.mark.parametrize("check_leaks", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("state, pair, grid, block", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_every_block_edge_keeps_the_out_of_place_bits(state, pair, grid, block, check_leaks):
+    assert _block_steps(grid, len(state.components)) == block
+    tau = ROTOR.tau if grid.periodic else 0.05
+    for n_steps in (0, 1, block - 1, block, block + 1, 3 * block + 2):
+        reference = out_of_place_exact(state, pair, n_steps, tau, grid)
+        series = fidelity_exact(state, pair, n_steps, tau, grid=grid, check_leaks=check_leaks)
+        assert series.values.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes(), n_steps
+
+
+def test_block_size_rule():
+    # about 4096 numbers (64 KiB) of the longest axis per block, 1 to 64 steps
+    assert _block_steps(Grid(((0.0, 1.0),), (2,)), 1) == 64
+    assert _block_steps(Grid(((0.0, 1.0),) * 2, (64, 4096)), 1) == 1
+    assert _block_steps(Grid(((0.0, 1.0),), (64,)), 3) == 10
+
+
+def synthetic_block(grid, steps):
+    """Zero stacks of ``steps`` steps per axis, as ``_check_block`` takes
+    them: momenta and positions, each (steps, 2 branches, 1 component, M)."""
+    stacks = [np.zeros((steps, 2, 1, m), dtype=complex) for m in grid.points]
+    return [np.zeros_like(s) for s in stacks], stacks
+
+
+def put_mass(target, grid, d, j, index, factor):
+    """Give row (step j, branch 1, component 0) of axis d the band mass
+    ``factor * LEAK_TOL``, all at one point."""
+    target[d][j, 1, 0, index] = np.sqrt(factor * LEAK_TOL / grid.spacing(d))
+
+
+def test_block_replay_raises_the_first_step_nyquist_before_edges():
+    grid = Grid(((-8.0, 8.0), (0.0, 4.0)), (64, 4))
+    bands = _leak_bands(grid)
+    phats, stacks = synthetic_block(grid, 6)
+    put_mass(stacks, grid, 1, 1, 0, 2.0)  # step 2: an edge leak on axis 1
+    put_mass(phats, grid, 0, 4, 32, 2.0)  # step 5: a Nyquist leak on axis 0
+    with pytest.raises(GridLeakError, match=r"axis 1 at step 2 \(t = 0\.1\)$"):
+        _check_block(bands, phats, stacks, 1, 0.05)
+    # within a step the Nyquist bands come first, on any axis
+    put_mass(phats, grid, 1, 1, 2, 2.0)
+    with pytest.raises(AliasingError, match=r"axis 1 at step 2 \(t = 0\.1\);"):
+        _check_block(bands, phats, stacks, 1, 0.05)
+    # the steps are numbered from the block's first
+    with pytest.raises(AliasingError, match="at step 12 "):
+        _check_block(bands, phats, stacks, 11, 0.05)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+def test_block_screen_fires_just_above_the_tolerance_at_any_step(periodic):
+    # one point of one row in one step holds the whole band mass, 1e-9
+    # relative above or below LEAK_TOL; below, the screen may replay the
+    # block, and the replay passes
+    grid = Grid(((-8.0, 8.0), (0.0, 4.0)), (64, 4), periodic=periodic)
+    bands = _leak_bands(grid)
+    assert LEAK_TOL * (1.0 - 1e-9) < SCREEN_TOL < LEAK_TOL
+    for d, m in enumerate(grid.points):
+        for in_momentum, index, error in ((True, m // 2, AliasingError), (False, 0, GridLeakError)):
+            for j in (0, 2, 4):
+                for factor in (1.0 + 1e-9, 1.0 - 1e-9):
+                    phats, stacks = synthetic_block(grid, 5)
+                    put_mass(phats if in_momentum else stacks, grid, d, j, index, factor)
+                    if factor > 1.0 and (in_momentum or not periodic):
+                        with pytest.raises(error, match=f"axis {d} at step {7 + j} "):
+                            _check_block(bands, phats, stacks, 7, 0.05)
+                    else:
+                        _check_block(bands, phats, stacks, 7, 0.05)
+
+
+LEAK_CASES = {
+    # name: state, pair, n_steps, tau, grid
+    "position": (InitialState.gaussian([0.0], [4.0], [1.0]),
+                 make_pair(FREE, hamiltonian_1d(quadratic_kinetic(1.0), polynomial_term(0.0, 1e-4))),
+                 100, 0.2, Grid(((-10.0, 10.0),), (512,))),
+    "aliasing": (GROUND, make_pair(hamiltonian_1d(quadratic_kinetic(1.0), harmonic_potential(4000.0)),
+                                   HARMONIC), 50, 0.5, Grid(((-8.0, 8.0),), (64,))),
+    "rotor_64": (ROTOR.state, ROTOR.pair, 50, 1.0, Grid((ROTOR.grid_extent,), (64,), periodic=True)),
+    "two_components_position": (MIXTURE, make_pair(FREE, FREE), 200, 0.2, grid_for_state(MIXTURE)),
+    "two_d_aliasing": (STATE_2D, make_pair(
+        SeparableHamiltonian((KIN, KIN), (harmonic_potential(1.0), harmonic_potential(4000.0))),
+        SeparableHamiltonian((KIN, KIN), (harmonic_potential(1.0),) * 2)), 50, 0.5,
+        Grid(((-8.0, 8.0), (-8.0, 8.0)), (256, 64))),
+}
+
+
+@pytest.mark.parametrize("state, pair, n_steps, tau, grid", LEAK_CASES.values(), ids=LEAK_CASES.keys())
+def test_block_leak_raises_what_the_per_step_check_raises(state, pair, n_steps, tau, grid):
+    # same type, axis, mass and first step: the message of the step-by-step
+    # reference, then the grid it was raised on
+    with pytest.raises((AliasingError, GridLeakError)) as reference:
+        out_of_place_exact(state, pair, n_steps, tau, grid)
+    with pytest.raises(reference.type) as blocked:
+        fidelity_exact(state, pair, n_steps, tau, grid=grid)
+    assert str(blocked.value).startswith(f"{reference.value}; grid reached: points {grid.points}")
+
+
+def test_periodic_rotor_on_64_fixed_points_leaks_at_step_5():
+    # the kicked rotor of tests/test_cli.py with grid_points = 64: the kicks
+    # push the momenta into the Nyquist band in the first block
+    grid = Grid((ROTOR.grid_extent,), (64,), periodic=True)
+    assert _block_steps(grid, 1) == 32
+    fidelity_exact(ROTOR.state, ROTOR.pair, 4, 1.0, grid=grid)
+    with pytest.raises(AliasingError, match=r"probability 2\.768e-08 .* axis 0 at step 5 \(t = 5\);"):
+        fidelity_exact(ROTOR.state, ROTOR.pair, 50, 1.0, grid=grid)
+    with pytest.raises(AliasingError, match="at step 5 .*its point count was given"):
+        fidelity_exact(ROTOR.state, ROTOR.pair, 50, 1.0, points=64, extent=ROTOR.grid_extent, periodic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -705,3 +833,20 @@ def test_unchecked_run_stays_on_the_first_derived_grid():
 def test_growth_stops_at_the_cap_naming_the_largest_grid_tried(state, pair, tau, error):
     with pytest.raises(error, match=rf"largest grid tried: points \({MAX_POINTS},\) on"):
         fidelity_exact(state, pair, 50, tau)
+
+
+def test_a_leak_whose_hint_is_fixed_names_the_grid_it_reached():
+    # the free packet outruns five doublings of the extent, to +-256; on the
+    # 1024 points it was given, the momenta then reach the Nyquist band
+    with pytest.raises(AliasingError) as leak:
+        fidelity_exact(FAST_PACKET, make_pair(FREE, FREE), 100, 0.2, points=1024)
+    assert str(leak.value) == (
+        "momentum probability 9.747e-03 near the Nyquist edge of axis 0 at step 1 (t = 0.2); "
+        "enlarge the grid or reduce tau; grid reached: points (1024,) on extents "
+        "((-256.0, 256.0),) (grid_growths = 5); its point count was given, so it stays fixed"
+    )
+    # a given grid names itself, after no growth, with its extent fixed
+    with pytest.raises(GridLeakError, match=r"at step \d+ \(t = [\d.]+\); grid reached: points "
+                       r"\(512,\) on extents \(\(-10\.0, 10\.0\),\) \(grid_growths = 0\); "
+                       r"its extent was given, so it stays fixed"):
+        fidelity_exact(FAST_PACKET, DRIFT, 100, 0.2, grid=Grid(((-10.0, 10.0),), (512,)))
