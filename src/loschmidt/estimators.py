@@ -132,10 +132,11 @@ class EstimatorConfig:
 def _moments(starts, counts, z, theta):
     """Sum S_b and two-pass moment M2_b = sum |z - S_b / n_b|^2 of each batch
     b of ``z``, which starts at starts[b] and holds counts[b] samples.
-    Overwrites z with the deviations and the float buffer ``theta`` of z's
-    length with their squared moduli."""
+    Overwrites z with the deviations, batch by batch in place, and the float
+    buffer ``theta`` of z's length with their squared moduli."""
     sums = np.add.reduceat(z, starts)
-    np.subtract(z, np.repeat(sums / counts, counts), out=z)
+    for lo, n, mean in zip(starts.tolist(), counts.tolist(), sums / counts):
+        z[lo : lo + n] -= mean
     np.abs(z, out=theta)
     np.square(theta, out=theta)
     return sums, np.add.reduceat(theta, starts)
@@ -146,13 +147,15 @@ def _merge_moments(sums: np.ndarray, m2s: np.ndarray, counts: np.ndarray):
     ``_moments`` of their batches, one column per batch in batch order.  The
     spread sum_b [M2_b + n_b |S_b / n_b - mean|^2] is the pairwise merge of
     Chan, Golub and LeVeque (1983), with the real and imaginary variances
-    combined in quadrature."""
+    combined in quadrature.  A diverging ensemble gives inf or nan without
+    a numpy warning; the series' checks report it."""
     n = int(counts.sum())
-    mean = sums.sum(axis=1) / n
-    if n < 2:
-        return mean, np.zeros(len(mean))
-    spread = (m2s + counts * np.abs(sums / counts - mean[:, None]) ** 2).sum(axis=1)
-    return mean, np.sqrt(spread / (n - 1) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = sums.sum(axis=1) / n
+        if n < 2:
+            return mean, np.zeros(len(mean))
+        spread = (m2s + counts * np.abs(sums / counts - mean[:, None]) ** 2).sum(axis=1)
+        return mean, np.sqrt(spread / (n - 1) / n)
 
 
 _BOOTSTRAP_RESAMPLES = 400
@@ -249,13 +252,17 @@ def _run_chunks(tasks, stop) -> list:
 def _chunk_moments(steps, starts, counts, stop):
     """The ``_moments`` of every step of the generator ``steps``, stacked
     over the steps.  Sets the event ``stop`` on any exception and ends once
-    it is set, so a failing chunk stops the others after their current step."""
+    it is set, so a failing chunk stops the others after their current step.
+    Overflow and invalid values raise no numpy warning in the thread that
+    runs the chunk: the divergence guard or the series' checks report a
+    diverging ensemble."""
     rows = []
     try:
-        for arrays in steps:
-            rows.append(_moments(starts, counts, *arrays))
-            if stop.is_set():
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for arrays in steps:
+                rows.append(_moments(starts, counts, *arrays))
+                if stop.is_set():
+                    break
     except BaseException:
         stop.set()
         raise

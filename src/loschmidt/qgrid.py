@@ -9,14 +9,18 @@ coordinates, so the step is a product of commuting one-axis steps, which
 ``fidelity_exact`` applies to stacks of 1-D wavefunctions, one stack per
 axis.  The steps run in blocks (``_block_steps``: about 4096 numbers of the
 longest axis per block, 1 to 64 steps).  Each axis steps a whole block into
-a ring of slots allocated once per call (``out=`` on ``np.fft``, NumPy
-2.0), so no step allocates a stack-sized array; one batched overlap per
-axis then fills the block's amplitudes.  Probability near the position
-edges or the Nyquist edge of the momentum grid aborts the run rather than
-silently aliasing.  One band mass per axis and band screens each block
-against band weights worked out once per run, and a block that passes the
-screen's slightly lower threshold is replayed step by step, so the abort
-names the step and the mass that a per-step check would.
+a ring of slots allocated once per call, so no step allocates a stack-sized
+array.  The FFT pair is ``numpy.fft._pocketfft_umath.fft(psi, fct,
+out=phat)`` and ``.ifft(nxt, fct, out=nxt)``, the gufuncs that
+``np.fft.fft`` and ``np.fft.ifft`` call (NumPy 2.0), with norm="ortho"'s
+factor fct = 1/sqrt(M_d), but without np.fft's per-call Python.  One
+batched overlap per axis then fills the block's amplitudes.  Probability
+near the position edges or the Nyquist edge of the momentum grid aborts
+the run rather than silently aliasing.  One band mass per axis and band
+screens each block against band weights worked out once per run, and a
+block that passes the screen's slightly lower threshold is replayed step
+by step, so the abort names the step and the mass that a per-step check
+would.
 
 The grid follows one rule.  A hint that is given (an extent, a point
 count, or an explicit ``Grid``, which gives both) stays fixed.  A hint that
@@ -239,6 +243,10 @@ def _block_steps(grid: Grid, components: int) -> int:
 def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray:
     """The amplitude at steps 0 to n_steps on ``grid``, as fidelity_exact
     describes it."""
+    # the gufuncs that np.fft.fft and np.fft.ifft call, without their per-call
+    # Python; imported here, so that importing the package loads no numpy.fft
+    from numpy.fft import _pocketfft_umath as pocketfft
+
     tau, hbar = config.tau, config.hbar
     comps = state.components
     weights = np.array([c.weight for c in comps])
@@ -250,7 +258,9 @@ def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray
     for d in range(grid.dims):
         psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
         rings.append(np.broadcast_to(psi0, (block + 1, 2, *psi0.shape)).copy())
-        factors.append(_axis_factors(hs, grid, tau, hbar, d))
+        exp_t, exp_v = _axis_factors(hs, grid, tau, hbar, d)
+        # norm="ortho"'s factor, computed as np.fft computes it
+        factors.append((exp_t, exp_v, np.reciprocal(np.sqrt(grid.points[d], dtype=np.float64))))
 
     phats = [np.empty_like(ring[1:]) for ring in rings]
     rows = [np.empty_like(ring[1:, 0]) for ring in rings]
@@ -261,11 +271,11 @@ def _propagate(state, pair, config, grid: Grid, check_leaks: bool) -> np.ndarray
     last = 0  # the slot holding the latest step
     for n in range(1, config.n_steps + 1, block):
         used = min(block, config.n_steps + 1 - n)
-        for psis, hats, (exp_t, exp_v) in slots:
+        for psis, hats, (exp_t, exp_v, fct) in slots:
             for psi, phat, nxt in zip([psis[last], *psis[1:used]], hats, psis[1 : used + 1]):
-                np.fft.fft(psi, norm="ortho", out=phat)
+                pocketfft.fft(psi, fct, out=phat)
                 np.multiply(exp_t, phat, out=nxt)
-                np.fft.ifft(nxt, norm="ortho", out=nxt)
+                pocketfft.ifft(nxt, fct, out=nxt)
                 np.multiply(exp_v, nxt, out=nxt)
         stacks = [ring[1 : used + 1] for ring in rings]
         if check_leaks:
@@ -295,7 +305,11 @@ def fidelity_exact(
     states stay products and, by linearity of the trace,
     f(n) = sum_k w_k prod_d <psi'_{k,d}(n)|psi''_{k,d}(n)>.  Axis d holds one
     stack of 1-D wavefunctions (2 branches, K components, M_d points) that
-    one batched FFT pair steps, in blocks of ``_block_steps`` =
+    one batched FFT pair steps: ``pocketfft.fft(psi, fct, out=phat)`` and
+    ``pocketfft.ifft(nxt, fct, out=nxt)``, the gufuncs of
+    ``numpy.fft._pocketfft_umath`` that ``np.fft.fft`` and ``np.fft.ifft``
+    call, with fct = 1/sqrt(M_d) as norm="ortho" computes it, which gives
+    np.fft's bits.  The steps run in blocks of ``_block_steps`` =
     max(1, min(64, 4096 // (2 K max_d M_d))) steps: every axis steps the
     block into a ring of block + 1 slots, with block momentum slots and a
     (block, K, M_d) overlap buffer, all allocated once per axis; one batched

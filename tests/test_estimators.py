@@ -644,6 +644,56 @@ def test_batch_moments_merge_to_the_same_bits_for_any_split(n, seed, data):
     assert abs(whole[1][0] - reference) <= 4e-16 * reference
 
 
+def repeat_moments(starts, counts, z, theta):
+    """``_moments`` as it was, subtracting an ensemble-sized array of the
+    repeated batch means."""
+    sums = np.add.reduceat(z, starts)
+    np.subtract(z, np.repeat(sums / counts, counts), out=z)
+    np.abs(z, out=theta)
+    np.square(theta, out=theta)
+    return sums, np.add.reduceat(theta, starts)
+
+
+@pytest.mark.parametrize("n", [1, 31, 33, 1000, 100_000])
+def test_batch_moments_subtract_in_place_with_the_bits_of_the_repeat(n):
+    # same sums, moments, deviations and squared moduli, and no complex
+    # ensemble-sized temporary: the peak inside the call stays below one
+    rng = np.random.default_rng(n)
+    z = rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    edges = np.array(estimators._batch_edges(n))
+    starts, counts = edges[:-1], np.diff(edges)
+    z_ref, theta_ref, theta = z.copy(), np.empty(n), np.empty(n)
+    reference = repeat_moments(starts, counts, z_ref, theta_ref)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        moments = estimators._moments(starts, counts, z, theta)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    for got, want in zip((*moments, z, theta), (*reference, z_ref, theta_ref)):
+        assert got.tobytes() == want.tobytes()
+    if n >= 1000:
+        assert peak < z.nbytes // 2, peak
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_diverging_thimble_raises_without_numpy_warnings(monkeypatch, cpus):
+    # the CI diverge config at 800 steps: its moments overflow long after
+    # the guard's step; one chunk, then two, one of them on a pool thread
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    kin = quadratic_kinetic(1.0)
+    pair = make_pair(hamiltonian_1d(kin, polynomial_term(0.0, 0.0, 0.5)),
+                     hamiltonian_1d(kin, polynomial_term(0.0, 0.0, 0.125)))
+    cfg = config(n_traj=20000, seed=1, tau=0.05, n_steps=800)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ThimbleDivergenceError, match=r"diverged at step 104 \(t = 5\.2\)"):
+            f2_mc(STD_GAUSSIAN, pair, cfg)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
 def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
     # a smaller chunk floor lets 1e5 trajectories split three ways, into 10,
     # 11 and 11 of the 32 error batches

@@ -1,9 +1,12 @@
+import subprocess
+import sys
 from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.fft import _pocketfft_umath as pocketfft
 
 from loschmidt.estimators import EstimatorConfig, f2_gaussian_chain
 from loschmidt.hamiltonians import (
@@ -545,22 +548,50 @@ IN_PLACE_CASES = {
 def test_in_place_step_keeps_the_out_of_place_bits(monkeypatch, state, pair, n_steps, grid):
     grid = grid or grid_for_state(state, points=4096)
     reference = out_of_place_exact(state, pair, n_steps, 0.05, grid)
-    buffers = []
+    buffers = {}
 
-    def recording(func):
+    def recording(name, func):
         def wrapper(*args, **kwargs):
-            buffers.append(kwargs["out"])
+            buffers.setdefault(name, []).append(kwargs["out"])
             return func(*args, **kwargs)
         return wrapper
 
-    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np, "conj")):
-        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    # the stepper calls the gufuncs under np.fft.fft and np.fft.ifft
+    for module, name in ((pocketfft, "fft"), (pocketfft, "ifft"), (np, "conj")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     first = fidelity_exact(state, pair, n_steps, 0.05, grid=grid).values
     monkeypatch.undo()
     second = fidelity_exact(state, pair, n_steps, 0.05, grid=grid).values
     assert np.array_equal(first, reference)
     assert np.array_equal(second, first)
-    assert buffers and not any(np.shares_memory(first, b) for b in buffers)
+    assert sorted(buffers) == ["conj", "fft", "ifft"]
+    assert not any(np.shares_memory(first, b) for bs in buffers.values() for b in bs)
+
+
+@pytest.mark.parametrize("m", [2, 64, 128, 1024])
+@pytest.mark.parametrize("k", [1, 2])
+def test_pocketfft_gufuncs_keep_the_bits_of_np_fft_ortho(k, m):
+    # on the stepper's slots, (block, 2 branches, K, M): the forward call
+    # into a momentum slot and the inverse in place, with norm="ortho"'s
+    # factor, which is no power of two at M = 2 and 128
+    block = _block_steps(Grid(((0.0, 1.0),), (m,)), k)
+    rng = np.random.default_rng(m + k)
+    psi = rng.normal(size=(block, 2, k, m)) + 1j * rng.normal(size=(block, 2, k, m))
+    fct = np.reciprocal(np.sqrt(m, dtype=np.float64))
+    phat = np.empty_like(psi)
+    pocketfft.fft(psi, fct, out=phat)
+    assert phat.tobytes() == np.fft.fft(psi, norm="ortho").tobytes()
+    back = phat.copy()
+    pocketfft.ifft(back, fct, out=back)
+    assert back.tobytes() == np.fft.ifft(phat, norm="ortho").tobytes()
+
+
+def test_importing_the_package_loads_no_numpy_fft():
+    # numpy.fft loads with the first grid run, not with the package
+    code = "import sys, loschmidt; print('numpy' in sys.modules, 'numpy.fft' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 # ---------------------------------------------------------------------------
