@@ -26,15 +26,21 @@ and the chain are deterministic.  The Monte Carlo reductions run over
 fixed, index-ordered batches, so results are the same bits for a given seed
 however work is scheduled.  ``f1_dr`` and the thimble ``f2_mc`` make one
 call, ``_ensemble_series``, with or without a kick.  It cuts an ensemble of
-at least 2 * ``_MIN_CHUNK_TRAJ`` trajectories into chunks of whole batches,
-one per CPU the process may run on, each a generator of its phasors stepped
-and reduced on a thread of its own (numpy releases the GIL in its array
-loops); a chunk that raises, or an interrupt while the caller waits for the
-pool, stops the others after their current step.  Every draw is keyed by its
-batch and every sum runs in batch order, so the results are the same bits
-for any CPU count.  Each chunk steps in buffers it allocates once, so a step
-takes no fresh ensemble-sized array (and no page fault).
-Within one series the time steps reuse a single path ensemble, so errors are
+at least 2 * ``_CHUNK_TRAJ`` trajectories into chunks of whole batches,
+about ``_CHUNK_TRAJ`` each, each a generator of its phasors stepped and
+reduced from the first step to the last.  Each CPU the process may run on
+works a contiguous run of the chunks on a thread of its own (numpy releases
+the GIL in its array loops), so at most one chunk per CPU holds buffers; a
+chunk that raises, or an interrupt while the caller waits for the pool,
+stops the others after their current step, and no chunk starts after that.
+Every draw is keyed by its batch and every sum runs in batch order, so the
+results are the same bits for any CPU count.  A chunk steps in its slice of
+the sample and in buffers it allocates once, so a step takes no fresh
+ensemble-sized array (and no page fault), and peak memory is the sample, 16
+bytes per trajectory and coordinate, plus a few chunks, whatever n_traj is:
+a running chunk of one coordinate holds about 40 bytes per trajectory for
+``f1_dr`` and 100 for the thimble.  The real-axis ``f2_mc`` stays one chunk
+of the whole ensemble, as its weights and its bootstrap span it.  Within one series the time steps reuse a single path ensemble, so errors are
 correlated across time (flagged in the metadata).  The thimble's standard
 error can grow faster than exponentially with the strength of the
 perturbation; ``f2_mc`` raises ``ThimbleDivergenceError`` at the first step
@@ -61,10 +67,11 @@ DEFAULT_ERROR_BATCHES = 32
 # f2_mc proposal width in units of hbar * sqrt(pi * |a_n|)
 PROPOSAL_WIDTH_FACTOR = 2.0
 _SINGULAR_RTOL = 1e-12
-# an ensemble is split only into chunks of about this many trajectories or
-# more, as a chunk pays a thread and, on every step, the fixed cost of each
-# numpy call; a floor of 2500 gained nothing on the preset sweep (2 CPUs)
-_MIN_CHUNK_TRAJ = 50_000
+# an ensemble is cut into chunks of about this many trajectories, so a
+# chunk's buffers stay small whatever n_traj is; a chunk pays, on every step,
+# the fixed cost of each numpy call, and chunks of 12 500 made f1 and f2_mc
+# 17% slower at 1e5 trajectories where 25 000 did not
+_CHUNK_TRAJ = 25_000
 _TINY = np.finfo(float).tiny
 
 
@@ -215,29 +222,48 @@ def _batch_edges(n: int) -> list:
 def _chunks(n: int) -> list:
     """The chunks an ensemble of n samples is cut into: (batches, lo, hi)
     per chunk, a contiguous run of whole error batches and its samples lo:hi.
-    There is one chunk per available CPU, but no more than leave each chunk
-    about ``_MIN_CHUNK_TRAJ`` samples."""
+    There are n // ``_CHUNK_TRAJ`` chunks, but at least one and at most one
+    per batch, balanced in batches: up to 2 ``_CHUNK_TRAJ`` samples each
+    below n = 32 ``_CHUNK_TRAJ``, one batch (n / 32) above.  The CPU count
+    does not enter; ``_run_chunks`` runs at most one chunk per CPU."""
     edges = _batch_edges(n)
     batches = len(edges) - 1
-    count = max(1, min(_available_cpus(), n // _MIN_CHUNK_TRAJ, batches))
+    count = max(1, min(n // _CHUNK_TRAJ, batches))
     cuts = [(c * batches) // count for c in range(count + 1)]
     return [(range(b0, b1), edges[b0], edges[b1]) for b0, b1 in zip(cuts[:-1], cuts[1:])]
 
 
+def _run_in_order(tasks, stop) -> list:
+    """The results of the callables ``tasks``, run one after another; none
+    starts once the event ``stop`` is set."""
+    results = []
+    for task in tasks:
+        if stop.is_set():
+            break
+        results.append(task())
+    return results
+
+
 def _run_chunks(tasks, stop) -> list:
-    """Run the callables ``tasks``, the first on the calling thread and the
-    others on a pool of their own, and return their results in task order.
-    Returns once every task has finished; the first exception in task order
-    is then raised.  An exception on the calling thread, an interrupt while
-    it waits for the pool included, sets the event ``stop``."""
-    if len(tasks) == 1:
-        return [tasks[0]()]
+    """Run the callables ``tasks`` on at most one thread per available CPU
+    and return their results in task order.  Each thread works one
+    contiguous run of the tasks in order, the first run on the calling
+    thread and the others on a pool of their own, so at most one task per
+    CPU runs at a time; no task starts once the event ``stop`` is set.
+    Returns once every run has ended; the first exception in task order is
+    then raised.  An exception on the calling thread, an interrupt while it
+    waits for the pool included, sets ``stop``."""
+    workers = min(_available_cpus(), len(tasks))
+    if workers == 1:
+        return _run_in_order(tasks, stop)
     from concurrent.futures import ThreadPoolExecutor, wait
 
-    with ThreadPoolExecutor(len(tasks) - 1, "loschmidt-chunk") as pool:
+    cuts = [(w * len(tasks)) // workers for w in range(workers + 1)]
+    runs = [tasks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    with ThreadPoolExecutor(workers - 1, "loschmidt-chunk") as pool:
         try:
-            futures = [pool.submit(task) for task in tasks[1:]]
-            first = tasks[0]()
+            futures = [pool.submit(_run_in_order, run, stop) for run in runs[1:]]
+            first = _run_in_order(runs[0], stop)
             # timed waits let an interrupt through that only sets Python's
             # flag, as _thread.interrupt_main() does
             while wait(futures, timeout=0.1).not_done:
@@ -246,7 +272,8 @@ def _run_chunks(tasks, stop) -> list:
             # before leaving the block, which waits for every task
             stop.set()
             raise
-    return [first, *(future.result() for future in futures)]
+    # a run cut short by stop leaves an exception to raise here
+    return [*first, *(result for future in futures for result in future.result())]
 
 
 def _chunk_moments(steps, starts, counts, stop):
@@ -282,10 +309,12 @@ def _ensemble_series(state, config, h, delta, kick=None):
     by ``_run_chunks``.
 
     ``kick(batches)``, when given, builds the kick of the trajectories of a
-    chunk's error batches (a range).  Each orbit gets its chunk's samples as
-    generator arguments, so that its first step frees them.  Every sample
-    sees the same operations however the ensemble is cut, so the results are
-    the same bits for any CPU count.
+    chunk's error batches (a range).  Each orbit steps in its chunk's slice
+    of the sample, which is the one array of the call that grows with n
+    beside the per-step records; a chunk's buffers are allocated when it
+    starts and freed when it ends.  Every sample sees the same operations
+    however the ensemble is cut, so the results are the same bits for any
+    CPU count.
     """
     n = _ensemble_size(config)
     q, p = sample(state, n, config.seed, config.hbar)
@@ -296,7 +325,6 @@ def _ensemble_series(state, config, h, delta, kick=None):
     for batches, lo, hi in _chunks(n):
         steps = _orbit_phasors(h, delta, config, kick and kick(batches), q[lo:hi], p[lo:hi])
         tasks.append(partial(_chunk_moments, steps, edges[batches] - lo, counts[batches], stop))
-    del q, p
     results = _run_chunks(tasks, stop)
     sums, m2s = (np.concatenate(part, axis=1) for part in zip(*results))
     return _merge_moments(sums, m2s, counts)
@@ -356,29 +384,34 @@ def _orbit_phasors(h, delta, config, kick, q, p):
 
     phi accumulates dH(q_{j+1}, p_j) as described in ``f1_dr``; the next
     step overwrites the buffers z and theta.  ``kick``, when given, is
-    called as ``kick(q, p, work)`` once a step is yielded, but for the last,
-    and returns the momenta that replace the classical ones.  A kick may
-    return complex momenta; from then on the orbit, phi and the phasor are
-    complex, and the phasor is exp(tau Im phi / hbar) (cos, sin)(-tau Re phi
-    / hbar).
+    called as ``kick(q, p, work, real, smear)`` once a step is yielded, but
+    for the last, and returns the momenta that replace the classical ones.
+    A kick may return complex momenta; from then on the orbit, phi and the
+    phasor are complex, and the phasor is exp(tau Im phi / hbar) (cos,
+    sin)(-tau Re phi / hbar).
 
-    Every step runs in place, ``dynamics.drift`` and ``dynamics.kick`` on
-    copies of q and p (so the first step frees the sampled ensemble), in
-    buffers allocated before the first step and, where the orbit turns
-    complex, once more at that kick.  After that a step allocates no
-    ensemble-sized array on polynomial terms (a cosine term takes
-    temporaries, see ``CoordFunction``).  ``work``, of the orbit's dtype,
-    takes every Hamiltonian evaluation, the kick's V'' included.  Between a
-    yield and the next phasor theta is free, so it is the start of the
-    float scratch ``real`` that the escape check takes |q| and |p| in.
+    Every step runs in place: ``dynamics.drift`` and ``dynamics.kick`` on q
+    and p themselves (the caller's slice of the sample, which the orbit
+    overwrites), in buffers allocated before the first step and, where the
+    orbit turns complex, once more at that kick.  After that a step
+    allocates no ensemble-sized array on polynomial terms (a cosine term
+    takes temporaries, see ``CoordFunction``).  ``work``, of the orbit's
+    dtype, takes every Hamiltonian evaluation, the kick's V'' included.
+    Between a yield and the next phasor z and theta are free, so they are
+    the starts of the scratch the escape check and the kick take: the float
+    ``real`` and the complex ``smear``, both of q's shape.  Beside its
+    slice of the sample, an orbit of one coordinate holds 40 bytes per
+    trajectory while it is real (``f1_dr``) and about 100 once complex
+    (the thimble ``f2_mc``), measured by tracemalloc.
     """
     tau, hbar = config.tau, config.hbar
-    q, p = q.copy(), p.copy()
     work = np.empty_like(q)
     real = np.empty(q.shape)
+    smear = np.empty(q.shape, complex)
     phi = np.zeros(len(q))
     theta = real.reshape(-1)[:len(q)]
-    z = np.ones(len(q), dtype=complex)
+    z = smear.reshape(-1)[:len(q)]
+    z[...] = 1.0
     yield z, theta
     for n in range(1, config.n_steps + 1):
         drift(q, p, h, tau, work)
@@ -397,7 +430,7 @@ def _orbit_phasors(h, delta, config, kick, q, p):
             np.multiply(z.imag, theta, out=z.imag)
         yield z, theta
         if kick is not None and n < config.n_steps:
-            p = kick(q, p, work)
+            p = kick(q, p, work, real, smear)
             if p.dtype != q.dtype:  # the orbit leaves the real axis
                 q, phi = q.astype(complex), phi.astype(complex)
                 work = np.empty_like(q)
@@ -449,11 +482,13 @@ def _thimble_kick(pair, config, batches):
 
     Draws come from one Philox stream per error batch, keyed
     (seed, 1, batch), so they do not depend on how the ensemble is split.
-    The kick is called as ``kick(q, p, work=None)`` and takes V_delta'' in
-    ``work`` (q's shape and dtype) when given, in a fresh array otherwise.
-    It owns its smear buffer, allocated once: real momenta (the orbit's
-    first smear) get p + eta in a fresh complex array, complex momenta
-    p += eta in place.
+    The kick is called as ``kick(q, p, work, real, smear)`` and owns no
+    buffer: it takes V_delta'' and then a real term of the root in ``work``
+    (q's shape and dtype), the other real terms and the draws in the float
+    ``real`` and eta in the complex ``smear`` (both of q's shape), and one
+    boolean mask per call.
+    Real momenta (the orbit's first smear) get p + eta in a fresh complex
+    array, complex momenta p += eta in place.
     """
     edges = _batch_edges(config.n_traj)
     lo = edges[batches.start]
@@ -462,33 +497,32 @@ def _thimble_kick(pair, config, batches):
         np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 1, b])))
         for b in batches
     ]
-    # reused buffers: a fresh ensemble-sized array costs more (page faults)
-    # than the arithmetic done on it here; root becomes the smear eta
-    t, small, g = np.empty((3, edges[batches.stop] - lo, pair.dims))
-    root = np.empty(t.shape, complex)
     # sqrt(a) sqrt(2) hbar = sqrt(V_delta'') sqrt(tau hbar) / 2
     scale = 0.5 * np.sqrt(config.tau * config.hbar)
 
-    def kick(q, p, work=None):
-        # V_delta'' at q, in work when given; on a real orbit u stays real,
-        # which gives the bits of its complex form with a zero imaginary part
+    def kick(q, p, work, t, root):
+        # V_delta'' at q; on a real orbit u stays real, which gives the bits
+        # of its complex form with a zero imaginary part
         u = pair.delta.potential_d2(q, work)
         # the principal root of i u from real operations that cancel nothing:
         # with t = sqrt(2 (|u| + |Im u|)) it is t / 2 + i Re(u) / t where
         # Im u <= 0 and |Re u| / t + i copysign(t / 2, Re u) elsewhere
-        np.add(np.abs(u.imag, out=t), np.abs(u, out=small), out=t)
+        np.add(np.abs(u.imag, out=t), np.abs(u, out=root.real), out=t)
         np.sqrt(np.multiply(t, 2.0, out=t), out=t)
         # t is 0 only where u is 0, and above 1e-162 elsewhere, so flooring it
         # at the smallest normal float gives eta = 0 there and no other change
-        np.divide(u.real, np.maximum(t, _TINY, out=small), out=small)
+        small = np.divide(u.real, np.maximum(t, _TINY, out=root.imag), out=root.imag)
         larger = np.multiply(t, 0.5, out=t)
-        # select by g in {0, 1}: exact products, and no branch on a random sign
-        np.less_equal(u.imag, 0.0, out=g)
+        # select by products with a bool mask g: exact, and no branch on a
+        # random sign, where a masked copy (where=) takes 6 ns a value, not 1
+        g = np.less_equal(u.imag, 0.0)
         np.multiply(g, larger, out=root.real)
-        np.multiply(g, small, out=root.imag)
-        g_not = np.subtract(1.0, g, out=g)
-        root.real += np.multiply(g_not, np.abs(small, out=small), out=small)
         np.copysign(larger, u.real, out=larger)
+        # u is read: work's memory takes |small|
+        abs_small = np.abs(small, out=work.real)
+        np.multiply(g, small, out=small)
+        g_not = np.logical_not(g, out=g)
+        root.real += np.multiply(g_not, abs_small, out=abs_small)
         root.imag += np.multiply(g_not, larger, out=larger)
         xi = t
         for stream, sl in zip(streams, slices):
@@ -528,7 +562,7 @@ def _real_axis_f2(state, pair, config):
     weight = np.ones(n, dtype=complex)
     planck = 2.0 * np.pi * hbar
 
-    def smeared_kick(q, p, work):  # fresh arrays: one chunk, no reuse
+    def smeared_kick(q, p, *scratch):  # fresh arrays: one chunk, no reuse
         nonlocal weight
         a = tau / (8.0 * hbar) * pair.delta.potential_d2(q)[..., 0]
         smear = a != 0.0

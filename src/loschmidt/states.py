@@ -120,7 +120,10 @@ def sample(state: InitialState, n: int, seed: int, hbar: float = 1.0):
     Exact sampler: component chosen by weight, then per-coordinate normal
     draws with std sigma/sqrt(2) in position and hbar/(sigma*sqrt(2)) in
     momentum.  Uses a counter-based Philox stream keyed on ``seed``, so the
-    result depends only on (state, n, seed) and never on scheduling.
+    result depends only on (state, n, seed) and never on scheduling.  The
+    draws are scaled and shifted in place, so one component takes 16 bytes
+    per point and coordinate, the result itself; a mixture takes
+    temporaries of its chosen components' centres and widths.
 
     Returns
     -------
@@ -129,11 +132,10 @@ def sample(state: InitialState, n: int, seed: int, hbar: float = 1.0):
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(seed))
-    dims = state.dims
     comps = state.components
 
     if len(comps) == 1:
-        idx = np.zeros(n, dtype=np.intp)
+        idx = 0  # every row broadcasts against the one component's rows
     else:
         cum = np.cumsum([c.weight for c in comps])
         cum[-1] = 1.0
@@ -143,8 +145,14 @@ def sample(state: InitialState, n: int, seed: int, hbar: float = 1.0):
     centers_p = np.stack([c.center_p for c in comps])
     sigmas = np.stack([c.sigma for c in comps])
 
-    zq = rng.standard_normal((n, dims))
-    zp = rng.standard_normal((n, dims))
-    q = centers_q[idx] + zq * sigmas[idx] / np.sqrt(2.0)
-    p = centers_p[idx] + zp * hbar / (sigmas[idx] * np.sqrt(2.0))
+    # centre + draw * sigma / sqrt(2), and centre + draw * hbar / (sigma
+    # sqrt(2)): the operations of the expressions, in their order
+    q = rng.standard_normal((n, state.dims))
+    p = rng.standard_normal((n, state.dims))
+    q *= sigmas[idx]
+    q /= np.sqrt(2.0)
+    q += centers_q[idx]
+    p *= hbar
+    p /= sigmas[idx] * np.sqrt(2.0)
+    p += centers_p[idx]
     return q, p

@@ -508,12 +508,13 @@ seed = 1
 
 
 def test_main_diverging_thimble_exit_three(tmp_path, capsys, monkeypatch):
-    # one chunk, then two: the guard fires at the same step with the same message
+    # one chunk, then four on two CPUs: the guard fires at the same step with
+    # the same message
     cfg_path = write_cfg(tmp_path, DIVERGING_CFG)
     messages = []
-    for cpus, min_chunk in ((1, 50_000), (2, 1000)):
+    for cpus, chunk_traj in ((1, 25_000), (2, 5000)):
         monkeypatch.setattr(estimators_module, "_available_cpus", lambda cpus=cpus: cpus)
-        monkeypatch.setattr(estimators_module, "_MIN_CHUNK_TRAJ", min_chunk)
+        monkeypatch.setattr(estimators_module, "_CHUNK_TRAJ", chunk_traj)
         out_dir = tmp_path / f"out{cpus}"
         assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == EXIT_NUMERIC
         assert not out_dir.exists()

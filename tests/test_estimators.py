@@ -9,10 +9,10 @@ import threading
 import time
 import tracemalloc
 import warnings
-import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -470,6 +470,12 @@ def test_f2_mc_contour_follows_the_average(name, contour):
         assert meta["effective_sample_size"] == cfg.n_traj
 
 
+def kick_scratch(q):
+    """The scratch an orbit passes its kick: work (q's shape and dtype), and
+    the float and the complex buffers of q's shape."""
+    return np.empty_like(q), np.empty(q.shape), np.empty(q.shape, complex)
+
+
 def test_thimble_kick_draws_on_the_steepest_descent_line():
     # eta^2 / (i a) = 2 hbar^2 xi^2 is real and nonnegative for real and
     # complex a of either sign; eta is an exact zero where a is
@@ -482,7 +488,8 @@ def test_thimble_kick_draws_on_the_steepest_descent_line():
         np.array([0.0, 1.0, -2.0, 0.5, 3.0, -0.1, 0.0, 2.0]),
         np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1e-9j, -1e-9j, 0.0, 4 - 3j]),
     ):
-        eta = (kick(q[:, None], p) - p)[:, 0]
+        column = q[:, None]
+        eta = (kick(column, p, *kick_scratch(column)) - p)[:, 0]
         a = tau * 0.3 * q / (8.0 * hbar)
         assert np.all(eta[q == 0] == 0)
         ratio = eta[q != 0] ** 2 / (1j * a[q != 0]) / (2 * hbar**2)
@@ -496,13 +503,93 @@ def test_thimble_kick_smears_complex_momenta_in_place():
     kick = _thimble_kick(load("cubic_perturbation").pair, config(n_traj=8), range(8))
     q = np.linspace(-1.0, 1.0, 8)[:, None]
     real_p = np.zeros((8, 1))
-    first = kick(q, real_p)
+    scratch = kick_scratch(q)
+    first = kick(q, real_p, *scratch)
     assert first.dtype == complex and not np.shares_memory(first, real_p)
+    assert not any(np.shares_memory(first, buffer) for buffer in scratch)
     assert np.all(real_p == 0.0)
     kept = first.copy()
     complex_p = first.copy()
-    assert kick(q + 0j, complex_p) is complex_p
+    assert kick(q + 0j, complex_p, *kick_scratch(q + 0j)) is complex_p
     assert np.array_equal(first, kept)  # a later smear leaves the first result alone
+
+
+def product_root_kick(pair, config, batches):
+    """``_thimble_kick`` as it was: buffers of its own, and the principal
+    root selected by products with g in {0, 1}; called as kick(q, p, work)."""
+    edges = estimators._batch_edges(config.n_traj)
+    lo = edges[batches.start]
+    slices = [slice(edges[b] - lo, edges[b + 1] - lo) for b in batches]
+    streams = [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 1, b])))
+        for b in batches
+    ]
+    t, small, g = np.empty((3, edges[batches.stop] - lo, pair.dims))
+    root = np.empty(t.shape, complex)
+    scale = 0.5 * np.sqrt(config.tau * config.hbar)
+
+    def kick(q, p, work):
+        u = pair.delta.potential_d2(q, work)
+        np.add(np.abs(u.imag, out=t), np.abs(u, out=small), out=t)
+        np.sqrt(np.multiply(t, 2.0, out=t), out=t)
+        np.divide(u.real, np.maximum(t, np.finfo(float).tiny, out=small), out=small)
+        larger = np.multiply(t, 0.5, out=t)
+        np.less_equal(u.imag, 0.0, out=g)
+        np.multiply(g, larger, out=root.real)
+        np.multiply(g, small, out=root.imag)
+        g_not = np.subtract(1.0, g, out=g)
+        root.real += np.multiply(g_not, np.abs(small, out=small), out=small)
+        np.copysign(larger, u.real, out=larger)
+        root.imag += np.multiply(g_not, larger, out=larger)
+        xi = t
+        for stream, sl in zip(streams, slices):
+            stream.standard_normal(out=xi[sl])
+        np.multiply(root, np.multiply(xi, scale, out=xi), out=root)
+        if p.dtype != root.dtype:
+            return p + root
+        p += root
+        return p
+
+    return kick
+
+
+def curvature_is_q(dims):
+    """A stand-in for a pair whose V_delta'' at q is q itself, so that a kick
+    can be handed any curvature u."""
+    def potential_d2(q, out):
+        out[...] = q
+        return out
+
+    return SimpleNamespace(dims=dims, delta=SimpleNamespace(potential_d2=potential_d2))
+
+
+@pytest.mark.parametrize("n, dims", [(1, 1), (33, 1), (1000, 1), (500, 2)])
+def test_thimble_kick_selects_the_bits_of_the_product_root(n, dims):
+    # random u of many scales on a real orbit (the first smear) and then on
+    # complex ones, with zeros of either sign in each part, an Im u of either
+    # sign and Re u = 0 beside a nonzero Im u: the same eta, bit for bit, as
+    # the {0, 1}-product root, drawn from the same batch streams
+    rng = np.random.default_rng(n * dims)
+    pair, cfg = curvature_is_q(dims), config(n_traj=n, seed=n, tau=0.05, hbar=0.7)
+    kick, reference = _thimble_kick(pair, cfg, range(min(32, n))), product_root_kick(
+        pair, cfg, range(min(32, n)))
+
+    def parts():
+        x = rng.standard_normal((n, dims)) * 10.0 ** rng.integers(-200, 200, (n, dims))
+        zeros = rng.integers(0, 4, (n, dims))
+        x[zeros == 1] = 0.0
+        x[zeros == 2] = -0.0
+        return x
+
+    curvatures = [parts()] + [parts() + 1j * parts() for _ in range(4)]
+    p = rng.standard_normal((n, dims))
+    for u in curvatures:
+        want = reference(u, p.copy(), np.empty_like(u))
+        got_p = p.copy()
+        got = kick(u, got_p, *kick_scratch(u))
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        assert (got is got_p) == (p.dtype == complex)
+        p = want
 
 
 @pytest.mark.parametrize("name, n_steps", [("ho_diff_k", 100), ("cubic_perturbation", 252)])
@@ -540,8 +627,8 @@ def test_thimble_f2_mc_steps_without_page_faults(monkeypatch):
 
 def _reference_phasors(h, delta, cfg, kick, q, p):
     """The orbit's phasors, step by step on fresh arrays: the public
-    ``map_step``, ``delta.value`` and ``check_escape``, and a kick called as
-    ``kick(q, p)``."""
+    ``map_step``, ``delta.value`` and ``check_escape``, and a kick called
+    with fresh scratch."""
     tau, hbar = cfg.tau, cfg.hbar
     phi = np.zeros(len(q))
     yield np.ones(len(q), dtype=complex)
@@ -559,7 +646,7 @@ def _reference_phasors(h, delta, cfg, kick, q, p):
             z.imag *= modulus
         yield z
         if kick is not None and n < cfg.n_steps:
-            p = kick(q, p)
+            p = kick(q, p, np.empty_like(q), np.empty(q.shape), np.empty(q.shape, complex))
             if p.dtype.kind == "c":
                 phi = phi.astype(complex)
 
@@ -585,7 +672,8 @@ def test_in_place_orbit_matches_a_reference_loop_to_the_bit(system, smear, n, n_
     # real orbit without a kick, and with the thimble kick one that turns
     # complex at its first smear (with a zero imaginary part where delta-V
     # is affine, where f2_mc passes no kick).
-    # A quartic average can eject a trajectory: both then stop at that step
+    # A quartic average can eject a trajectory: both then stop at that step.
+    # The orbit overwrites the samples it is given, so each side gets a copy
     state, h_a, h_b = system
     pair = make_pair(h_a, h_b)
     cfg = config(n_traj=n, seed=seed, n_steps=n_steps)
@@ -595,11 +683,11 @@ def test_in_place_orbit_matches_a_reference_loop_to_the_bit(system, smear, n, n_
     with np.errstate(over="ignore", invalid="ignore"):
         orbit, escaped = _phasors_until_escape(
             z for z, _ in estimators._orbit_phasors(
-                pair.average, pair.delta, cfg, kick and kick(batches), q, p
+                pair.average, pair.delta, cfg, kick and kick(batches), q.copy(), p.copy()
             )
         )
         reference, reference_escaped = _phasors_until_escape(_reference_phasors(
-            pair.average, pair.delta, cfg, kick and kick(batches), q, p
+            pair.average, pair.delta, cfg, kick and kick(batches), q.copy(), p.copy()
         ))
     assert escaped == reference_escaped
     assert orbit.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes()
@@ -677,12 +765,13 @@ def test_batch_moments_subtract_in_place_with_the_bits_of_the_repeat(n):
         assert peak < z.nbytes // 2, peak
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_diverging_thimble_raises_without_numpy_warnings(monkeypatch, cpus):
+@pytest.mark.parametrize("cpus, chunk_traj", [(1, 25_000), (2, 5000)], ids=["1", "2"])
+def test_diverging_thimble_raises_without_numpy_warnings(monkeypatch, cpus, chunk_traj):
     # the CI diverge config at 800 steps: its moments overflow long after
-    # the guard's step; one chunk, then two, one of them on a pool thread
+    # the guard's step; one chunk, then four on two CPUs, two of them on a
+    # pool thread
     monkeypatch.setattr(estimators, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_CHUNK_TRAJ", chunk_traj)
     kin = quadratic_kinetic(1.0)
     pair = make_pair(hamiltonian_1d(kin, polynomial_term(0.0, 0.0, 0.5)),
                      hamiltonian_1d(kin, polynomial_term(0.0, 0.0, 0.125)))
@@ -695,44 +784,47 @@ def test_diverging_thimble_raises_without_numpy_warnings(monkeypatch, cpus):
 
 
 def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
-    # a smaller chunk floor lets 1e5 trajectories split three ways, into 10,
-    # 11 and 11 of the 32 error batches
-    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 30_000)
+    # 32 000 trajectories cut into 1 chunk, 3 uneven ones (10, 11 and 11 of
+    # the 32 error batches), 4 and 32, each layout run on 1, 2 and 3 CPUs:
+    # fewer chunks than CPUs, as many, and more
+    n = 32_000
+    layouts = {n: [n], 10_000: [10_000, 11_000, 11_000], 8000: [8000] * 4, 1000: [1000] * 32}
     runs = [
         (f1_dr, "displaced_ho"), (f1_dr, "cubic_perturbation"),
         (f2_mc, "linear_gradient"),  # a = 0 everywhere: the orbit stays real
         (f2_mc, "ho_diff_k"), (f2_mc, "cubic_perturbation"),  # thimble
-        (f2_mc, "kicked_rotor"),  # real axis: one chunk whatever the CPUs
     ]
+    real_axis = (f2_mc, "kicked_rotor")  # one chunk whatever the layout: run on the first
     results = {}
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(estimators, "_available_cpus", lambda cpus=cpus: cpus)
-        sizes = [hi - lo for _, lo, hi in estimators._chunks(100_000)]
-        assert len(sizes) == cpus and sum(sizes) == 100_000
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the real-axis ESS
-            for estimator, name in runs:
-                sc = load(name)
-                cfg = config(n_traj=100_000, tau=sc.tau, n_steps=30, seed=5)
-                results[cpus, estimator, name] = estimator(sc.state, sc.pair, cfg)
-    assert sizes == [31_250, 34_375, 34_375]
-    for estimator, name in runs:
-        one = results[1, estimator, name]
-        for cpus in (2, 3):
-            other = results[cpus, estimator, name]
-            assert one.values.tobytes() == other.values.tobytes(), (cpus, name)
-            assert one.stderr.tobytes() == other.stderr.tobytes(), (cpus, name)
-            assert one.meta.get("f2_contour") == other.meta.get("f2_contour")
+    for chunk_traj, sizes in layouts.items():
+        monkeypatch.setattr(estimators, "_CHUNK_TRAJ", chunk_traj)
+        assert [hi - lo for _, lo, hi in estimators._chunks(n)] == sizes
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(estimators, "_available_cpus", lambda cpus=cpus: cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the real-axis ESS
+                for estimator, name in runs + [real_axis] * (chunk_traj == n):
+                    sc = load(name)
+                    cfg = config(n_traj=n, tau=sc.tau, n_steps=30, seed=5)
+                    results[chunk_traj, cpus, estimator, name] = estimator(sc.state, sc.pair, cfg)
+    for estimator, name in runs + [real_axis]:
+        one = results[n, 1, estimator, name]
+        for key, other in results.items():
+            if key[2:] == (estimator, name):
+                assert one.values.tobytes() == other.values.tobytes(), key
+                assert one.stderr.tobytes() == other.stderr.tobytes(), key
+                assert one.meta.get("f2_contour") == other.meta.get("f2_contour")
 
 
 def test_concurrent_split_ensembles_keep_the_serial_bits(monkeypatch):
-    # more callers than cores, each splitting its ensemble three ways, with
-    # a short switch interval: every result keeps the serial bits
+    # more callers than cores, each cutting its ensemble into six chunks run
+    # on three CPUs, with a short switch interval: every result keeps the
+    # serial bits
     sc = load("cubic_perturbation")
     cfg = config(n_traj=6000, tau=sc.tau, n_steps=20)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
     serial = f2_mc(sc.state, sc.pair, cfg).values
-    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 3)
     results = [None] * 6
 
@@ -753,30 +845,24 @@ def test_concurrent_split_ensembles_keep_the_serial_bits(monkeypatch):
     assert all(r is not None and r.tobytes() == serial.tobytes() for r in results)
 
 
-@pytest.mark.parametrize("name", ["cubic_perturbation", "ho_diff_k", "kicked_rotor"])
-def test_a_chunk_frees_the_sampled_ensemble_after_its_first_step(monkeypatch, name):
-    # f1 on one chunk, f2_mc on the thimble and on the real axis
-    sampled, alive = [], []
-
-    def tracked_sample(*args):
-        q, p = sample(*args)
-        sampled.extend([weakref.ref(q), weakref.ref(p)])
-        return q, p
-
-    def tracked_check_escape(q, p, work):
-        alive.append(any(ref() is not None for ref in sampled))
-
-    monkeypatch.setattr(estimators, "sample", tracked_sample)
-    monkeypatch.setattr(estimators, "check_escape", tracked_check_escape)
-    monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
-    sc = load(name)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the real-axis ESS
-        for estimator in (f1_dr, f2_mc):
-            sampled.clear()
-            alive.clear()
-            estimator(sc.state, sc.pair, config(n_traj=1000, tau=sc.tau, n_steps=3))
-            assert alive == [False] * 3, estimator.__name__
+def test_split_ensemble_memory_is_the_sample_and_two_chunks(monkeypatch):
+    # 8e5 trajectories make 32 chunks of 25 000, run two at a time on two
+    # CPUs: the peak is the sample (16 bytes a trajectory), two chunks of at
+    # most 50 000 trajectories at 100 bytes each, and the per-step records.
+    # Each chunk holding its whole share of the ensemble took 106 MB here
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    sc = load("cubic_perturbation")
+    n = 800_000
+    cfg = config(n_traj=n, tau=sc.tau, n_steps=3, seed=1)
+    f2_mc(sc.state, sc.pair, config(n_traj=10, tau=sc.tau, n_steps=3))  # lazy set-up
+    for estimator in (f1_dr, f2_mc):
+        tracemalloc.start()
+        try:
+            estimator(sc.state, sc.pair, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n + 2 * 50_000 * 100 + 2**20, (estimator.__name__, peak)
 
 
 def _split_f1_in_child(state, pair, cfg):
@@ -787,7 +873,7 @@ def _split_f1_in_child(state, pair, cfg):
 def test_a_forked_child_splits_its_ensemble_on_its_own_pool(monkeypatch):
     # a forked child has only the thread that forked it, so it starts a pool
     # of its own for its chunks
-    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
     sc = load("cubic_perturbation")
     cfg = config(n_traj=4000, tau=sc.tau, n_steps=5)
@@ -866,11 +952,25 @@ def test_escape_in_a_split_ensemble_matches_the_serial_error(monkeypatch):
     assert str(split.value) == str(serial.value)
 
 
+def track_chunk_starts(monkeypatch):
+    """Patch the chunk driver to record, for every chunk that starts, its
+    thread and whether the stop event was already set; return the records."""
+    starts, chunk_moments = [], estimators._chunk_moments
+
+    def tracked(steps, batch_starts, counts, stop):
+        starts.append((threading.current_thread() is threading.main_thread(), stop.is_set()))
+        return chunk_moments(steps, batch_starts, counts, stop)
+
+    monkeypatch.setattr(estimators, "_chunk_moments", tracked)
+    return starts
+
+
 @pytest.mark.parametrize("error", [TrajectoryEscapeError("caller's chunk"), KeyboardInterrupt()])
 def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
-    # the caller's chunk raises at its 3rd step once the pool's chunk is
-    # stepping; the pool's chunk waits for that, then takes 1 ms a step, and
-    # must stop long before its 2000th
+    # four chunks on two CPUs: the caller works chunks 0 and 1, the pool
+    # chunks 2 and 3.  Chunk 0 raises at its 3rd step once chunk 2 is
+    # stepping; chunk 2 waits for that, then takes 1 ms a step, and must stop
+    # long before its 2000th, and neither chunk 1 nor chunk 3 may start
     started, raised, caller_steps, pool_steps = threading.Event(), threading.Event(), [], []
 
     def failing_check_escape(q, p, work):
@@ -886,13 +986,15 @@ def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
             time.sleep(1e-3)
 
     monkeypatch.setattr(estimators, "check_escape", failing_check_escape)
-    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    chunk_starts = track_chunk_starts(monkeypatch)
     sc = load("cubic_perturbation")
     with pytest.raises(type(error)) as caught:
         f1_dr(sc.state, sc.pair, config(n_traj=4000, tau=sc.tau, n_steps=2000))
     assert caught.value is error
     assert all(pool_steps) and 0 < len(pool_steps) < 100, len(pool_steps)
+    assert sorted(chunk_starts) == [(False, False), (True, False)], chunk_starts
 
 
 @pytest.mark.parametrize("interrupt", [
@@ -902,28 +1004,25 @@ def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
     "interrupt_main",
 ])
 def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch, interrupt):
-    # the pool's chunk holds its first step until the caller's chunk has run
-    # all 2000 steps and returned, then interrupts the caller, now waiting for
-    # the pool: by a SIGINT as Ctrl-C does, or by _thread.interrupt_main() as
-    # IDLE does, which only sets Python's flag and so is seen only between
-    # the caller's timed waits.  At 1 ms a step it must stop long before its
-    # 2000th
+    # four chunks on two CPUs: the caller works chunks 0 and 1, the pool
+    # chunks 2 and 3.  Chunk 2 holds its first step until the caller has run
+    # all 2000 steps of both its chunks and returned, then interrupts the
+    # caller, now waiting for the pool: by a SIGINT as Ctrl-C does, or by
+    # _thread.interrupt_main() as IDLE does, which only sets Python's flag
+    # and so is seen only between the caller's timed waits.  At 1 ms a step
+    # chunk 2 must stop long before its 2000th, and chunk 3 may not start
     caller_done, pool_done, pool_steps = threading.Event(), threading.Event(), []
-    run_chunks = estimators._run_chunks
+    run_in_order = estimators._run_in_order
 
-    def marked_run_chunks(tasks, stop):
-        def caller_task():
-            result = tasks[0]()
+    def marked_run_in_order(tasks, stop):
+        if threading.current_thread() is threading.main_thread():
+            results = run_in_order(tasks, stop)
             caller_done.set()
-            return result
-
-        def pool_task():
-            try:
-                return tasks[1]()
-            finally:
-                pool_done.set()
-
-        return run_chunks([caller_task, pool_task], stop)
+            return results
+        try:
+            return run_in_order(tasks, stop)
+        finally:
+            pool_done.set()
 
     def slow_pool_check_escape(q, p, work):
         if threading.current_thread() is not threading.main_thread():
@@ -935,10 +1034,11 @@ def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch
             pool_steps.append(None)
             time.sleep(1e-3)
 
-    monkeypatch.setattr(estimators, "_run_chunks", marked_run_chunks)
+    monkeypatch.setattr(estimators, "_run_in_order", marked_run_in_order)
     monkeypatch.setattr(estimators, "check_escape", slow_pool_check_escape)
-    monkeypatch.setattr(estimators, "_MIN_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    chunk_starts = track_chunk_starts(monkeypatch)
     sc = load("cubic_perturbation")
     with pytest.raises(KeyboardInterrupt):
         f1_dr(sc.state, sc.pair, config(n_traj=4000, tau=sc.tau, n_steps=2000))
@@ -946,6 +1046,7 @@ def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch
     # not Thread.join: on Python 3.11 an interrupted join marks the thread stopped
     assert pool_done.wait(timeout=60)
     assert 0 < len(pool_steps) < 100, len(pool_steps)
+    assert sorted(chunk_starts) == [(False, False), (True, False), (True, False)], chunk_starts
 
 
 # ---------------------------------------------------------------------------

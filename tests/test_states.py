@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -189,6 +191,51 @@ def test_sample_histogram_chi2_against_wigner():
     cell = np.diff(edges)[0] ** 2
     central = prob > 5e-3
     np.testing.assert_allclose((dens * cell)[central], prob[central], rtol=0.05)
+
+
+def expression_sample(state, n, seed, hbar=1.0):
+    """``sample`` as it was: each coordinate from one expression, on
+    temporaries of the chosen components' rows."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    comps = state.components
+    if len(comps) == 1:
+        idx = np.zeros(n, dtype=np.intp)
+    else:
+        cum = np.cumsum([c.weight for c in comps])
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, rng.random(n), side="right")
+    centers_q = np.stack([c.center_q for c in comps])
+    centers_p = np.stack([c.center_p for c in comps])
+    sigmas = np.stack([c.sigma for c in comps])
+    zq = rng.standard_normal((n, state.dims))
+    zp = rng.standard_normal((n, state.dims))
+    q = centers_q[idx] + zq * sigmas[idx] / np.sqrt(2.0)
+    p = centers_p[idx] + zp * hbar / (sigmas[idx] * np.sqrt(2.0))
+    return q, p
+
+
+@pytest.mark.parametrize("state", [
+    InitialState.gaussian([0.3], [-1.2], [0.7]),
+    InitialState.gaussian([0.0, 1.0], [0.5, 0.0], [1.0, 2.0]),
+    InitialState((GaussianComponent([-1.0, 0.2], [0.3, 0.1], [0.8, 1.1], 0.3),
+                  GaussianComponent([1.5, 0.0], [-0.2, 0.0], [1.2, 0.7], 0.7))),
+])
+def test_sample_scales_in_place_with_the_bits_of_the_expressions(state):
+    # one component takes nothing beside its result, 16 bytes a point and
+    # coordinate, and numpy's fixed-size buffers (the expressions took 56 bytes);
+    # a mixture still takes temporaries
+    n = 200_000
+    sample(state, 10, seed=1, hbar=0.6)  # the first draw sets up lazily
+    tracemalloc.start()
+    try:
+        q, p = sample(state, n, seed=5, hbar=0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want_q, want_p = expression_sample(state, n, seed=5, hbar=0.6)
+    assert q.tobytes() == want_q.tobytes() and p.tobytes() == want_p.tobytes()
+    if len(state.components) == 1:
+        assert peak <= 16 * n * state.dims + 2**20, peak
 
 
 def test_sample_rejects_bad_count():
