@@ -40,9 +40,11 @@ ensemble-sized array (and no page fault), and peak memory is the sample, 16
 bytes per trajectory and coordinate, plus a few chunks, whatever n_traj is:
 a running chunk of one coordinate holds about 40 bytes per trajectory for
 ``f1_dr`` and 100 for the thimble.  The real-axis ``f2_mc`` stays one chunk
-of the whole ensemble, as its weights and its bootstrap span it.  Within one series the time steps reuse a single path ensemble, so errors are
-correlated across time (flagged in the metadata).  The thimble's standard
-error can grow faster than exponentially with the strength of the
+of the whole ensemble, as its weights and its bootstrap span it.
+
+Within one series the time steps reuse a single path ensemble, so errors
+are correlated across time (flagged in the metadata).  The thimble's
+standard error can grow faster than exponentially with the strength of the
 perturbation; ``f2_mc`` raises ``ThimbleDivergenceError`` at the first step
 where it exceeds 1, which no amplitude of modulus at most 1 needs.
 """

@@ -10,17 +10,13 @@ coordinates, so the step is a product of commuting one-axis steps, which
 axis.  The steps run in blocks (``_block_steps``: about 4096 numbers of the
 longest axis per block, 1 to 64 steps).  Each axis steps a whole block into
 a ring of slots allocated once per call, so no step allocates a stack-sized
-array.  The FFT pair is ``numpy.fft._pocketfft_umath.fft(psi, fct,
-out=phat)`` and ``.ifft(nxt, fct, out=nxt)``, the gufuncs that
-``np.fft.fft`` and ``np.fft.ifft`` call (NumPy 2.0), with norm="ortho"'s
-factor fct = 1/sqrt(M_d), but without np.fft's per-call Python.  One
-batched overlap per axis then fills the block's amplitudes.  Probability
-near the position edges or the Nyquist edge of the momentum grid aborts
-the run rather than silently aliasing.  One band mass per axis and band
-screens each block against band weights worked out once per run, and a
-block that passes the screen's slightly lower threshold is replayed step
-by step, so the abort names the step and the mass that a per-step check
-would.
+array, and one batched overlap per axis then fills the block's amplitudes.
+Probability near the position edges or the Nyquist edge of the momentum
+grid aborts the run rather than silently aliasing.  ``_check_block`` checks
+each block once, against band weights worked out once per run.  It takes
+one mass per step, branch and component in each band of each axis, with
+the bits that a block of one step gives, so the abort names the first step
+above ``LEAK_TOL``, its axis and its mass.
 
 The grid follows one rule.  A hint that is given (an extent, a point
 count, or an explicit ``Grid``, which gives both) stays fixed.  A hint that
@@ -43,10 +39,6 @@ from .states import GaussianComponent, InitialState
 
 DEFAULT_PAD_SIGMAS = 8.0
 LEAK_TOL = 1e-8
-# a block's screen sums a band in another order than the per-step check; over
-# at most 0.2 MAX_POINTS nonzero squares the two differ by < 3e-12 relative,
-# so a screen this far below LEAK_TOL misses no step that the check fails
-SCREEN_TOL = LEAK_TOL * (1.0 - 1e-10)
 EDGE_FRACTION = 0.05
 MAX_POINTS = 2**16  # per axis, where a derived grid stops growing
 
@@ -103,30 +95,29 @@ class Grid:
 def grid_for_state(
     state: InitialState,
     points: int | None = None,
-    pad_sigmas: float = DEFAULT_PAD_SIGMAS,
     hbar: float = 1.0,
     extent: tuple[float, float] | None = None,
     periodic: bool = False,
 ) -> Grid:
     """Grid on ``extent`` on every axis, by default the box that covers every
-    component to ``pad_sigmas`` widths, with ``points`` per axis, by default
-    the smallest power of two M that keeps p_hi = max over components of
-    |p0| + pad_sigmas hbar / sigma below the Nyquist band of the leak check,
-    p_hi <= (1 - 2 EDGE_FRACTION) pi hbar M / L, and at most ``MAX_POINTS``
-    (64 for a packet of unit width at hbar = 1).  A periodic grid needs an
-    ``extent``."""
+    component to ``DEFAULT_PAD_SIGMAS`` = 8 widths, with ``points`` per axis,
+    by default the smallest power of two M that keeps p_hi = max over
+    components of |p0| + 8 hbar / sigma below the Nyquist band of the leak
+    check, p_hi <= (1 - 2 EDGE_FRACTION) pi hbar M / L, and at most
+    ``MAX_POINTS`` (64 for a packet of unit width at hbar = 1).  A periodic
+    grid needs an ``extent``."""
     if periodic and extent is None:
         raise ValueError("a periodic grid needs an extent, which sets the period")
     comps = state.components
     extents = [extent] * state.dims if extent is not None else [
-        (min(c.center_q[d] - pad_sigmas * c.sigma[d] for c in comps),
-         max(c.center_q[d] + pad_sigmas * c.sigma[d] for c in comps))
+        (min(c.center_q[d] - DEFAULT_PAD_SIGMAS * c.sigma[d] for c in comps),
+         max(c.center_q[d] + DEFAULT_PAD_SIGMAS * c.sigma[d] for c in comps))
         for d in range(state.dims)
     ]
     counts = [points] * state.dims
     if points is None:
         for d, (lo, hi) in enumerate(extents):
-            p_hi = max(abs(c.center_p[d]) + pad_sigmas * hbar / c.sigma[d] for c in comps)
+            p_hi = max(abs(c.center_p[d]) + DEFAULT_PAD_SIGMAS * hbar / c.sigma[d] for c in comps)
             m = p_hi / (1.0 - 2.0 * EDGE_FRACTION) * (hi - lo) / (math.pi * hbar)
             counts[d] = min(MAX_POINTS, max(2, 2 ** math.ceil(math.log2(m))))
     return Grid(tuple(extents), tuple(counts), periodic)
@@ -190,48 +181,35 @@ def _leak_bands(grid: Grid) -> list:
     return bands
 
 
-def _band_mass(stack: np.ndarray, weights: np.ndarray) -> float:
-    """Largest probability under ``weights`` over the rows of a complex stack."""
-    return (np.square(stack.view(np.float64)) @ weights).max()
-
-
-def _check_leaks(bands: list, phats: list, stacks: list, at: str = "") -> None:
-    """Largest probability, over branches and components, in the Nyquist band
-    of each axis, then in the position edge bands of each axis, under the
-    ``_leak_bands`` rows; every row has discrete norm one.  ``at`` names the
-    step in the message."""
-    for d, (phat, (nyquist, _)) in enumerate(zip(phats, bands)):
-        frac = _band_mass(phat, nyquist)
-        if frac > LEAK_TOL:
-            raise AliasingError(
-                f"momentum probability {frac:.3e} near the Nyquist edge "
-                f"of axis {d}{at}; enlarge the grid or reduce tau"
-            )
-    for d, (psi, (_, edges)) in enumerate(zip(stacks, bands)):
-        if edges is None:  # periodic: no edges
-            return
-        frac = _band_mass(psi, edges)
-        if frac > LEAK_TOL:
-            raise GridLeakError(
-                f"position probability {frac:.3e} within "
-                f"{EDGE_FRACTION:.0%} of the edges of axis {d}{at}"
-            )
+def _band_masses(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Probability under ``weights`` in each row of a complex stack."""
+    return np.square(stack.view(np.float64)) @ weights
 
 
 def _check_block(bands: list, phats: list, stacks: list, first: int, tau: float) -> None:
-    """``_check_leaks`` on a block of steps ``first``, ``first + 1``, ...,
-    stacked along the leading axis of each per-axis array: one band mass per
-    axis and band screens the whole block, and only a block with a mass
-    above ``SCREEN_TOL`` is replayed step by step, so the first leak raised
-    is the one the per-step check raises."""
-    masses = [_band_mass(phat, nyquist) for phat, (nyquist, _) in zip(phats, bands)]
-    masses += [
-        _band_mass(psi, edges) for psi, (_, edges) in zip(stacks, bands) if edges is not None
-    ]
-    if max(masses) > SCREEN_TOL:
-        for j in range(len(stacks[0])):
-            at = f" at step {first + j} (t = {(first + j) * tau:g})"
-            _check_leaks(bands, [phat[j] for phat in phats], [psi[j] for psi in stacks], at)
+    """Raises at the first of the block's steps ``first``, ``first + 1``, ...,
+    stacked along the leading axis of each per-axis array, with probability
+    above ``LEAK_TOL`` in a band: in the Nyquist band of each axis, then in
+    the position edge bands of each axis (none on a periodic grid), under the
+    ``_leak_bands`` weights.  Every row has discrete norm one, and a step's
+    mass in a band is the largest over its branches and components.  A block
+    without a leak costs one maximum per band."""
+    masses = [_band_masses(phat, nyquist) for phat, (nyquist, _) in zip(phats, bands)]
+    masses += [_band_masses(psi, edges)
+               for psi, (_, edges) in zip(stacks, bands) if edges is not None]
+    if not max([m.max() for m in masses]) > LEAK_TOL:
+        return
+    # the largest mass per step (rows) and band (columns): the first above
+    # LEAK_TOL in row-major order is the leak a step-by-step check meets first
+    peaks = np.array([m.max(axis=(1, 2)) for m in masses]).T
+    j, i = divmod(int(np.argmax(peaks > LEAK_TOL)), len(masses))
+    frac, d = peaks[j, i], i % len(bands)
+    at = f"axis {d} at step {first + j} (t = {(first + j) * tau:g})"
+    if i < len(bands):
+        raise AliasingError(f"momentum probability {frac:.3e} near the Nyquist edge of {at}; "
+                            "enlarge the grid or reduce tau")
+    raise GridLeakError(f"position probability {frac:.3e} within {EDGE_FRACTION:.0%} "
+                        f"of the edges of {at}")
 
 
 def _block_steps(grid: Grid, components: int) -> int:
@@ -308,21 +286,20 @@ def fidelity_exact(
     one batched FFT pair steps: ``pocketfft.fft(psi, fct, out=phat)`` and
     ``pocketfft.ifft(nxt, fct, out=nxt)``, the gufuncs of
     ``numpy.fft._pocketfft_umath`` that ``np.fft.fft`` and ``np.fft.ifft``
-    call, with fct = 1/sqrt(M_d) as norm="ortho" computes it, which gives
-    np.fft's bits.  The steps run in blocks of ``_block_steps`` =
-    max(1, min(64, 4096 // (2 K max_d M_d))) steps: every axis steps the
-    block into a ring of block + 1 slots, with block momentum slots and a
-    (block, K, M_d) overlap buffer, all allocated once per axis; one batched
-    overlap per axis then gives the block's amplitudes, and the next block
-    steps on from the block's last slot.  f(0) = 1 by construction.  The run
-    fields are checked and recorded as an ``EstimatorConfig`` without
-    ensemble.  Unless ``check_leaks`` is false, each step is checked for
-    probability in the Nyquist band of every axis, then in the position edge
-    bands of every axis (not on a periodic grid), dividing the band
-    probability by the discrete norm, which is one.  One band mass per axis
-    and band screens a whole block at ``SCREEN_TOL``, just below
-    ``LEAK_TOL``; a block above it is replayed step by step, and the first
-    step above ``LEAK_TOL`` raises, naming its axis, its mass and its step.
+    call (NumPy 2.0), with fct = 1/sqrt(M_d) as norm="ortho" computes it,
+    which gives np.fft's bits without its per-call Python.  The steps run in
+    blocks of ``_block_steps`` = max(1, min(64, 4096 // (2 K max_d M_d)))
+    steps: every axis steps the block into a ring of block + 1 slots, with
+    block momentum slots and a (block, K, M_d) overlap buffer, all allocated
+    once per axis; one batched overlap per axis then gives the block's
+    amplitudes, and the next block steps on from the block's last slot.
+    f(0) = 1 by construction.  The run fields are checked and recorded as an
+    ``EstimatorConfig`` without ensemble.  Unless ``check_leaks`` is false,
+    each block is checked once for probability above ``LEAK_TOL`` in the
+    Nyquist band of every axis, then in the position edge bands of every
+    axis (not on a periodic grid), dividing the band probability by the
+    discrete norm, which is one; the first step with such a band raises,
+    naming its axis, its mass and its step.
 
     The run takes ``grid``, else ``grid_for_state(state, points, hbar=hbar,
     extent=extent, periodic=periodic)``: ``points`` and ``extent`` hold on

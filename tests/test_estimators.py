@@ -47,9 +47,11 @@ from loschmidt.hamiltonians import (
     quadratic_kinetic,
 )
 from loschmidt.presets import displaced_ho_pair, load
-from loschmidt.qgrid import fidelity_exact, grid_for_state
+from loschmidt.qgrid import fidelity_exact
 from loschmidt.series import NumericalError
 from loschmidt.states import GaussianComponent, InitialState, sample, wigner_density
+
+from conftest import wide_grid
 
 STD_GAUSSIAN = InitialState.gaussian([0.0], [0.0], [1.0])
 
@@ -301,7 +303,7 @@ def test_f0_matches_exact_on_random_affine_pairs(system):
     state, pair, hbar = system
     assert predicted_exactness(pair)["f0"] == EXACT
     cfg = config(n_traj=None, seed=None, n_steps=40, hbar=hbar)
-    grid = grid_for_state(state, points=4096, pad_sigmas=16.0)
+    grid = wide_grid(state, 4096)
     exact = fidelity_exact(state, pair, 40, cfg.tau, hbar=hbar, grid=grid)
     assert np.max(np.abs(f0(state, pair, cfg).values - exact.values)) <= 1e-12
 
@@ -1214,7 +1216,7 @@ def test_second_order_per_coordinate_and_component(state, pair):
     # products of 1-D chains and the thimble smears each coordinate, so both
     # are exact wherever the ladder says so
     cfg = config(n_traj=20000, n_steps=100, seed=1)
-    exact = fidelity_exact(state, pair, cfg.n_steps, cfg.tau, grid=grid_for_state(state, points=4096, pad_sigmas=16.0))
+    exact = fidelity_exact(state, pair, cfg.n_steps, cfg.tau, grid=wide_grid(state, 4096))
     assert np.max(np.abs(exact.values - 1.0)) > 0.1  # the perturbation acts
     mc = f2_mc(state, pair, cfg)
     assert mc.meta["f2_contour"] == "thimble"
@@ -1257,7 +1259,7 @@ def test_chain_invariants_on_random_quadratic_pairs(system):
     state, h_a, h_b = system
     cfg = config(n_traj=1, n_steps=100)
     # packets that move need more room than the default 8-sigma grid
-    grid = grid_for_state(state, points=4096, pad_sigmas=16.0)
+    grid = wide_grid(state, 4096)
     for est in (f2_gaussian_chain, partial(exact_series, grid=grid)):
         f = est(state, make_pair(h_a, h_b), cfg).values
         swapped = est(state, make_pair(h_b, h_a), cfg).values
@@ -1289,7 +1291,7 @@ def test_chain_matches_exact_on_random_quadratic_pairs(system):
     pair = make_pair(h_a, h_b)
     cfg = config(n_traj=1, n_steps=60)
     # packets that move need more room than the default 8-sigma grid
-    exact = fidelity_exact(state, pair, 60, cfg.tau, grid=grid_for_state(state, points=4096, pad_sigmas=16.0))
+    exact = fidelity_exact(state, pair, 60, cfg.tau, grid=wide_grid(state, 4096))
     chain = f2_gaussian_chain(state, pair, cfg)
     assert np.max(np.abs(chain.values - exact.values)) <= 1e-9
 
@@ -1375,7 +1377,7 @@ def test_momentum_displacement_variant_exact_for_f0_f1():
         hamiltonian_1d(polynomial_term(0.0, +0.5), ZERO_TERM),
     )
     # constant drift moves the packet, so pad the grid beyond the 8-sigma rule
-    exact = fidelity_exact(state, pair, 150, 0.05, grid=grid_for_state(state, points=4096, pad_sigmas=16.0))
+    exact = fidelity_exact(state, pair, 150, 0.05, grid=wide_grid(state, 4096))
     cfg = config(n_traj=30000, n_steps=150)
     series = f1_dr(state, pair, cfg)
     assert np.all(np.abs(series.values - exact.values) <= 3 * series.stderr + 1e-8)

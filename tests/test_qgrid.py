@@ -26,18 +26,18 @@ from loschmidt.qgrid import (
     Grid,
     GridLeakError,
     _axis_factors,
-    _band_mass,
+    _band_masses,
     _block_steps,
     _check_block,
-    _check_leaks,
     _gaussian_factor,
     _leak_bands,
     LEAK_TOL,
-    SCREEN_TOL,
     fidelity_exact,
     grid_for_state,
 )
 from loschmidt.states import GaussianComponent, InitialState
+
+from conftest import wide_grid
 
 # f(n tau) for the displaced-oscillator benchmark (m = k = hbar = 1,
 # displacement 1, ground-width packet in the unperturbed well, tau = 0.05,
@@ -200,7 +200,7 @@ def separable_systems(draw, dims=None):
 @given(system=separable_systems())
 def test_identical_branches_keep_unit_fidelity_on_random_systems(system):
     h, state = system
-    f = squared_norms(state, h, 100, 0.05, grid=grid_for_state(state, points=512, pad_sigmas=16.0))
+    f = squared_norms(state, h, 100, 0.05, grid=wide_grid(state, 512))
     assert np.max(np.abs(f - 1.0)) <= 1e-12
 
 
@@ -476,55 +476,39 @@ def test_band_masses_are_the_slice_sums(points):
             "edges": (edges, mass[..., :b].sum(axis=-1) + mass[..., -b:].sum(axis=-1)),
         }
         for weights, expected in slices.values():
-            assert _band_mass(x, weights) == pytest.approx(expected.max(), rel=1e-12, abs=0)
-            for row in np.ndindex(2, 3):
-                assert _band_mass(x[row], weights) == pytest.approx(expected[row], rel=1e-12, abs=0)
-
-
-@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
-def test_leak_check_fires_just_above_the_tolerance(periodic):
-    # one point of one row holds the whole band mass, 1e-9 relative above or
-    # below LEAK_TOL; a periodic grid checks no edges
-    grid = Grid(((-8.0, 8.0), (0.0, 4.0)), (64, 4), periodic=periodic)
-    bands = _leak_bands(grid)
-    for d, m in enumerate(grid.points):
-        for in_momentum, index, error in ((True, m // 2, AliasingError), (False, 0, GridLeakError)):
-            for factor in (1.0 + 1e-9, 1.0 - 1e-9):
-                stacks = [np.zeros((2, 1, k), dtype=complex) for k in grid.points]
-                phats = [np.zeros_like(s) for s in stacks]
-                target = phats if in_momentum else stacks
-                target[d][1, 0, index] = np.sqrt(factor * LEAK_TOL / grid.spacing(d))
-                if factor > 1.0 and (in_momentum or not periodic):
-                    with pytest.raises(error, match=f"axis {d}"):
-                        _check_leaks(bands, phats, stacks)
-                else:
-                    _check_leaks(bands, phats, stacks)
+            np.testing.assert_allclose(_band_masses(x, weights), expected, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
 # the in-place step against the out-of-place one, bit for bit
 
 
-def out_of_place_exact(state, pair, n_steps, tau, grid, hbar=1.0):
-    """The step with a fresh array for every operation, as it was before
-    ``fidelity_exact`` stepped in place and in blocks: same factors,
-    overlaps and weights, and the leak check after every step."""
-    comps = state.components
-    weights = np.array([c.weight for c in comps])
+def out_of_place_steps(state, pair, n_steps, tau, grid, hbar=1.0):
+    """Per step, the momenta and positions of every axis, each (2 branches,
+    K, M_d), with a fresh array for every operation, as the step was before
+    ``fidelity_exact`` stepped in place and in blocks: the same factors."""
     hs = (pair.h_prime, pair.h_double_prime)
-    dx = [grid.spacing(d) for d in range(grid.dims)]
     stacks, factors = [], []
     for d in range(grid.dims):
-        psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in comps])
+        psi0 = np.array([_gaussian_factor(c, grid, d, hbar) for c in state.components])
         stacks.append(np.stack([psi0, psi0]))
         factors.append(_axis_factors(hs, grid, tau, hbar, d))
+    for _ in range(n_steps):
+        phats = [np.fft.fft(s, norm="ortho") for s in stacks]
+        stacks = [exp_v * np.fft.ifft(exp_t * phat, norm="ortho") for phat, (exp_t, exp_v) in zip(phats, factors)]
+        yield phats, stacks
+
+
+def out_of_place_exact(state, pair, n_steps, tau, grid, hbar=1.0):
+    """``fidelity_exact`` from ``out_of_place_steps``, with the same overlaps
+    and weights, and the leak check on a block of one step after every step."""
+    weights = np.array([c.weight for c in state.components])
+    dx = [grid.spacing(d) for d in range(grid.dims)]
     bands = _leak_bands(grid)
     values = np.empty(n_steps + 1, dtype=complex)
     values[0] = 1.0
-    for n in range(1, n_steps + 1):
-        phats = [np.fft.fft(s, norm="ortho") for s in stacks]
-        stacks = [exp_v * np.fft.ifft(exp_t * phat, norm="ortho") for phat, (exp_t, exp_v) in zip(phats, factors)]
-        _check_leaks(bands, phats, stacks, f" at step {n} (t = {n * tau:g})")
+    for n, (phats, stacks) in enumerate(out_of_place_steps(state, pair, n_steps, tau, grid, hbar), 1):
+        _check_block(bands, [p[None] for p in phats], [s[None] for s in stacks], n, tau)
         overlaps = [(np.conj(psi[0]) * psi[1]).sum(axis=-1) * h for psi, h in zip(stacks, dx)]
         values[n] = np.dot(weights, reduce(np.multiply, overlaps))
     return values
@@ -595,7 +579,7 @@ def test_importing_the_package_loads_no_numpy_fft():
 
 
 # ---------------------------------------------------------------------------
-# block stepping: block edges, the screen and the replay
+# block stepping: block edges and the leak check of a whole block
 
 MIXTURE = InitialState((GaussianComponent([0.5], [0.0], [1.0], 0.5),
                         GaussianComponent([-0.5], [0.5], [1.0], 0.5)))
@@ -629,15 +613,15 @@ def test_block_size_rule():
 
 def synthetic_block(grid, steps):
     """Zero stacks of ``steps`` steps per axis, as ``_check_block`` takes
-    them: momenta and positions, each (steps, 2 branches, 1 component, M)."""
-    stacks = [np.zeros((steps, 2, 1, m), dtype=complex) for m in grid.points]
+    them: momenta and positions, each (steps, 2 branches, 2 components, M)."""
+    stacks = [np.zeros((steps, 2, 2, m), dtype=complex) for m in grid.points]
     return [np.zeros_like(s) for s in stacks], stacks
 
 
 def put_mass(target, grid, d, j, index, factor):
-    """Give row (step j, branch 1, component 0) of axis d the band mass
+    """Give row (step j, branch 1, component 1) of axis d the band mass
     ``factor * LEAK_TOL``, all at one point."""
-    target[d][j, 1, 0, index] = np.sqrt(factor * LEAK_TOL / grid.spacing(d))
+    target[d][j, 1, 1, index] = np.sqrt(factor * LEAK_TOL / grid.spacing(d))
 
 
 def test_block_replay_raises_the_first_step_nyquist_before_edges():
@@ -658,18 +642,17 @@ def test_block_replay_raises_the_first_step_nyquist_before_edges():
 
 
 @pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
-def test_block_screen_fires_just_above_the_tolerance_at_any_step(periodic):
-    # one point of one row in one step holds the whole band mass, 1e-9
-    # relative above or below LEAK_TOL; below, the screen may replay the
-    # block, and the replay passes
+def test_block_check_fires_just_above_the_tolerance_at_any_step(periodic):
+    # one point of one row in one step of a block of one or five steps holds
+    # the whole band mass, 1e-9 relative above or below LEAK_TOL; a periodic
+    # grid checks no edges
     grid = Grid(((-8.0, 8.0), (0.0, 4.0)), (64, 4), periodic=periodic)
     bands = _leak_bands(grid)
-    assert LEAK_TOL * (1.0 - 1e-9) < SCREEN_TOL < LEAK_TOL
     for d, m in enumerate(grid.points):
         for in_momentum, index, error in ((True, m // 2, AliasingError), (False, 0, GridLeakError)):
-            for j in (0, 2, 4):
+            for steps, j in ((1, 0), (5, 0), (5, 2), (5, 4)):
                 for factor in (1.0 + 1e-9, 1.0 - 1e-9):
-                    phats, stacks = synthetic_block(grid, 5)
+                    phats, stacks = synthetic_block(grid, steps)
                     put_mass(phats if in_momentum else stacks, grid, d, j, index, factor)
                     if factor > 1.0 and (in_momentum or not periodic):
                         with pytest.raises(error, match=f"axis {d} at step {7 + j} "):
@@ -715,6 +698,79 @@ def test_periodic_rotor_on_64_fixed_points_leaks_at_step_5():
         fidelity_exact(ROTOR.state, ROTOR.pair, 50, 1.0, grid=grid)
     with pytest.raises(AliasingError, match="at step 5 .*its point count was given"):
         fidelity_exact(ROTOR.state, ROTOR.pair, 50, 1.0, points=64, extent=ROTOR.grid_extent, periodic=True)
+
+
+MASS_CASES = {
+    # name: state, pair, tau, grid
+    **{name: (state, pair, ROTOR.tau if grid.periodic else 0.05, grid)
+       for name, (state, pair, grid, _) in BLOCK_CASES.items()},
+    **{f"leak_{name}": (state, pair, tau, grid) for name, (state, pair, _, tau, grid) in LEAK_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("state, pair, tau, grid", MASS_CASES.values(), ids=MASS_CASES.keys())
+def test_a_blocks_band_masses_have_the_bits_of_its_one_step_rows(state, pair, tau, grid):
+    # the block's leak check reports the mass and the first step that
+    # checking one step at a time would, only because a row's band mass in
+    # a block of any length sums in the order of a one-step block's
+    block = _block_steps(grid, len(state.components))
+    steps = list(out_of_place_steps(state, pair, block, tau, grid))
+    for d, (nyquist, edges) in enumerate(_leak_bands(grid)):
+        for part, name, weights in ((0, "momenta", nyquist), (1, "positions", edges)):
+            if weights is None:  # periodic: no edges
+                continue
+            arrays = np.stack([step[part][d] for step in steps])
+            rows = np.stack([_band_masses(a, weights) for a in arrays])
+            for used in range(1, block + 1):
+                assert _band_masses(arrays[:used], weights).tobytes() == rows[:used].tobytes(), (
+                    f"in this NumPy/BLAS build, the band masses of the {name} of axis {d} in a "
+                    f"block of {used} steps differ from their one-step bits, so the block leak "
+                    "check may name another mass or step than a step-by-step check"
+                )
+
+
+@st.composite
+def near_leak_blocks(draw):
+    """Leak-check arguments for a random block whose rows hold a faint
+    random background and one to three band masses of LEAK_TOL (1 +- 1e-9),
+    each on one point in a random step, axis, band, branch and component."""
+    points = draw(st.lists(st.sampled_from([2, 4, 64, 256]), min_size=1, max_size=2))
+    grid = Grid(((-8.0, 8.0), (-2.0, 3.0))[: len(points)], points, periodic=draw(st.booleans()))
+    steps, k = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [[1e-10 * (rng.normal(size=(steps, 2, k, m)) + 1j * rng.normal(size=(steps, 2, k, m)))
+              for m in points] for _ in range(2)]
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, len(points) - 1))
+        m, b = points[d], max(1, int(0.05 * points[d]))
+        in_momentum = draw(st.booleans())
+        band = range(m // 2 - b, m // 2 + b) if in_momentum else [*range(b), *range(m - b, m)]
+        row = (draw(st.integers(0, steps - 1)), draw(st.integers(0, 1)), draw(st.integers(0, k - 1)))
+        factor = draw(st.sampled_from([1.0 + 1e-9, 1.0 - 1e-9]))
+        parts[not in_momentum][d][(*row, draw(st.sampled_from(band)))] = np.sqrt(
+            factor * LEAK_TOL / grid.spacing(d)
+        )
+    return _leak_bands(grid), *parts, draw(st.integers(1, 1000)), draw(st.sampled_from([0.05, 1.0]))
+
+
+def raised(check, *args):
+    try:
+        check(*args)
+    except (AliasingError, GridLeakError) as leak:
+        return type(leak), str(leak)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=near_leak_blocks())
+def test_a_whole_block_raises_what_its_one_step_blocks_raise_in_order(args):
+    bands, phats, stacks, first, tau = args
+
+    def one_step_at_a_time():
+        for j in range(len(stacks[0])):
+            _check_block(bands, [p[j : j + 1] for p in phats], [s[j : j + 1] for s in stacks], first + j, tau)
+
+    assert raised(_check_block, bands, phats, stacks, first, tau) == raised(one_step_at_a_time)
 
 
 # ---------------------------------------------------------------------------
