@@ -641,16 +641,16 @@ def test_block_replay_raises_the_first_step_nyquist_before_edges():
         _check_block(bands, phats, stacks, 11, 0.05)
 
 
-@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
-def test_block_check_fires_just_above_the_tolerance_at_any_step(periodic):
-    # one point of one row in one step of a block of one or five steps holds
-    # the whole band mass, 1e-9 relative above or below LEAK_TOL; a periodic
-    # grid checks no edges
+def assert_fires_just_above_the_tolerance(periodic, blocks):
+    """One point of one row in step j of a block of ``steps`` steps, for each
+    (steps, j) of ``blocks``, holds the whole band mass, 1e-9 relative above
+    or below LEAK_TOL; only above does the block check raise, naming the
+    step, and a periodic grid checks no edges."""
     grid = Grid(((-8.0, 8.0), (0.0, 4.0)), (64, 4), periodic=periodic)
     bands = _leak_bands(grid)
     for d, m in enumerate(grid.points):
         for in_momentum, index, error in ((True, m // 2, AliasingError), (False, 0, GridLeakError)):
-            for steps, j in ((1, 0), (5, 0), (5, 2), (5, 4)):
+            for steps, j in blocks:
                 for factor in (1.0 + 1e-9, 1.0 - 1e-9):
                     phats, stacks = synthetic_block(grid, steps)
                     put_mass(phats if in_momentum else stacks, grid, d, j, index, factor)
@@ -659,6 +659,19 @@ def test_block_check_fires_just_above_the_tolerance_at_any_step(periodic):
                             _check_block(bands, phats, stacks, 7, 0.05)
                     else:
                         _check_block(bands, phats, stacks, 7, 0.05)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+def test_leak_check_fires_just_above_the_tolerance(periodic):
+    # the leak check of a block of one step, on each axis and band
+    assert_fires_just_above_the_tolerance(periodic, [(1, 0)])
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+def test_block_screen_fires_just_above_the_tolerance_at_any_step(periodic):
+    # the same check screening a block of five steps, the mass in its first,
+    # middle or last step
+    assert_fires_just_above_the_tolerance(periodic, [(5, 0), (5, 2), (5, 4)])
 
 
 LEAK_CASES = {
