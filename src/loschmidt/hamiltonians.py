@@ -8,6 +8,7 @@ family and all derivatives reduce to exact coefficient arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ def _horner(x, c, out=None):
     return out
 
 
+_ZERO_TABLE = (np.float64(0.0),)  # the Horner table of a derivative past the degree
+# d^j/dx^j cos(x) is sign * trig(x) with (sign, trig) = _COS_CYCLE[j % 4]
+_COS_CYCLE = ((1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos), (1.0, np.sin))
+
+
 @dataclass(frozen=True)
 class CoordFunction:
     """Function of a single coordinate: polynomial plus A*cos(x).
@@ -69,33 +75,26 @@ class CoordFunction:
             )
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "cos_amp", float(self.cos_amp))
-        # Horner coefficients of the value and of both derivatives, computed
-        # once, as the float64 scalars polyval would have built per call
-        d1 = [k * coeffs[k] for k in range(1, len(coeffs))] or [0.0]
-        d2 = [k * (k - 1) * coeffs[k] for k in range(2, len(coeffs))] or [0.0]
-        for name, c in (("_c0", coeffs), ("_c1", d1), ("_c2", d2)):
-            object.__setattr__(self, name, tuple(np.float64(ck) for ck in c))
+        # Horner table of the j-th derivative for each j up to the degree,
+        # computed once, as the float64 scalars polyval would have built per
+        # call: x**(k - j) has coefficient perm(k, j) * c_k
+        object.__setattr__(self, "_tables", tuple(
+            tuple(np.float64(math.perm(k, j) * coeffs[k]) for k in range(j, len(coeffs)))
+            for j in range(len(coeffs))
+        ))
 
-    # value, d1 and d2 write to ``out`` when given, as ``_horner`` does; a
-    # cosine term still takes two temporaries of x's size
+    def derivative(self, j: int, x, out=None):
+        """j-th derivative at ``x`` (j = 0 is the value), written to ``out``
+        when given, as ``_horner`` does; a cosine term still takes two
+        temporaries of x's size."""
+        out = _horner(x, self._tables[j] if j < len(self._tables) else _ZERO_TABLE, out)
+        if self.cos_amp:
+            sign, trig = _COS_CYCLE[j % 4]
+            out += (sign * self.cos_amp) * trig(x)
+        return out
 
     def value(self, x, out=None):
-        out = _horner(x, self._c0, out)
-        if self.cos_amp:
-            out += self.cos_amp * np.cos(x)
-        return out
-
-    def d1(self, x, out=None):
-        out = _horner(x, self._c1, out)
-        if self.cos_amp:
-            out -= self.cos_amp * np.sin(x)
-        return out
-
-    def d2(self, x, out=None):
-        out = _horner(x, self._c2, out)
-        if self.cos_amp:
-            out -= self.cos_amp * np.cos(x)
-        return out
+        return self.derivative(0, x, out)
 
     @property
     def is_zero(self) -> bool:
@@ -222,27 +221,27 @@ class SeparableHamiltonian:
             return self.kinetic_value(p, out)
         return np.add(self.kinetic_value(p, out), self.potential_value(q), out=out)
 
-    def _per_coord(self, terms, derivative, x, out=None):
-        """``derivative`` of each term at its coordinate, on the last axis of
+    def _per_coord(self, terms, j, x, out=None):
+        """j-th derivative of each term at its coordinate, on the last axis of
         ``out`` (x's shape, not sharing memory with x; fresh if None)."""
         x = self._coords(x)
         if out is None:
             out = np.empty(x.shape, np.result_type(x, float))
         for d, t in enumerate(terms):
-            derivative(t, x[..., d], out[..., d])
+            t.derivative(j, x[..., d], out[..., d])
         return out
 
     def kinetic_d1(self, p, out=None):
-        return self._per_coord(self.kinetic, CoordFunction.d1, p, out)
+        return self._per_coord(self.kinetic, 1, p, out)
 
     def potential_d1(self, q, out=None):
-        return self._per_coord(self.potential, CoordFunction.d1, q, out)
+        return self._per_coord(self.potential, 1, q, out)
 
     def kinetic_d2(self, p, out=None):
-        return self._per_coord(self.kinetic, CoordFunction.d2, p, out)
+        return self._per_coord(self.kinetic, 2, p, out)
 
     def potential_d2(self, q, out=None):
-        return self._per_coord(self.potential, CoordFunction.d2, q, out)
+        return self._per_coord(self.potential, 2, q, out)
 
     @property
     def degree(self) -> float:
@@ -349,14 +348,28 @@ def make_pair(
     return HamiltonianPair(h_prime, h_double_prime, average, delta)
 
 
+def _truncated_part(pair: HamiltonianPair, part: str, x, y, order: int):
+    """Sum over j <= ``order`` of c_j(x) (y/2)**j / j!, summed over the
+    coordinates of one ``part`` ("kinetic" at (p, dp) or "potential" at
+    (q, dq)), with c_j the j-th derivative of delta-H for even j and twice
+    that of the average Hamiltonian for odd j."""
+    total = 0.0
+    for j in range(order + 1):
+        h, weight = (pair.delta, 1.0) if j % 2 == 0 else (pair.average, 2.0)
+        c_j = weight * h._per_coord(getattr(h, part), j, x)
+        total = total + np.sum(c_j * (y / 2) ** j, axis=-1) / math.factorial(j)
+    return total
+
+
 def expansion_remainder(pair: HamiltonianPair, x, dx, order: int):
     """Error of the truncated average/difference expansion at a phase-space point.
 
-    Evaluates H''(x + dx/2) - H'(x - dx/2) minus its truncation in powers of
-    the displacement ``dx``: order 0 keeps delta-H at the midpoint, order 1
-    adds the first derivatives of the average Hamiltonian contracted with
-    ``dx``, order 2 adds 1/8 of the second derivatives of delta-H contracted
-    with ``dx**2``.  The remainder is O(|dx|**(order+1)).
+    Evaluates H''(x + dx/2) - H'(x - dx/2) minus its Taylor expansion about
+    ``x`` in powers of the displacement ``dx``, kept up to ``order``.  The
+    term of order j holds the j-th derivatives of delta-H for even j (order 0
+    is delta-H at the midpoint) and twice those of the average Hamiltonian
+    for odd j, contracted with (dx/2)**j / j!.  The remainder is
+    O(|dx|**(order+1)).
 
     Parameters
     ----------
@@ -364,50 +377,44 @@ def expansion_remainder(pair: HamiltonianPair, x, dx, order: int):
         Phase-space point ``(q, p)`` and displacement ``(dq, dp)``, last axis
         running over coordinates.
     order : int
-        Truncation order, one of 0, 1, 2.
+        Truncation order, any nonnegative integer.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"unsupported expansion order {order}")
-    q, p = x
-    dq, dp = dx
-    avg, delta = pair.average, pair.delta
-    q = avg._coords(q)
-    p = avg._coords(p)
-    dq = avg._coords(dq)
-    dp = avg._coords(dp)
-
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+        raise ValueError(f"expansion order must be a nonnegative integer, got {order!r}")
+    q, p, dq, dp = (pair.average._coords(a) for a in (*x, *dx))
     lhs = pair.h_double_prime.value(q + dq / 2, p + dp / 2) - pair.h_prime.value(
         q - dq / 2, p - dp / 2
     )
-    trunc = delta.value(q, p)
-    if order >= 1:
-        trunc = trunc + np.sum(avg.kinetic_d1(p) * dp, axis=-1)
-        trunc = trunc + np.sum(avg.potential_d1(q) * dq, axis=-1)
-    if order >= 2:
-        trunc = trunc + np.sum(delta.kinetic_d2(p) * dp**2, axis=-1) / 8.0
-        trunc = trunc + np.sum(delta.potential_d2(q) * dq**2, axis=-1) / 8.0
-    return lhs - trunc
+    return lhs - (
+        _truncated_part(pair, "kinetic", p, dp, order)
+        + _truncated_part(pair, "potential", q, dq, order)
+    )
+
+
+def _exact_at(pair: HamiltonianPair, order: int) -> bool:
+    """Whether the order-``order`` truncation of ``pair`` is exact, i.e. its
+    ``expansion_remainder`` vanishes identically: every term it leaves out,
+    the j-th derivatives of the average Hamiltonian for odd j > order and of
+    delta-H for even j > order, is zero.  That holds iff the ``degree`` of
+    the average (infinite with a cosine) is below the smallest such odd j,
+    and that of delta-H below the smallest such even j."""
+    first_odd = order + 1 + order % 2
+    first_even = order + 2 - order % 2
+    return pair.average.degree < first_odd and pair.delta.degree < first_even
 
 
 def predicted_exactness(pair: HamiltonianPair) -> dict:
     """Verdict ``EXACT`` or ``APPROXIMATE`` of each estimator on ``pair``.
 
-    The order-k estimator is exact when the order-k ``expansion_remainder``
-    vanishes identically.  For terms of degree <= 4 plus a cosine, that is
-    when the ``degree`` of the average Hamiltonian and of delta-H (infinite
-    with a cosine) meet the bounds below; ``f2_gaussian`` also needs delta-H
-    quadratic, as its closed form does.
+    The order-k estimator (f0 at k = 0, f1 at 1, f2_mc and f2_gaussian at 2)
+    is exact when its truncation is, by ``_exact_at``; ``f2_gaussian`` also
+    needs delta-H of degree <= 2, as its closed form does.
 
     The verdicts follow the expansion, which treats q and p alike, and not
     what each estimator supports: ``f2_mc`` and ``f2_gaussian`` smear only
     the momentum, so they refuse a delta-H with a kinetic part even where the
     verdict is exact.
     """
-    avg, delta = pair.average.degree, pair.delta.degree
-    exact = {
-        "f0": avg == 0 and delta <= 1,
-        "f1": avg <= 2 and delta <= 1,
-        "f2_mc": avg <= 2 and delta <= 3,
-        "f2_gaussian": avg <= 2 and delta <= 2,
-    }
+    exact = {name: _exact_at(pair, k) for name, k in (("f0", 0), ("f1", 1), ("f2_mc", 2))}
+    exact["f2_gaussian"] = exact["f2_mc"] and pair.delta.degree <= 2
     return {name: EXACT if ok else APPROXIMATE for name, ok in exact.items()}

@@ -1,12 +1,9 @@
 """Named scenarios: Hamiltonian pair, initial state and run parameters.
 
 Each scenario's exactness predictions are derived from its Hamiltonian pair
-by ``hamiltonians.predicted_exactness``: the order-k estimator is exact when
-the average/difference expansion terminates at order k.  With degrees taken
-over the average Hamiltonian and delta-H, f0 needs a constant average and an
-affine delta-H, f1 an average of degree <= 2 and an affine delta-H, f2_mc an
-average of degree <= 2 and a delta-H of degree <= 3, f2_gaussian both of
-degree <= 2; a cosine term makes every estimator approximate.
+by ``hamiltonians.predicted_exactness``, whose one rule (``_exact_at``) calls
+the order-k estimator exact when the average/difference expansion ends at
+order k.
 """
 from __future__ import annotations
 
@@ -136,7 +133,7 @@ _SCENARIOS = {sc.name: sc for sc in (
             hamiltonian_1d(_KIN, polynomial_term(0.0, 0.0, 0.55, -0.12, 0.055)),
         ),
         _STANDARD_STATE,
-        description="anharmonic (quartic-truncated) wells, all orders approximate",
+        description="quartic-truncated anharmonic wells, orders 0-3 approximate, order 4 exact",
     ),
 )}
 

@@ -1,3 +1,5 @@
+from math import perm
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,7 +66,7 @@ def test_coord_function_algebra():
     ],
 )
 def test_derivatives_match_central_differences(term):
-    # d1 and d2 must agree with finite differences to 1e-6 relative
+    # the first and second derivatives must agree with finite differences to 1e-6 relative
     rng = np.random.default_rng(42)
     x = rng.uniform(-2.0, 2.0, size=12)
     h1, h2 = 1e-6, 1e-4
@@ -72,8 +74,8 @@ def test_derivatives_match_central_differences(term):
     fd2 = (term.value(x + h2) - 2 * term.value(x) + term.value(x - h2)) / h2**2
     scale1 = np.maximum(np.abs(fd1), 1.0)
     scale2 = np.maximum(np.abs(fd2), 1.0)
-    assert np.all(np.abs(term.d1(x) - fd1) / scale1 < 1e-6)
-    assert np.all(np.abs(term.d2(x) - fd2) / scale2 < 1e-6)
+    assert np.all(np.abs(term.derivative(1, x) - fd1) / scale1 < 1e-6)
+    assert np.all(np.abs(term.derivative(2, x) - fd2) / scale2 < 1e-6)
 
 
 def test_hamiltonian_evaluation_shapes():
@@ -226,16 +228,22 @@ def test_remainder_order_zero_iff_constant_average_affine_delta():
     assert abs(expansion_remainder(displaced_ho_pair_raw(), x, dx, 0)) > 1e-8
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", range(6))
 def test_remainder_order_scaling(order):
-    # remainder at order n must shrink like |dx|^(n+1): log-log slope >= n + 0.9
+    # remainder at order n must shrink like |dx|^(n+1): log-log slope >= n + 0.9.
+    # Orders 0-2 on quartic wells; orders 3-5 on a cosine pair, where no order
+    # is exact, at displacements that keep the remainder far above rounding
     kin = quadratic_kinetic(1.0)
-    v_lo = polynomial_term(0.0, 0.0, 0.5, -0.10, 0.05)
-    v_hi = polynomial_term(0.0, 0.0, 0.55, -0.12, 0.055)
+    if order <= 2:
+        v_lo = polynomial_term(0.0, 0.0, 0.5, -0.10, 0.05)
+        v_hi = polynomial_term(0.0, 0.0, 0.55, -0.12, 0.055)
+        scales = np.logspace(-3, -1, 9)
+    else:
+        v_lo, v_hi = cosine_potential(0.5), cosine_potential(1.5)
+        scales = np.logspace(-1.5, -0.5, 9)
     pair = make_pair(hamiltonian_1d(kin, v_lo), hamiltonian_1d(kin, v_hi))
     x = (np.array([0.9]), np.array([0.4]))
     direction = (np.array([0.8]), np.array([0.6]))
-    scales = np.logspace(-3, -1, 9)
     rem = np.array(
         [
             abs(expansion_remainder(pair, x, (s * direction[0], s * direction[1]), order))
@@ -247,27 +255,33 @@ def test_remainder_order_scaling(order):
 
 
 def test_remainder_rejects_bad_order():
+    # any nonnegative integer is an order; a bool is not
     pair = displaced_ho_pair_raw()
     x = (np.array([0.0]), np.array([0.0]))
-    with pytest.raises(ValueError, match="order"):
-        expansion_remainder(pair, x, x, 3)
+    for order in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="order"):
+            expansion_remainder(pair, x, x, order)
 
 
 # ---------------------------------------------------------------------------
 # Horner evaluation against numpy's polyval
 
 
+DERIVATIVES = range(6)  # j = 0 (the value) to 5, past the largest degree, 4
+
+
 def _polyval_reference(term, x):
-    """value, d1, d2 as polyval of per-call coefficient lists, cos term added."""
-    c = term.coeffs
-    dc = [k * c[k] for k in range(1, len(c))] or [0.0]
-    d2c = [k * (k - 1) * c[k] for k in range(2, len(c))] or [0.0]
-    value, d1, d2 = npoly.polyval(x, c), npoly.polyval(x, dc), npoly.polyval(x, d2c)
-    if term.cos_amp:
-        value = value + term.cos_amp * np.cos(x)
-        d1 = d1 - term.cos_amp * np.sin(x)
-        d2 = d2 - term.cos_amp * np.cos(x)
-    return value, d1, d2
+    """Derivatives j = 0 to 5 as polyval of per-call coefficient lists, the
+    cosine's derivative, +cos, -sin, -cos, +sin for j % 4 = 0 to 3, added."""
+    c, a = term.coeffs, term.cos_amp
+    refs = []
+    for j in DERIVATIVES:
+        ref = npoly.polyval(x, [perm(k, j) * c[k] for k in range(j, len(c))] or [0.0])
+        if a:
+            trig = np.cos(x) if j % 2 == 0 else np.sin(x)
+            ref = ref + a * trig if j % 4 in (0, 3) else ref - a * trig
+        refs.append(ref)
+    return refs
 
 
 def _same_bits(a, b):
@@ -295,9 +309,10 @@ def test_coord_function_matches_polyval_bit_for_bit(coeffs, cos_amp, points, sha
         "vector": np.array(points),
         "column": np.array(points)[:, None],
     }[shape]
-    got = (term.value(x), term.d1(x), term.d2(x))
-    for ours, ref in zip(got, _polyval_reference(term, x)):
+    got = [term.derivative(j, x) for j in DERIVATIVES]
+    for ours, ref in zip(got, _polyval_reference(term, x), strict=True):
         assert _same_bits(ours, ref)
+    assert _same_bits(term.value(x), got[0])
 
 
 def test_coord_function_keeps_signed_zero_of_polyval():
@@ -310,7 +325,8 @@ def test_coord_function_keeps_signed_zero_of_polyval():
 def test_coord_function_keeps_complex_input():
     term = CoordFunction((0.5, -1.0, 0.25, 0.1), cos_amp=0.3)
     z = np.array([0.3 + 0.2j, -1.1 - 0.4j])
-    for ours, ref in zip((term.value(z), term.d1(z), term.d2(z)), _polyval_reference(term, z)):
+    got = [term.derivative(j, z) for j in DERIVATIVES]
+    for ours, ref in zip(got, _polyval_reference(term, z), strict=True):
         assert ours.dtype == np.complex128
         assert _same_bits(ours, ref)
 
@@ -325,16 +341,16 @@ def test_separable_hamiltonian_keeps_complex_input():
         (kin,), (pot,) = h.kinetic, h.potential
         x, y = q[:, 0], p[:, 0]
         np.testing.assert_array_equal(h.value(q, p), kin.value(y) + pot.value(x))
-        np.testing.assert_array_equal(h.kinetic_d1(p), kin.d1(y)[:, None])
-        np.testing.assert_array_equal(h.potential_d1(q), pot.d1(x)[:, None])
-        np.testing.assert_array_equal(h.kinetic_d2(p), kin.d2(y)[:, None])
-        np.testing.assert_array_equal(h.potential_d2(q), pot.d2(x)[:, None])
+        np.testing.assert_array_equal(h.kinetic_d1(p), kin.derivative(1, y)[:, None])
+        np.testing.assert_array_equal(h.potential_d1(q), pot.derivative(1, x)[:, None])
+        np.testing.assert_array_equal(h.kinetic_d2(p), kin.derivative(2, y)[:, None])
+        np.testing.assert_array_equal(h.potential_d2(q), pot.derivative(2, x)[:, None])
     assert pair.delta.value(q, p)[0] == pytest.approx(0.00325 + 0.0071j, abs=1e-12)
 
     tau, avg = 0.05, pair.average
     q_new, p_new = map_step(q, p, avg, tau)
-    expected_q = q + tau * avg.kinetic[0].d1(p)
-    expected_p = p - tau * avg.potential[0].d1(expected_q)
+    expected_q = q + tau * avg.kinetic[0].derivative(1, p)
+    expected_p = p - tau * avg.potential[0].derivative(1, expected_q)
     np.testing.assert_array_equal(q_new, expected_q)
     np.testing.assert_array_equal(p_new, expected_p)
     assert np.all(q_new.imag != 0.0) and np.all(p_new.imag != 0.0)

@@ -9,6 +9,7 @@ from loschmidt.dynamics import map_step
 from loschmidt.estimators import EstimatorConfig, f1_dr
 from loschmidt.hamiltonians import (
     CoordFunction,
+    _exact_at,
     expansion_remainder,
     hamiltonian_1d,
     make_pair,
@@ -19,6 +20,18 @@ from loschmidt.qgrid import fidelity_exact
 from loschmidt.states import sample
 
 ESTIMATOR_ORDER = {"f0": 0, "f1": 1, "f2_mc": 2, "f2_gaussian": 2}
+ORDERS = range(6)  # past order 4, where every polynomial pair here is exact
+
+
+def _check_rule_against_remainder(pair, x, dx, context):
+    """``_exact_at`` holds at an order iff the remainder there vanishes: below
+    1e-12 where the rule says exact, above 1e-10 where it does not."""
+    for order in ORDERS:
+        rem = np.max(np.abs(expansion_remainder(pair, x, dx, order)))
+        if _exact_at(pair, order):
+            assert rem < 1e-12, (order, rem, context)
+        else:
+            assert rem > 1e-10, (order, rem, context)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -91,6 +104,10 @@ def test_exactness_entries_consistent_with_remainder(name):
             # the closed-form chain whose extra precondition is structural
             if estimator != "f2_gaussian":
                 assert max(rems) > 1e-10, (estimator, name)
+    # and the rule behind the verdicts holds at every order
+    x = (rng.normal(size=(6, 1)), rng.normal(size=(6, 1)))
+    dx = (rng.normal(scale=0.5, size=(6, 1)), rng.normal(scale=0.5, size=(6, 1)))
+    _check_rule_against_remainder(sc.pair, x, dx, name)
 
 
 def test_derived_exactness_matches_the_recorded_ladder():
@@ -107,6 +124,17 @@ def test_derived_exactness_matches_the_recorded_ladder():
     assert set(recorded) == set(SCENARIO_NAMES)
     for name, verdicts in recorded.items():
         assert load(name).exactness == dict(zip(ESTIMATOR_ORDER, verdicts)), name
+
+
+def test_morse_like_expansion_ends_at_order_four():
+    # the quartic wells leave a remainder at order 3 and none at order 4
+    pair = load("morse_like").pair
+    assert not _exact_at(pair, 3) and _exact_at(pair, 4)
+    rng = np.random.default_rng(5)
+    x = (rng.normal(size=(16, 1)), rng.normal(size=(16, 1)))
+    dx = (rng.normal(scale=0.5, size=(16, 1)), rng.normal(scale=0.5, size=(16, 1)))
+    assert np.max(np.abs(expansion_remainder(pair, x, dx, 3))) > 1e-6
+    assert np.max(np.abs(expansion_remainder(pair, x, dx, 4))) <= 1e-12
 
 
 _NONZERO = st.one_of(st.floats(0.1, 2.0), st.floats(-2.0, -0.1))
@@ -145,6 +173,7 @@ def test_predicted_exactness_agrees_with_remainder_on_random_pairs(pair):
         elif estimator != "f2_gaussian":
             # the closed-form chain's extra precondition is structural
             assert rem > 1e-10, estimator
+    _check_rule_against_remainder(pair, x, dx, "random pair")
 
 
 @pytest.mark.parametrize("name", ["cubic_perturbation", "morse_like"])
