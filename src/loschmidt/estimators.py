@@ -29,10 +29,13 @@ call, ``_ensemble_series``, with or without a kick.  It cuts an ensemble of
 at least 2 * ``_CHUNK_TRAJ`` trajectories into chunks of whole batches,
 about ``_CHUNK_TRAJ`` each, each a generator of its phasors stepped and
 reduced from the first step to the last.  Each CPU the process may run on
-works a contiguous run of the chunks on a thread of its own (numpy releases
-the GIL in its array loops), so at most one chunk per CPU holds buffers; a
-chunk that raises, or an interrupt while the caller waits for the pool,
-stops the others after their current step, and no chunk starts after that.
+works a contiguous run of the chunks in a process of its own: the caller
+the first run, and a worker forked after sampling each other run, which
+pipes its per-chunk moments back (threads would wait on the GIL between
+numpy's array loops).  So at most one chunk per CPU holds buffers; a chunk
+that raises, or an interrupt while the caller waits for its workers, stops
+the others after their current step through a shared stop byte, no chunk
+starts after that, and every worker is reaped before the call returns.
 Every draw is keyed by its batch and every sum runs in batch order, so the
 results are the same bits for any CPU count.  A chunk steps in its slice of
 the sample and in buffers it allocates once, so a step takes no fresh
@@ -50,8 +53,10 @@ where it exceeds 1, which no amplitude of modulus at most 1 needs.
 """
 from __future__ import annotations
 
+import mmap
 import numbers
 import os
+import pickle
 import threading
 import warnings
 from dataclasses import dataclass
@@ -235,9 +240,25 @@ def _chunks(n: int) -> list:
     return [(range(b0, b1), edges[b0], edges[b1]) for b0, b1 in zip(cuts[:-1], cuts[1:])]
 
 
+class _StopFlag:
+    """A stop flag that the caller shares with the workers it forks: one byte
+    of an anonymous shared mmap.  A worker also reads it set once its caller
+    has died, so a killed caller leaves no worker stepping."""
+
+    def __init__(self):
+        self._byte = mmap.mmap(-1, 1)
+        self._caller = os.getpid()
+
+    def set(self) -> None:
+        self._byte[0] = 1
+
+    def is_set(self) -> bool:
+        return self._byte[0] == 1 or self._caller not in (os.getpid(), os.getppid())
+
+
 def _run_in_order(tasks, stop) -> list:
     """The results of the callables ``tasks``, run one after another; none
-    starts once the event ``stop`` is set."""
+    starts once the flag ``stop`` is set."""
     results = []
     for task in tasks:
         if stop.is_set():
@@ -246,43 +267,108 @@ def _run_in_order(tasks, stop) -> list:
     return results
 
 
-def _run_chunks(tasks, stop) -> list:
-    """Run the callables ``tasks`` on at most one thread per available CPU
-    and return their results in task order.  Each thread works one
-    contiguous run of the tasks in order, the first run on the calling
-    thread and the others on a pool of their own, so at most one task per
-    CPU runs at a time; no task starts once the event ``stop`` is set.
-    Returns once every run has ended; the first exception in task order is
-    then raised.  An exception on the calling thread, an interrupt while it
-    waits for the pool included, sets ``stop``."""
-    workers = min(_available_cpus(), len(tasks))
-    if workers == 1:
-        return _run_in_order(tasks, stop)
-    from concurrent.futures import ThreadPoolExecutor, wait
+def _work(run, stop, pipe):
+    """The body of a forked worker: the results of ``_run_in_order(run,
+    stop)``, or its exception, pickled down the file descriptor ``pipe``.
+    Never returns.  It ignores SIGINT: the caller's stop byte ends its run."""
+    import signal
 
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            outcome = _run_in_order(run, stop), None
+        except BaseException as exc:
+            try:
+                outcome = None, pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that does not survive a pickle
+                outcome = None, RuntimeError(f"{type(exc).__name__}: {exc}")
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with open(pipe, "wb") as stream:
+            stream.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_to_end(pipes) -> dict:
+    """Every byte of each file descriptor in ``pipes`` up to its end.  The
+    waits are timed, which lets an interrupt through that only sets
+    Python's flag, as _thread.interrupt_main() does."""
+    import selectors  # here, as only a split ensemble needs it
+
+    data = {fd: bytearray() for fd in pipes}
+    with selectors.DefaultSelector() as selector:
+        for fd in pipes:
+            selector.register(fd, selectors.EVENT_READ)
+        while selector.get_map():
+            for key, _ in selector.select(timeout=0.1):
+                block = os.read(key.fd, 1 << 20)
+                data[key.fd] += block
+                if not block:
+                    selector.unregister(key.fd)
+    return data
+
+
+def _run_chunks(tasks, stop) -> list:
+    """Run the callables ``tasks`` in at most one process per available CPU
+    and return their results in task order.  Each process works one
+    contiguous run of the tasks in order: the caller the first run, and a
+    worker forked for each other run, which sends its results, or its
+    exception, back through a pipe.  So at most one task per CPU runs at a
+    time, and none starts once the shared flag ``stop`` is set.  Returns
+    once every worker has ended and been reaped; the first exception in task
+    order is then raised.  An exception in the caller, an interrupt while it
+    waits for the workers included, sets ``stop``.  Without ``os.fork``, or
+    with another thread alive (a fork would copy the locks it holds), the
+    tasks run in order on the calling thread."""
+    workers = min(_available_cpus(), len(tasks))
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _run_in_order(tasks, stop)
     cuts = [(w * len(tasks)) // workers for w in range(workers + 1)]
     runs = [tasks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    with ThreadPoolExecutor(workers - 1, "loschmidt-chunk") as pool:
-        try:
-            futures = [pool.submit(_run_in_order, run, stop) for run in runs[1:]]
-            first = _run_in_order(runs[0], stop)
-            # timed waits let an interrupt through that only sets Python's
-            # flag, as _thread.interrupt_main() does
-            while wait(futures, timeout=0.1).not_done:
-                pass
-        except BaseException:
-            # before leaving the block, which waits for every task
-            stop.set()
-            raise
-    # a run cut short by stop leaves an exception to raise here
-    return [*first, *(result for future in futures for result in future.result())]
+    pipes, codes = {}, {}  # the read end of each worker's pipe: its pid, its exit code
+    try:
+        for run in runs[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(run, stop, write)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            pipes[read] = pid
+        results = _run_in_order(runs[0], stop)
+        payloads = _read_to_end(pipes)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        # a pipe closes before its worker is reaped: a worker still writing
+        # to it then fails at once and exits
+        for read, pid in pipes.items():
+            os.close(read)
+            codes[read] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for read, payload in payloads.items():
+        if not payload:
+            raise RuntimeError(
+                f"a chunk worker ended without its results (exit code {codes[read]})"
+            )
+        done, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        results += done
+    return results
 
 
 def _chunk_moments(steps, starts, counts, stop):
     """The ``_moments`` of every step of the generator ``steps``, stacked
-    over the steps.  Sets the event ``stop`` on any exception and ends once
+    over the steps.  Sets the flag ``stop`` on any exception and ends once
     it is set, so a failing chunk stops the others after their current step.
-    Overflow and invalid values raise no numpy warning in the thread that
+    Overflow and invalid values raise no numpy warning in the process that
     runs the chunk: the divergence guard or the series' checks report a
     diverging ensemble."""
     rows = []
@@ -322,7 +408,7 @@ def _ensemble_series(state, config, h, delta, kick=None):
     q, p = sample(state, n, config.seed, config.hbar)
     edges = np.array(_batch_edges(n))
     counts = np.diff(edges)
-    stop = threading.Event()
+    stop = _StopFlag()
     tasks = []
     for batches, lo, hi in _chunks(n):
         steps = _orbit_phasors(h, delta, config, kick and kick(batches), q[lo:hi], p[lo:hi])

@@ -1,5 +1,6 @@
 import _thread
 import math
+import mmap
 import multiprocessing
 import os
 import re
@@ -847,34 +848,76 @@ def test_concurrent_split_ensembles_keep_the_serial_bits(monkeypatch):
     assert all(r is not None and r.tobytes() == serial.tobytes() for r in results)
 
 
+def shared_counts(n):
+    """n int64 counters in an anonymous shared mmap, which the caller and
+    the workers it forks read and write alike."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.int64)
+
+
+def wait_for(condition, timeout=60.0) -> bool:
+    """Poll ``condition`` until it holds or ``timeout`` seconds pass."""
+    end = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > end:
+            return False
+        time.sleep(1e-4)
+    return True
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
 def test_split_ensemble_memory_is_the_sample_and_two_chunks(monkeypatch):
     # 8e5 trajectories make 32 chunks of 25 000, run two at a time on two
-    # CPUs: the peak is the sample (16 bytes a trajectory), two chunks of at
-    # most 50 000 trajectories at 100 bytes each, and the per-step records.
-    # Each chunk holding its whole share of the ensemble took 106 MB here
+    # CPUs, one in the caller and one in its worker.  The caller's peak is the
+    # sample (16 bytes a trajectory), one chunk of at most 50 000
+    # trajectories at 100 bytes each and the per-step records; the worker's
+    # peak above what it inherits is one chunk and its records.  Each chunk
+    # holding its whole share of the ensemble took 106 MB here
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    caller, run_in_order, worker_peak = os.getpid(), estimators._run_in_order, shared_counts(1)
+
+    def measured_run_in_order(tasks, stop):
+        if os.getpid() == caller:
+            return run_in_order(tasks, stop)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return run_in_order(tasks, stop)
+        finally:
+            worker_peak[0] = tracemalloc.get_traced_memory()[1] - base
+
+    monkeypatch.setattr(estimators, "_run_in_order", measured_run_in_order)
     sc = load("cubic_perturbation")
     n = 800_000
     cfg = config(n_traj=n, tau=sc.tau, n_steps=3, seed=1)
     f2_mc(sc.state, sc.pair, config(n_traj=10, tau=sc.tau, n_steps=3))  # lazy set-up
     for estimator in (f1_dr, f2_mc):
+        worker_peak[0] = -1
         tracemalloc.start()
         try:
             estimator(sc.state, sc.pair, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * n + 2 * 50_000 * 100 + 2**20, (estimator.__name__, peak)
+        assert peak <= 16 * n + 50_000 * 100 + 2**20, (estimator.__name__, peak)
+        assert 0 < worker_peak[0] <= 50_000 * 100 + 2**20, (estimator.__name__, worker_peak[0])
 
 
 def _split_f1_in_child(state, pair, cfg):
     f1_dr(state, pair, cfg)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@needs_fork
 def test_a_forked_child_splits_its_ensemble_on_its_own_pool(monkeypatch):
-    # a forked child has only the thread that forked it, so it starts a pool
-    # of its own for its chunks
+    # a forked child is a caller like any other: it forks workers of its own
+    # for its chunks and reaps them
     monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
     sc = load("cubic_perturbation")
@@ -891,35 +934,48 @@ def test_a_forked_child_splits_its_ensemble_on_its_own_pool(monkeypatch):
     assert child.exitcode == 0
 
 
+@needs_fork
 def test_run_chunks_raises_the_first_failure_once_every_chunk_finished(monkeypatch):
+    # three tasks on three CPUs: one in the caller and one in each of two
+    # workers, which mark in shared memory when they start and finish
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 3)
-    finished = []
+    started, finished = shared_counts(3), shared_counts(3)
 
-    def task(name, delay=0.0, error=None):
+    def task(name, delay=0.0, error=None, after=None):
         def run():
+            started[name] = 1
+            if after is not None:
+                wait_for(lambda: started[after])
             time.sleep(delay)
-            finished.append(name)
+            finished[name] = 1
             if error is not None:
                 raise error
+            return name
 
         return run
 
+    assert estimators._run_chunks([task(0), task(1), task(2)], estimators._StopFlag()) == [0, 1, 2]
     # the caller's chunk succeeds: the earliest failing chunk wins, not the
     # first to fail
+    finished[:] = 0
     with pytest.raises(ValueError, match="second chunk"):
         estimators._run_chunks([
             task(0), task(1, 0.2, ValueError("second chunk")), task(2, 0.0, KeyError("third")),
-        ], threading.Event())
-    assert sorted(finished) == [0, 1, 2]
-    # the caller's chunk fails first: it still waits for the others
-    finished.clear()
+        ], estimators._StopFlag())
+    assert finished.tolist() == [1, 1, 1]
+    # the caller's chunk fails once the worker's has started: the caller
+    # still waits for it
+    started[:] = finished[:] = 0
     with pytest.raises(RuntimeError, match="first chunk"):
         estimators._run_chunks(
-            [task(0, 0.0, RuntimeError("first chunk")), task(1, 0.2)], threading.Event()
+            [task(0, 0.0, RuntimeError("first chunk"), after=1), task(1, 0.2)],
+            estimators._StopFlag(),
         )
-    assert sorted(finished) == [0, 1]
+    assert finished[:2].tolist() == [1, 1]
+    assert_no_child_process()
 
 
+@needs_fork
 def test_escape_in_a_split_ensemble_matches_the_serial_error(monkeypatch):
     # an inverted quartic ejects the packet; with the ensemble split, the
     # error surfaces only once no chunk is stepping any more
@@ -932,59 +988,65 @@ def test_escape_in_a_split_ensemble_matches_the_serial_error(monkeypatch):
     with pytest.raises(TrajectoryEscapeError) as serial:
         f1_dr(state, pair, cfg)
 
-    running, lagged, lock = [], [], threading.Lock()
+    # drifts running in the caller and in the worker, and the worker's drifts
+    caller, counts = os.getpid(), shared_counts(3)
 
     def lagging_drift(*args):
-        with lock:
-            running.append(threading.current_thread())
+        worker = int(os.getpid() != caller)
+        counts[worker] += 1
         try:
-            if threading.current_thread() is not threading.main_thread():
-                lagged.append(None)
-                time.sleep(0.02)  # the pool's chunk lags behind the caller's
+            if worker:
+                counts[2] += 1
+                time.sleep(0.02)  # the worker's chunk lags behind the caller's
             return drift(*args)
         finally:
-            with lock:
-                running.remove(threading.current_thread())
+            counts[worker] -= 1
 
     monkeypatch.setattr(estimators, "drift", lagging_drift)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
     with pytest.raises(TrajectoryEscapeError) as split:
         f1_dr(state, pair, cfg)
-    assert lagged and not running  # no chunk is still stepping when the error surfaces
+    # no chunk is still stepping when the error surfaces
+    assert counts[2] and counts[:2].tolist() == [0, 0], counts
     assert str(split.value) == str(serial.value)
 
 
 def track_chunk_starts(monkeypatch):
-    """Patch the chunk driver to record, for every chunk that starts, its
-    thread and whether the stop event was already set; return the records."""
-    starts, chunk_moments = [], estimators._chunk_moments
+    """Patch the chunk driver to count, in every process, the chunks that
+    start, in slot 2 * (in the caller) + (the stop flag was already set);
+    return the shared counts."""
+    starts, chunk_moments, caller = shared_counts(4), estimators._chunk_moments, os.getpid()
 
     def tracked(steps, batch_starts, counts, stop):
-        starts.append((threading.current_thread() is threading.main_thread(), stop.is_set()))
+        starts[2 * (os.getpid() == caller) + stop.is_set()] += 1
         return chunk_moments(steps, batch_starts, counts, stop)
 
     monkeypatch.setattr(estimators, "_chunk_moments", tracked)
     return starts
 
 
+@needs_fork
 @pytest.mark.parametrize("error", [TrajectoryEscapeError("caller's chunk"), KeyboardInterrupt()])
 def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
-    # four chunks on two CPUs: the caller works chunks 0 and 1, the pool
+    # four chunks on two CPUs: the caller works chunks 0 and 1, its worker
     # chunks 2 and 3.  Chunk 0 raises at its 3rd step once chunk 2 is
     # stepping; chunk 2 waits for that, then takes 1 ms a step, and must stop
-    # long before its 2000th, and neither chunk 1 nor chunk 3 may start
-    started, raised, caller_steps, pool_steps = threading.Event(), threading.Event(), [], []
+    # long before its 2000th, and neither chunk 1 nor chunk 3 may start.
+    # shared: chunk 2 is stepping, chunk 0 raised, chunk 2's steps, and
+    # those of its steps that waited for the raise in vain
+    caller, shared, caller_steps = os.getpid(), shared_counts(4), []
 
     def failing_check_escape(q, p, work):
-        if threading.current_thread() is threading.main_thread():
+        if os.getpid() == caller:
             caller_steps.append(None)
             if len(caller_steps) == 3:
-                started.wait(timeout=60)
-                raised.set()
+                wait_for(lambda: shared[0])
+                shared[1] = 1
                 raise error
         else:
-            started.set()
-            pool_steps.append(raised.wait(timeout=60))
+            shared[0] = 1
+            shared[3] += not wait_for(lambda: shared[1])
+            shared[2] += 1
             time.sleep(1e-3)
 
     monkeypatch.setattr(estimators, "check_escape", failing_check_escape)
@@ -995,60 +1057,158 @@ def test_a_failing_chunk_stops_the_other_chunks(monkeypatch, error):
     with pytest.raises(type(error)) as caught:
         f1_dr(sc.state, sc.pair, config(n_traj=4000, tau=sc.tau, n_steps=2000))
     assert caught.value is error
-    assert all(pool_steps) and 0 < len(pool_steps) < 100, len(pool_steps)
-    assert sorted(chunk_starts) == [(False, False), (True, False)], chunk_starts
+    assert shared[3] == 0 and 0 < shared[2] < 100, shared
+    # one chunk started in each process, both before the stop
+    assert chunk_starts.tolist() == [1, 0, 1, 0], chunk_starts
 
 
-@pytest.mark.parametrize("interrupt", [
-    pytest.param("sigint", marks=pytest.mark.skipif(
-        not hasattr(signal, "pthread_kill"), reason="needs POSIX signals"
-    )),
-    "interrupt_main",
-])
+@needs_fork
+@pytest.mark.parametrize("interrupt", ["sigint", "interrupt_main"])
 def test_an_interrupt_after_the_callers_chunk_stops_the_other_chunks(monkeypatch, interrupt):
-    # four chunks on two CPUs: the caller works chunks 0 and 1, the pool
+    # four chunks on two CPUs: the caller works chunks 0 and 1, its worker
     # chunks 2 and 3.  Chunk 2 holds its first step until the caller has run
-    # all 2000 steps of both its chunks and returned, then interrupts the
-    # caller, now waiting for the pool: by a SIGINT as Ctrl-C does, or by
-    # _thread.interrupt_main() as IDLE does, which only sets Python's flag
-    # and so is seen only between the caller's timed waits.  At 1 ms a step
-    # chunk 2 must stop long before its 2000th, and chunk 3 may not start
-    caller_done, pool_done, pool_steps = threading.Event(), threading.Event(), []
+    # all 2000 steps of both its chunks and returned, and the caller, now
+    # waiting for its worker, is interrupted: by a SIGINT to the caller and
+    # the worker, as Ctrl-C sends one to the process group, or by
+    # _thread.interrupt_main() from a thread of the caller, as IDLE does,
+    # which only sets Python's flag and so is seen only between the caller's
+    # timed waits.  At 1 ms a step chunk 2 must stop long before its 2000th,
+    # and chunk 3 may not start.  shared: the caller is done, chunk 2 may
+    # go on, chunk 2's steps, and the worker is done
+    caller, shared, interrupter = os.getpid(), shared_counts(4), []
     run_in_order = estimators._run_in_order
 
+    def interrupt_caller():
+        if wait_for(lambda: shared[2]):
+            _thread.interrupt_main()
+
     def marked_run_in_order(tasks, stop):
-        if threading.current_thread() is threading.main_thread():
+        if os.getpid() == caller:
             results = run_in_order(tasks, stop)
-            caller_done.set()
+            shared[0] = 1
+            if interrupt == "interrupt_main":
+                interrupter.append(threading.Thread(target=interrupt_caller))
+                interrupter[0].start()
             return results
         try:
             return run_in_order(tasks, stop)
         finally:
-            pool_done.set()
+            shared[3] = 1
 
-    def slow_pool_check_escape(q, p, work):
-        if threading.current_thread() is not threading.main_thread():
-            if caller_done.wait(timeout=60) and not pool_steps:
-                if interrupt == "sigint":
-                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                else:
-                    _thread.interrupt_main()
-            pool_steps.append(None)
+    def slow_worker_check_escape(q, p, work):
+        if os.getpid() != caller:
+            if wait_for(lambda: shared[0]) and not shared[2] and interrupt == "sigint":
+                os.kill(caller, signal.SIGINT)
+                os.kill(os.getpid(), signal.SIGINT)  # which a worker ignores
+            shared[2] += 1
             time.sleep(1e-3)
 
     monkeypatch.setattr(estimators, "_run_in_order", marked_run_in_order)
-    monkeypatch.setattr(estimators, "check_escape", slow_pool_check_escape)
+    monkeypatch.setattr(estimators, "check_escape", slow_worker_check_escape)
     monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
     chunk_starts = track_chunk_starts(monkeypatch)
     sc = load("cubic_perturbation")
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            f1_dr(sc.state, sc.pair, config(n_traj=4000, tau=sc.tau, n_steps=2000))
+    finally:
+        for thread in interrupter:
+            thread.join(timeout=60)
+    # the worker ended and was reaped before the interrupt surfaced
+    assert shared[0] == 1 and shared[3] == 1, shared
+    assert 0 < shared[2] < 100, shared
+    assert chunk_starts.tolist() == [1, 0, 2, 0], chunk_starts
+    assert_no_child_process()
+
+
+@needs_fork
+def test_no_worker_outlives_a_call(monkeypatch):
+    # four chunks on two CPUs: after a success, after the worker's chunk
+    # raises at its 3rd step, and after the worker interrupts the caller
+    # at its 3rd step, no child process is left to reap
+    monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    sc = load("cubic_perturbation")
+    cfg = config(n_traj=4000, tau=sc.tau, n_steps=50)
+    caller, steps, fault = os.getpid(), shared_counts(1), []
+
+    def faulty_check_escape(q, p, work):
+        check_escape(q, p, work)
+        if os.getpid() != caller and fault:
+            steps[0] += 1
+            if steps[0] == 3:
+                if fault[0] == "escape":
+                    raise TrajectoryEscapeError("worker's chunk")
+                os.kill(caller, signal.SIGINT)
+
+    monkeypatch.setattr(estimators, "check_escape", faulty_check_escape)
+    assert_no_child_process()
+    f1_dr(sc.state, sc.pair, cfg)
+    assert_no_child_process()
+    fault.append("escape")
+    with pytest.raises(TrajectoryEscapeError, match="worker's chunk"):
+        f1_dr(sc.state, sc.pair, cfg)
+    assert_no_child_process()
+    fault[0], steps[0] = "interrupt", 0
     with pytest.raises(KeyboardInterrupt):
-        f1_dr(sc.state, sc.pair, config(n_traj=4000, tau=sc.tau, n_steps=2000))
-    assert caller_done.is_set()
-    # not Thread.join: on Python 3.11 an interrupted join marks the thread stopped
-    assert pool_done.wait(timeout=60)
-    assert 0 < len(pool_steps) < 100, len(pool_steps)
-    assert sorted(chunk_starts) == [(False, False), (True, False), (True, False)], chunk_starts
+        f1_dr(sc.state, sc.pair, replace(cfg, n_steps=2000))
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("blocker", ["thread", "no_fork"])
+def test_a_caller_that_cannot_fork_runs_its_chunks_in_order(monkeypatch, blocker):
+    # with another thread alive, or without os.fork, every chunk starts in
+    # the caller and the series keeps the serial bits
+    monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
+    sc = load("cubic_perturbation")
+    cfg = config(n_traj=4000, tau=sc.tau, n_steps=20)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
+    serial = f2_mc(sc.state, sc.pair, cfg)
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    chunk_starts = track_chunk_starts(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    if blocker == "thread":
+        other.start()
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        split = f2_mc(sc.state, sc.pair, cfg)
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join()
+    assert chunk_starts.tolist() == [0, 0, 4, 0], chunk_starts
+    assert split.values.tobytes() == serial.values.tobytes()
+    assert split.stderr.tobytes() == serial.stderr.tobytes()
+
+
+class _TwoArgumentError(Exception):
+    # pickles, but unpickling calls it with one argument and fails
+    def __init__(self, what, detail):
+        super().__init__(f"{what}: {detail}")
+
+
+class _LockedError(Exception):
+    # holds a lock, which does not pickle
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [_TwoArgumentError("lost", "detail"), _LockedError("locked")])
+def test_an_unpicklable_worker_exception_keeps_its_type_name_and_message(monkeypatch, error):
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+
+    def fail():
+        raise error
+
+    with pytest.raises(RuntimeError) as caught:
+        estimators._run_chunks([lambda: 0, fail], estimators._StopFlag())
+    assert str(caught.value) == f"{type(error).__name__}: {error}"
+    assert_no_child_process()
 
 
 # ---------------------------------------------------------------------------
