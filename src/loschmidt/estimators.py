@@ -32,18 +32,20 @@ reduced from the first step to the last.  Each CPU the process may run on
 works a contiguous run of the chunks in a process of its own: the caller
 the first run, and a worker forked after sampling each other run, which
 pipes its per-chunk moments back (threads would wait on the GIL between
-numpy's array loops).  So at most one chunk per CPU holds buffers; a chunk
-that raises, or an interrupt while the caller waits for its workers, stops
-the others after their current step through a shared stop byte, no chunk
-starts after that, and every worker is reaped before the call returns.
-Every draw is keyed by its batch and every sum runs in batch order, so the
-results are the same bits for any CPU count.  A chunk steps in its slice of
-the sample and in buffers it allocates once, so a step takes no fresh
-ensemble-sized array (and no page fault), and peak memory is the sample, 16
-bytes per trajectory and coordinate, plus a few chunks, whatever n_traj is:
-a running chunk of one coordinate holds about 40 bytes per trajectory for
-``f1_dr`` and 100 for the thimble.  The real-axis ``f2_mc`` stays one chunk
-of the whole ensemble, as its weights and its bootstrap span it.
+numpy's array loops); a caller that runs other Python threads, which a fork
+would not copy, uses a pool of threads instead.  So at most one chunk per
+CPU holds buffers; a chunk that raises, or an interrupt while the caller
+waits for its workers, stops the others after their current step through
+a shared stop byte, no chunk starts after that, and every worker ends
+before the call returns.  Every draw is keyed by its batch and every sum
+runs in batch order, so the results are the same bits for any CPU count.  A
+chunk steps in its slice of the sample and in buffers it allocates once, so
+a step takes no fresh ensemble-sized array (and no page fault), and peak
+memory is the sample, 16 bytes per trajectory and coordinate, plus a few
+chunks, whatever n_traj is: a running chunk of one coordinate holds about
+40 bytes per trajectory for ``f1_dr`` and 100 for the thimble.  The
+real-axis ``f2_mc`` stays one chunk of the whole ensemble, as its weights
+and its bootstrap span it.
 
 Within one series the time steps reuse a single path ensemble, so errors
 are correlated across time (flagged in the metadata).  The thimble's
@@ -241,9 +243,10 @@ def _chunks(n: int) -> list:
 
 
 class _StopFlag:
-    """A stop flag that the caller shares with the workers it forks: one byte
-    of an anonymous shared mmap.  A worker also reads it set once its caller
-    has died, so a killed caller leaves no worker stepping."""
+    """A stop flag that the caller shares with the workers it forks, or the
+    threads of its pool: one byte of an anonymous shared mmap.  A worker
+    also reads it set once its caller has died, so a killed caller leaves no
+    worker stepping."""
 
     def __init__(self):
         self._byte = mmap.mmap(-1, 1)
@@ -267,14 +270,19 @@ def _run_in_order(tasks, stop) -> list:
     return results
 
 
-def _work(run, stop, pipe):
+def _work(run, stop, pipe, inherited):
     """The body of a forked worker: the results of ``_run_in_order(run,
     stop)``, or its exception, pickled down the file descriptor ``pipe``.
-    Never returns.  It ignores SIGINT: the caller's stop byte ends its run."""
+    Never returns.  It first closes the file descriptors ``inherited``, the
+    read ends of its caller's pipes, so that a write to a pipe its caller
+    has closed fails at once instead of waiting for a reader.  It ignores
+    SIGINT: the caller's stop byte ends its run."""
     import signal
 
     code = 1
     try:
+        for fd in inherited:
+            os.close(fd)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         try:
             outcome = _run_in_order(run, stop), None
@@ -310,23 +318,10 @@ def _read_to_end(pipes) -> dict:
     return data
 
 
-def _run_chunks(tasks, stop) -> list:
-    """Run the callables ``tasks`` in at most one process per available CPU
-    and return their results in task order.  Each process works one
-    contiguous run of the tasks in order: the caller the first run, and a
-    worker forked for each other run, which sends its results, or its
-    exception, back through a pipe.  So at most one task per CPU runs at a
-    time, and none starts once the shared flag ``stop`` is set.  Returns
-    once every worker has ended and been reaped; the first exception in task
-    order is then raised.  An exception in the caller, an interrupt while it
-    waits for the workers included, sets ``stop``.  Without ``os.fork``, or
-    with another thread alive (a fork would copy the locks it holds), the
-    tasks run in order on the calling thread."""
-    workers = min(_available_cpus(), len(tasks))
-    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _run_in_order(tasks, stop)
-    cuts = [(w * len(tasks)) // workers for w in range(workers + 1)]
-    runs = [tasks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+def _run_forked(runs, stop) -> list:
+    """``_run_chunks`` with a worker forked for each run but the first,
+    which the caller works.  A worker sends its results, or its exception,
+    back through a pipe."""
     pipes, codes = {}, {}  # the read end of each worker's pipe: its pid, its exit code
     try:
         for run in runs[1:]:
@@ -334,7 +329,7 @@ def _run_chunks(tasks, stop) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(run, stop, write)
+                    _work(run, stop, write, (read, *pipes))
             except BaseException:
                 os.close(read)
                 raise
@@ -347,10 +342,11 @@ def _run_chunks(tasks, stop) -> list:
         stop.set()
         raise
     finally:
-        # a pipe closes before its worker is reaped: a worker still writing
-        # to it then fails at once and exits
-        for read, pid in pipes.items():
+        # every pipe closes before any worker is reaped: as the caller holds
+        # the only read ends, a worker still writing then fails at once
+        for read in pipes:
             os.close(read)
+        for read, pid in pipes.items():
             codes[read] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     for read, payload in payloads.items():
         if not payload:
@@ -362,6 +358,55 @@ def _run_chunks(tasks, stop) -> list:
             raise error
         results += done
     return results
+
+
+def _run_threaded(runs, stop) -> list:
+    """``_run_chunks`` with a pool thread for each run but the first, which
+    the calling thread works."""
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    with ThreadPoolExecutor(len(runs) - 1, "loschmidt-chunk") as pool:
+        try:
+            futures = [pool.submit(_run_in_order, run, stop) for run in runs[1:]]
+            first = _run_in_order(runs[0], stop)
+            # timed waits let an interrupt through that only sets Python's
+            # flag, as _thread.interrupt_main() does
+            while wait(futures, timeout=0.1).not_done:
+                pass
+        except BaseException:
+            # before leaving the block, which waits for every task
+            stop.set()
+            raise
+    # a run cut short by stop leaves an exception to raise here
+    return [*first, *(result for future in futures for result in future.result())]
+
+
+def _run_chunks(tasks, stop) -> list:
+    """Run the callables ``tasks`` on at most one process per available CPU
+    and return their results in task order.  Each process works one
+    contiguous run of the tasks in order: the caller the first run, and a
+    worker forked for each other run.  So at most one task per CPU runs at a
+    time, and none starts once the shared flag ``stop`` is set.  Returns
+    once every worker has ended and been reaped; the first exception in task
+    order is then raised.  An exception in the caller, an interrupt while it
+    waits for the workers included, sets ``stop``.
+
+    A fork copies only the calling thread, and with it the locks that other
+    threads hold.  So without ``os.fork``, or with another Python thread
+    alive, the other runs go to a pool of threads instead, which share the
+    GIL.  Threads that Python does not see, such as a BLAS library's pool,
+    do not stop a fork.  OpenBLAS, which NumPy's wheels ship, ends its pool
+    before each fork and starts it again when next called, so the worker
+    inherits none of it; a library that keeps its threads makes Python 3.12
+    and later warn at each fork with a DeprecationWarning."""
+    workers = min(_available_cpus(), len(tasks))
+    if workers == 1:
+        return _run_in_order(tasks, stop)
+    cuts = [(w * len(tasks)) // workers for w in range(workers + 1)]
+    runs = [tasks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        return _run_forked(runs, stop)
+    return _run_threaded(runs, stop)
 
 
 def _chunk_moments(steps, starts, counts, stop):

@@ -934,10 +934,9 @@ def test_a_forked_child_splits_its_ensemble_on_its_own_pool(monkeypatch):
     assert child.exitcode == 0
 
 
-@needs_fork
-def test_run_chunks_raises_the_first_failure_once_every_chunk_finished(monkeypatch):
-    # three tasks on three CPUs: one in the caller and one in each of two
-    # workers, which mark in shared memory when they start and finish
+def assert_the_first_failure_wins(monkeypatch):
+    """Three tasks on three CPUs, one in the caller and one in each of two
+    workers, which mark in shared memory when they start and finish."""
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 3)
     started, finished = shared_counts(3), shared_counts(3)
 
@@ -972,6 +971,62 @@ def test_run_chunks_raises_the_first_failure_once_every_chunk_finished(monkeypat
             estimators._StopFlag(),
         )
     assert finished[:2].tolist() == [1, 1]
+    assert_no_child_process()
+
+
+@needs_fork
+def test_run_chunks_raises_the_first_failure_once_every_chunk_finished(monkeypatch):
+    assert_the_first_failure_wins(monkeypatch)
+
+
+def test_threaded_chunks_raise_the_first_failure_once_every_chunk_finished(monkeypatch):
+    # the same tasks on a caller that cannot fork, whose workers are threads
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert_the_first_failure_wins(monkeypatch)
+
+
+def timed_out(signum, frame):
+    raise TimeoutError("the call is still waiting for its worker")
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError("caller's chunk"), KeyboardInterrupt()])
+def test_a_worker_with_a_large_result_ends_when_its_caller_leaves(monkeypatch, error):
+    # the worker's result, 1 MiB, overflows its pipe's buffer, so the worker
+    # writes until its caller reads.  The caller's task raises once the
+    # worker's has returned, without reading: the caller closes its read
+    # end, the worker's write fails, and the call returns with no worker left
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    returned, workers, fork = shared_counts(1), [], os.fork
+
+    def recorded_fork():
+        workers.append(fork())
+        return workers[-1]
+
+    def callers_task():
+        wait_for(lambda: returned[0])
+        time.sleep(0.05)  # the worker is now writing its result
+        raise error
+
+    def workers_task():
+        returned[0] = 1
+        return bytes(2**20)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        with pytest.raises(type(error)) as caught:
+            estimators._run_chunks([callers_task, workers_task], estimators._StopFlag())
+    except TimeoutError:
+        for pid in workers:  # a worker stuck in its write would outlive the tests
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert caught.value is error
     assert_no_child_process()
 
 
@@ -1156,30 +1211,43 @@ def test_no_worker_outlives_a_call(monkeypatch):
     assert_no_child_process()
 
 
+def no_fork():
+    raise AssertionError("a caller with another thread alive forked")
+
+
 @pytest.mark.parametrize("blocker", ["thread", "no_fork"])
-def test_a_caller_that_cannot_fork_runs_its_chunks_in_order(monkeypatch, blocker):
-    # with another thread alive, or without os.fork, every chunk starts in
-    # the caller and the series keeps the serial bits
+def test_a_caller_that_cannot_fork_splits_its_chunks_over_threads(monkeypatch, blocker):
+    # with another thread alive, or without os.fork, nothing is forked: two
+    # chunks run on the caller's thread and two on one pool thread, and the
+    # series keeps the serial bits
     monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
     sc = load("cubic_perturbation")
     cfg = config(n_traj=4000, tau=sc.tau, n_steps=20)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
     serial = f2_mc(sc.state, sc.pair, cfg)
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
-    chunk_starts = track_chunk_starts(monkeypatch)
+    chunk_threads, chunk_moments = [], estimators._chunk_moments
+
+    def tracked(*args):
+        chunk_threads.append(threading.get_ident())
+        return chunk_moments(*args)
+
+    monkeypatch.setattr(estimators, "_chunk_moments", tracked)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     if blocker == "thread":
+        monkeypatch.setattr(os, "fork", no_fork)
         other.start()
     else:
-        monkeypatch.delattr(os, "fork")
+        monkeypatch.delattr(os, "fork", raising=False)
     try:
         split = f2_mc(sc.state, sc.pair, cfg)
     finally:
         release.set()
         if other.is_alive():
             other.join()
-    assert chunk_starts.tolist() == [0, 0, 4, 0], chunk_starts
+    assert chunk_threads.count(threading.get_ident()) == 2, chunk_threads
+    assert len(chunk_threads) == 4 and len(set(chunk_threads)) == 2, chunk_threads
     assert split.values.tobytes() == serial.values.tobytes()
     assert split.stderr.tobytes() == serial.stderr.tobytes()
 
