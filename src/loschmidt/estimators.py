@@ -25,9 +25,12 @@ estimator's name, the run's fields and the estimator's own entries.  ``f0``
 and the chain are deterministic.  The Monte Carlo reductions run over
 fixed, index-ordered batches, so results are the same bits for a given seed
 however work is scheduled.  ``f1_dr`` and the thimble ``f2_mc`` make one
-call, ``_ensemble_series``, with or without a kick.  It cuts an ensemble of
-at least 2 * ``_CHUNK_TRAJ`` trajectories into chunks of whole batches,
-about ``_CHUNK_TRAJ`` each, each a generator of its phasors stepped and
+call, ``_ensemble_series``, with or without a kick; in the scope that
+``cli.run`` opens, a kick-free ensemble is computed once and shared by the
+two.  It cuts an ensemble into chunks of whole batches, about
+``_CHUNK_TRAJ`` trajectories each, or, where the chunks fork, one per CPU
+if that is more and each chunk still carries ``_CHUNK_TRAJ_STEPS``
+trajectory-steps; each chunk is a generator of its phasors stepped and
 reduced from the first step to the last.  Each CPU the process may run on
 works a contiguous run of the chunks in a process of its own: the caller
 the first run, and a worker forked after sampling each other run, which
@@ -61,6 +64,8 @@ import os
 import pickle
 import threading
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
@@ -81,6 +86,15 @@ _SINGULAR_RTOL = 1e-12
 # the fixed cost of each numpy call, and chunks of 12 500 made f1 and f2_mc
 # 17% slower at 1e5 trajectories where 25 000 did not
 _CHUNK_TRAJ = 25_000
+# where the chunks fork, an ensemble is cut into at least one chunk per
+# available CPU once each chunk carries this many trajectory-steps (n_traj *
+# n_steps per chunk).  Forking and reaping a worker costs about 7 ms; on 2
+# CPUs, for cubic_perturbation, two chunks against one took f1 at 1e4
+# trajectories from 7.5 to 12.4 ms at 20 steps, 16 to 20 ms at 50, 42 to 33
+# ms at 100 and 83 to 66 ms at 252, and the thimble f2_mc from 44 to 37 ms
+# at 50 steps.  On a thread pool two chunks took f1 from 87 to 123 ms at 252
+# steps, and f2_mc from 232 to 370 ms
+_CHUNK_TRAJ_STEPS = 500_000
 _TINY = np.finfo(float).tiny
 
 
@@ -228,16 +242,28 @@ def _batch_edges(n: int) -> list:
     return [(i * n) // b for i in range(b + 1)]
 
 
-def _chunks(n: int) -> list:
-    """The chunks an ensemble of n samples is cut into: (batches, lo, hi)
-    per chunk, a contiguous run of whole error batches and its samples lo:hi.
-    There are n // ``_CHUNK_TRAJ`` chunks, but at least one and at most one
-    per batch, balanced in batches: up to 2 ``_CHUNK_TRAJ`` samples each
-    below n = 32 ``_CHUNK_TRAJ``, one batch (n / 32) above.  The CPU count
-    does not enter; ``_run_chunks`` runs at most one chunk per CPU."""
+def _can_fork() -> bool:
+    """Whether ``_run_chunks`` forks its workers: ``os.fork`` exists and no
+    other Python thread is alive, whose locks a fork would copy."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _chunks(n: int, n_steps: int) -> list:
+    """The chunks an ensemble of n samples stepped n_steps times is cut
+    into: (batches, lo, hi) per chunk, a contiguous run of whole error
+    batches and its samples lo:hi.  There are n // ``_CHUNK_TRAJ`` chunks.
+    Where the chunks fork (``_can_fork``) there is instead one per available
+    CPU if that is more and each then carries at least ``_CHUNK_TRAJ_STEPS``
+    trajectory-steps (fewer CPUs' worth otherwise); on a thread pool such a
+    split is slower than one chunk.  There is at least one chunk and at most
+    one per batch, balanced in batches.  So the default 1e4 trajectories at
+    252 steps make one chunk per CPU up to five, and 1e5 make four chunks on
+    up to four CPUs.  ``_run_chunks`` runs at most one chunk per CPU at a
+    time."""
     edges = _batch_edges(n)
     batches = len(edges) - 1
-    count = max(1, min(n // _CHUNK_TRAJ, batches))
+    per_cpu = min(_available_cpus(), n * n_steps // _CHUNK_TRAJ_STEPS) if _can_fork() else 1
+    count = max(1, min(max(n // _CHUNK_TRAJ, per_cpu), batches))
     cuts = [(c * batches) // count for c in range(count + 1)]
     return [(range(b0, b1), edges[b0], edges[b1]) for b0, b1 in zip(cuts[:-1], cuts[1:])]
 
@@ -404,7 +430,7 @@ def _run_chunks(tasks, stop) -> list:
         return _run_in_order(tasks, stop)
     cuts = [(w * len(tasks)) // workers for w in range(workers + 1)]
     runs = [tasks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    if hasattr(os, "fork") and threading.active_count() == 1:
+    if _can_fork():
         return _run_forked(runs, stop)
     return _run_threaded(runs, stop)
 
@@ -436,10 +462,32 @@ def _ensemble_size(config) -> int:
     return config.n_traj
 
 
+# the kick-free ensembles computed in the innermost open ``_shared_ensembles``
+# scope of this thread or task: (state, h, delta) ids and config -> those
+# objects, kept so that no other object takes their ids, and the series
+_SHARED = ContextVar("loschmidt_shared_ensembles", default=None)
+
+
+@contextmanager
+def _shared_ensembles():
+    """A scope in which ``_ensemble_series`` computes each kick-free ensemble
+    once: a later call with the same state, Hamiltonian and perturbation
+    (each the same object) and an equal config gets copies of the first
+    call's mean and standard error, the same bits.  So ``f1_dr`` on the
+    average Hamiltonian and ``f2_mc`` on an affine perturbation, which
+    follow one ensemble, share it.  Calls outside a scope never share."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _ensemble_series(state, config, h, delta, kick=None):
     """Mean and standard error at every step of the ``_orbit_phasors`` of
     ``h`` and ``delta`` over one sampled ensemble, cut into ``_chunks`` run
-    by ``_run_chunks``.
+    by ``_run_chunks``; inside ``_shared_ensembles`` a kick-free ensemble is
+    computed once.
 
     ``kick(batches)``, when given, builds the kick of the trajectories of a
     chunk's error batches (a range).  Each orbit steps in its chunk's slice
@@ -450,17 +498,24 @@ def _ensemble_series(state, config, h, delta, kick=None):
     CPU count.
     """
     n = _ensemble_size(config)
+    shared = _SHARED.get() if kick is None else None
+    key = (id(state), id(h), id(delta), config)
+    if shared is not None and key in shared:
+        return tuple(part.copy() for part in shared[key][1])
     q, p = sample(state, n, config.seed, config.hbar)
     edges = np.array(_batch_edges(n))
     counts = np.diff(edges)
     stop = _StopFlag()
     tasks = []
-    for batches, lo, hi in _chunks(n):
+    for batches, lo, hi in _chunks(n, config.n_steps):
         steps = _orbit_phasors(h, delta, config, kick and kick(batches), q[lo:hi], p[lo:hi])
         tasks.append(partial(_chunk_moments, steps, edges[batches] - lo, counts[batches], stop))
     results = _run_chunks(tasks, stop)
     sums, m2s = (np.concatenate(part, axis=1) for part in zip(*results))
-    return _merge_moments(sums, m2s, counts)
+    mean, stderr = _merge_moments(sums, m2s, counts)
+    if shared is not None:
+        shared[key] = (state, h, delta), (mean.copy(), stderr.copy())
+    return mean, stderr
 
 
 # ---------------------------------------------------------------------------

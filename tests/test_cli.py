@@ -18,7 +18,7 @@ from loschmidt.cli import (
     run,
 )
 from loschmidt import estimators as estimators_module
-from loschmidt.estimators import f1_dr
+from loschmidt.estimators import _shared_ensembles, f1_dr, f2_mc
 from loschmidt.qgrid import Grid, fidelity_exact, grid_for_state
 from loschmidt.series import FidelitySeries, read_series
 
@@ -211,6 +211,91 @@ def test_run_looks_estimators_up_at_call_time(tmp_path, monkeypatch):
     results = run(cfg, tmp_path / "out")
     assert calls == ["average"]
     assert results["f1"].meta["estimator"] == "f1"
+
+
+def count_ensembles(monkeypatch):
+    """Patch the ensemble sampler to record each ensemble it draws."""
+    samples, sample = [], estimators_module.sample
+    monkeypatch.setattr(
+        estimators_module, "sample", lambda *args: samples.append(args[1]) or sample(*args)
+    )
+    return samples
+
+
+SHARED_CFG = """
+scenario = displaced_ho
+n_traj = 2000
+n_steps = 40
+spectrum_damping_time = 4.0
+"""
+
+
+def test_run_computes_a_shared_ensemble_once(tmp_path, monkeypatch):
+    # on displaced_ho delta-V is affine: f2_mc follows f1's orbit, and one
+    # run computes that ensemble once; f2_mc.csv keeps the bytes it has alone
+    samples = count_ensembles(monkeypatch)
+    both = build_run_config(parse_config_text(SHARED_CFG + "estimators = f1, f2_mc\n"))
+    results = run(both, tmp_path / "both")
+    assert samples == [2000]
+    run(build_run_config(parse_config_text(SHARED_CFG + "estimators = f2_mc\n")), tmp_path / "one")
+    assert samples == [2000] * 2
+    for name in ("f2_mc.csv", "spectrum_f2_mc.csv"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    # the two series hold arrays of their own
+    f2_values = results["f2_mc"].values.copy()
+    results["f1"].values[:] = 0.0
+    results["f1"].stderr[:] = 0.0
+    assert results["f2_mc"].values.tobytes() == f2_values.tobytes()
+    assert np.all(results["f2_mc"].stderr[1:] > 0.0)
+    # the next run computes its ensemble again
+    run(both, tmp_path / "again")
+    assert samples == [2000] * 3
+    assert (tmp_path / "again" / "f1.csv").read_bytes() == (tmp_path / "both" / "f1.csv").read_bytes()
+
+
+def test_run_on_the_unperturbed_reference_computes_two_ensembles(tmp_path, monkeypatch):
+    # f1 follows h_prime, f2_mc the average: two ensembles
+    samples = count_ensembles(monkeypatch)
+    text = SHARED_CFG + "estimators = f1, f2_mc\nreference = h_prime\n"
+    run(build_run_config(parse_config_text(text)), tmp_path / "out")
+    assert samples == [2000] * 2
+
+
+def test_a_shared_ensemble_meets_the_divergence_guard(tmp_path, capsys, monkeypatch):
+    # f1 takes any finite stderr; f2_mc, given f1's ensemble, still refuses
+    # a stderr above 1
+    merge = estimators_module._merge_moments
+
+    def inflated(*args):
+        mean, stderr = merge(*args)
+        stderr[3:] = 2.0
+        return mean, stderr
+
+    monkeypatch.setattr(estimators_module, "_merge_moments", inflated)
+    samples = count_ensembles(monkeypatch)
+    cfg_path = write_cfg(tmp_path, SHARED_CFG + "estimators = f1, f2_mc\n")
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert samples == [2000]
+    assert "diverged at step 3 (t = 0.15): stderr 2 > 1" in capsys.readouterr().err
+
+
+def test_direct_estimator_calls_never_share_an_ensemble(monkeypatch):
+    samples = count_ensembles(monkeypatch)
+    sc = build_run_config(parse_config_text(SHARED_CFG + "estimators = f1\n"))
+    state, pair, cfg = sc.system.state, sc.system.pair, sc.estimator_config
+    f1_dr(state, pair, cfg)
+    f2_mc(state, pair, cfg)
+    assert samples == [2000] * 2
+    # inside a scope a series written into leaves the shared one unchanged
+    with _shared_ensembles():
+        first = f1_dr(state, pair, cfg)
+        values = first.values.copy()
+        first.values[:] = 0.0
+        second = f2_mc(state, pair, cfg)
+    assert samples == [2000] * 3
+    assert second.values.tobytes() == values.tobytes()
+    f2_mc(state, pair, cfg)
+    assert samples == [2000] * 4
 
 
 def test_run_zero_perturbation_unit_modulus(tmp_path):

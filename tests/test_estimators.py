@@ -787,11 +787,21 @@ def test_diverging_thimble_raises_without_numpy_warnings(monkeypatch, cpus, chun
 
 
 def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
-    # 32 000 trajectories cut into 1 chunk, 3 uneven ones (10, 11 and 11 of
-    # the 32 error batches), 4 and 32, each layout run on 1, 2 and 3 CPUs:
-    # fewer chunks than CPUs, as many, and more
-    n = 32_000
-    layouts = {n: [n], 10_000: [10_000, 11_000, 11_000], 8000: [8000] * 4, 1000: [1000] * 32}
+    # 32 000 trajectories at 30 steps, each layout run on 1, 2 and 3 CPUs:
+    # fewer chunks than CPUs, as many, and more.  By trajectories per chunk:
+    # 1 chunk, 3 uneven ones (10, 11 and 11 of the 32 error batches), 4 and
+    # 32, whatever the CPU count, as 9.6e5 trajectory-steps are below two
+    # chunks' floor; and with that floor lowered, one chunk per CPU
+    n, n_steps = 32_000, 30
+    floor = estimators._CHUNK_TRAJ_STEPS
+    # (trajectories, trajectory-steps per chunk) -> the sizes on 1, 2, 3 CPUs
+    layouts = {
+        (n, floor): [[n]] * 3,
+        (n, 1000): [[n], [16_000] * 2, [10_000, 11_000, 11_000]],
+        (10_000, floor): [[10_000, 11_000, 11_000]] * 3,
+        (8000, floor): [[8000] * 4] * 3,
+        (1000, floor): [[1000] * 32] * 3,
+    }
     runs = [
         (f1_dr, "displaced_ho"), (f1_dr, "cubic_perturbation"),
         (f2_mc, "linear_gradient"),  # a = 0 everywhere: the orbit stays real
@@ -799,21 +809,26 @@ def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
     ]
     real_axis = (f2_mc, "kicked_rotor")  # one chunk whatever the layout: run on the first
     results = {}
-    for chunk_traj, sizes in layouts.items():
+    for (chunk_traj, chunk_steps), sizes in layouts.items():
         monkeypatch.setattr(estimators, "_CHUNK_TRAJ", chunk_traj)
-        assert [hi - lo for _, lo, hi in estimators._chunks(n)] == sizes
+        monkeypatch.setattr(estimators, "_CHUNK_TRAJ_STEPS", chunk_steps)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(estimators, "_available_cpus", lambda cpus=cpus: cpus)
+            layout = [hi - lo for _, lo, hi in estimators._chunks(n, n_steps)]
+            assert layout == sizes[cpus - 1], (chunk_traj, chunk_steps, cpus)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # the real-axis ESS
-                for estimator, name in runs + [real_axis] * (chunk_traj == n):
+                first = (chunk_traj, chunk_steps) == (n, floor)
+                for estimator, name in runs + [real_axis] * first:
                     sc = load(name)
-                    cfg = config(n_traj=n, tau=sc.tau, n_steps=30, seed=5)
-                    results[chunk_traj, cpus, estimator, name] = estimator(sc.state, sc.pair, cfg)
+                    cfg = config(n_traj=n, tau=sc.tau, n_steps=n_steps, seed=5)
+                    results[chunk_traj, chunk_steps, cpus, estimator, name] = estimator(
+                        sc.state, sc.pair, cfg
+                    )
     for estimator, name in runs + [real_axis]:
-        one = results[n, 1, estimator, name]
+        one = results[n, floor, 1, estimator, name]
         for key, other in results.items():
-            if key[2:] == (estimator, name):
+            if key[3:] == (estimator, name):
                 assert one.values.tobytes() == other.values.tobytes(), key
                 assert one.stderr.tobytes() == other.stderr.tobytes(), key
                 assert one.meta.get("f2_contour") == other.meta.get("f2_contour")
@@ -870,6 +885,52 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_default_ensemble_at_the_sweep_steps_makes_one_chunk_per_cpu(monkeypatch, cpus):
+    # the default 1e4 trajectories at a preset's 252 steps carry 2.52e6
+    # trajectory-steps, enough for five chunks; 1e5 keep their four chunks
+    # of 25 000 on up to four CPUs, and 1e4 at 20 steps stay one chunk.  A
+    # caller that cannot fork, whose chunks would share the GIL, keeps one
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: cpus)
+
+    def sizes(n, n_steps):
+        return [hi - lo for _, lo, hi in estimators._chunks(n, n_steps)]
+
+    assert sizes(10_000, 252) == {1: [10_000], 2: [5000] * 2, 3: [3125, 3437, 3438]}[cpus]
+    assert sizes(100_000, 252) == [25_000] * 4
+    assert sizes(10_000, 20) == [10_000]
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert sizes(10_000, 252) == [10_000]
+    assert sizes(100_000, 252) == [25_000] * 4
+
+
+@needs_fork
+def test_an_ensemble_below_the_floor_forks_no_worker(monkeypatch):
+    # on two CPUs 1e4 trajectories at 20 steps (2e5 trajectory-steps) run
+    # in the caller; at 100 steps (1e6) they fork one worker, and keep the
+    # caller's bits
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
+    forks, run_forked = [], estimators._run_forked
+
+    def counted(runs, stop):
+        forks.append(len(runs) - 1)
+        return run_forked(runs, stop)
+
+    monkeypatch.setattr(estimators, "_run_forked", counted)
+    sc = load("cubic_perturbation")
+    for estimator in (f1_dr, f2_mc):
+        estimator(sc.state, sc.pair, config(n_traj=10_000, tau=sc.tau, n_steps=20))
+    assert forks == []
+    cfg = config(n_traj=10_000, tau=sc.tau, n_steps=100)
+    split = f1_dr(sc.state, sc.pair, cfg)
+    assert forks == [1]
+    monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
+    serial = f1_dr(sc.state, sc.pair, cfg)
+    assert forks == [1]
+    assert split.values.tobytes() == serial.values.tobytes()
+    assert split.stderr.tobytes() == serial.stderr.tobytes()
 
 
 @needs_fork
