@@ -33,22 +33,23 @@ if that is more and each chunk still carries ``_CHUNK_TRAJ_STEPS``
 trajectory-steps; each chunk is a generator of its phasors stepped and
 reduced from the first step to the last.  Each CPU the process may run on
 works a contiguous run of the chunks in a process of its own: the caller
-the first run, and a worker forked after sampling each other run, which
-pipes its per-chunk moments back (threads would wait on the GIL between
-numpy's array loops); a caller that runs other Python threads, which a fork
-would not copy, uses a pool of threads instead.  So at most one chunk per
-CPU holds buffers; a chunk that raises, or an interrupt while the caller
-waits for its workers, stops the others after their current step through
-a shared stop byte, no chunk starts after that, and every worker ends
-before the call returns.  Every draw is keyed by its batch and every sum
-runs in batch order, so the results are the same bits for any CPU count.  A
-chunk steps in its slice of the sample and in buffers it allocates once, so
-a step takes no fresh ensemble-sized array (and no page fault), and peak
-memory is the sample, 16 bytes per trajectory and coordinate, plus a few
-chunks, whatever n_traj is: a running chunk of one coordinate holds about
-40 bytes per trajectory for ``f1_dr`` and 100 for the thimble.  The
-real-axis ``f2_mc`` stays one chunk of the whole ensemble, as its weights
-and its bootstrap span it.
+the first run, and a worker forked after sampling each other run (threads
+would wait on the GIL between numpy's array loops); a caller that runs
+other Python threads, which a fork would not copy, starts a thread for
+each other run instead.  Both kinds of worker run one body, which pipes
+the pickled per-chunk moments, or the exception, back.  So at most one
+chunk per CPU holds buffers; a chunk that raises, or an interrupt while
+the caller waits for its workers, stops the others after their current
+step through a shared stop byte, no chunk starts after that, and every
+worker ends before the call returns.  Every draw is keyed by its batch and
+every sum runs in batch order, so the results are the same bits for any
+CPU count and either kind of worker.  A chunk steps in its slice of the
+sample and in buffers it allocates once, so a step takes no fresh
+ensemble-sized array (and no page fault), and peak memory is the sample,
+16 bytes per trajectory and coordinate, plus a few chunks, whatever n_traj
+is: a running chunk of one coordinate holds about 40 bytes per trajectory
+for ``f1_dr`` and 100 for the thimble.  The real-axis ``f2_mc`` stays one
+chunk of the whole ensemble, as its weights and its bootstrap span it.
 
 Within one series the time steps reuse a single path ensemble, so errors
 are correlated across time (flagged in the metadata).  The thimble's
@@ -92,7 +93,7 @@ _CHUNK_TRAJ = 25_000
 # CPUs, for cubic_perturbation, two chunks against one took f1 at 1e4
 # trajectories from 7.5 to 12.4 ms at 20 steps, 16 to 20 ms at 50, 42 to 33
 # ms at 100 and 83 to 66 ms at 252, and the thimble f2_mc from 44 to 37 ms
-# at 50 steps.  On a thread pool two chunks took f1 from 87 to 123 ms at 252
+# at 50 steps.  On threads two chunks took f1 from 87 to 123 ms at 252
 # steps, and f2_mc from 232 to 370 ms
 _CHUNK_TRAJ_STEPS = 500_000
 _TINY = np.finfo(float).tiny
@@ -243,36 +244,36 @@ def _batch_edges(n: int) -> list:
 
 
 def _can_fork() -> bool:
-    """Whether ``_run_chunks`` forks its workers: ``os.fork`` exists and no
+    """Whether a split ensemble forks its workers: ``os.fork`` exists and no
     other Python thread is alive, whose locks a fork would copy."""
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _chunks(n: int, n_steps: int) -> list:
+def _chunks(n: int, n_steps: int, fork: bool) -> list:
     """The chunks an ensemble of n samples stepped n_steps times is cut
     into: (batches, lo, hi) per chunk, a contiguous run of whole error
     batches and its samples lo:hi.  There are n // ``_CHUNK_TRAJ`` chunks.
-    Where the chunks fork (``_can_fork``) there is instead one per available
-    CPU if that is more and each then carries at least ``_CHUNK_TRAJ_STEPS``
-    trajectory-steps (fewer CPUs' worth otherwise); on a thread pool such a
-    split is slower than one chunk.  There is at least one chunk and at most
-    one per batch, balanced in batches.  So the default 1e4 trajectories at
-    252 steps make one chunk per CPU up to five, and 1e5 make four chunks on
-    up to four CPUs.  ``_run_chunks`` runs at most one chunk per CPU at a
+    If ``fork``, so that the chunks run in forked workers, there is instead
+    one per available CPU if that is more and each then carries at least
+    ``_CHUNK_TRAJ_STEPS`` trajectory-steps (fewer CPUs' worth otherwise); on
+    threads such a split is slower than one chunk.  There is at least one chunk and at most one
+    per batch, balanced in batches.  So the default 1e4 trajectories at 252
+    steps make one chunk per CPU up to five, and 1e5 make four chunks on up
+    to four CPUs.  ``_run_chunks`` runs at most one chunk per CPU at a
     time."""
     edges = _batch_edges(n)
     batches = len(edges) - 1
-    per_cpu = min(_available_cpus(), n * n_steps // _CHUNK_TRAJ_STEPS) if _can_fork() else 1
+    per_cpu = min(_available_cpus(), n * n_steps // _CHUNK_TRAJ_STEPS) if fork else 1
     count = max(1, min(max(n // _CHUNK_TRAJ, per_cpu), batches))
     cuts = [(c * batches) // count for c in range(count + 1)]
     return [(range(b0, b1), edges[b0], edges[b1]) for b0, b1 in zip(cuts[:-1], cuts[1:])]
 
 
 class _StopFlag:
-    """A stop flag that the caller shares with the workers it forks, or the
-    threads of its pool: one byte of an anonymous shared mmap.  A worker
-    also reads it set once its caller has died, so a killed caller leaves no
-    worker stepping."""
+    """A stop flag that the caller shares with its chunk workers, forked
+    processes or threads alike: one byte of an anonymous shared mmap.  A
+    worker also reads it set once its caller has died, so a killed caller
+    leaves no worker stepping."""
 
     def __init__(self):
         self._byte = mmap.mmap(-1, 1)
@@ -287,42 +288,76 @@ class _StopFlag:
 
 def _run_in_order(tasks, stop) -> list:
     """The results of the callables ``tasks``, run one after another; none
-    starts once the flag ``stop`` is set."""
+    starts once the flag ``stop`` is set, and a task that raises sets it."""
     results = []
-    for task in tasks:
-        if stop.is_set():
-            break
-        results.append(task())
+    try:
+        for task in tasks:
+            if stop.is_set():
+                break
+            results.append(task())
+    except BaseException:
+        stop.set()
+        raise
     return results
 
 
-def _work(run, stop, pipe, inherited):
-    """The body of a forked worker: the results of ``_run_in_order(run,
-    stop)``, or its exception, pickled down the file descriptor ``pipe``.
-    Never returns.  It first closes the file descriptors ``inherited``, the
-    read ends of its caller's pipes, so that a write to a pipe its caller
-    has closed fails at once instead of waiting for a reader.  It ignores
-    SIGINT: the caller's stop byte ends its run."""
-    import signal
-
-    code = 1
+def _send(run, stop, pipe) -> None:
+    """The body of every chunk worker, forked or a thread: the results of
+    ``_run_in_order(run, stop)``, or its exception, pickled down the file
+    descriptor ``pipe``, which it closes.  An exception that does not
+    survive a pickle goes as a RuntimeError with its type's name and its
+    message.  A write to a pipe that its caller has closed ends the worker
+    quietly."""
     try:
-        for fd in inherited:
-            os.close(fd)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        try:
-            outcome = _run_in_order(run, stop), None
-        except BaseException as exc:
-            try:
-                outcome = None, pickle.loads(pickle.dumps(exc))
-            except Exception:  # an exception that does not survive a pickle
-                outcome = None, RuntimeError(f"{type(exc).__name__}: {exc}")
-        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
         with open(pipe, "wb") as stream:
+            try:
+                data = pickle.dumps((_run_in_order(run, stop), None), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:
+                try:
+                    pickle.loads(data := pickle.dumps((None, exc)))
+                except Exception:  # an exception that does not survive a pickle
+                    data = pickle.dumps((None, RuntimeError(f"{type(exc).__name__}: {exc}")))
             stream.write(data)
-        code = 0
+    except BrokenPipeError:  # its caller left without reading
+        pass
+
+
+def _fork_worker(run, stop, pipe, inherited):
+    """Fork a worker that runs ``_send(run, stop, pipe)``; return a call that
+    reaps it and gives its exit code.  The worker first closes the file
+    descriptors ``inherited``, the read ends of its caller's pipes, so that
+    a write to a pipe its caller has closed fails at once instead of waiting
+    for a reader.  It ignores SIGINT, as the caller's stop byte ends its
+    run, and leaves by ``os._exit``.  The caller's copy of ``pipe`` is
+    closed."""
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                import signal
+
+                for fd in inherited:
+                    os.close(fd)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _send(run, stop, pipe)
+                os._exit(0)
+            finally:
+                os._exit(1)
     finally:
-        os._exit(code)
+        os.close(pipe)
+    return lambda: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _thread_worker(run, stop, pipe, inherited):
+    """Start a thread that runs ``_send(run, stop, pipe)``; return a call
+    that joins it.  ``inherited`` is for ``_fork_worker``'s signature."""
+    thread = threading.Thread(target=_send, args=(run, stop, pipe), name="loschmidt-chunk")
+    try:
+        thread.start()
+    except RuntimeError:  # no thread started, so none will close the pipe
+        os.close(pipe)
+        raise
+    return thread.join
 
 
 def _read_to_end(pipes) -> dict:
@@ -344,41 +379,56 @@ def _read_to_end(pipes) -> dict:
     return data
 
 
-def _run_forked(runs, stop) -> list:
-    """``_run_chunks`` with a worker forked for each run but the first,
-    which the caller works.  A worker sends its results, or its exception,
-    back through a pipe."""
-    pipes, codes = {}, {}  # the read end of each worker's pipe: its pid, its exit code
+def _run_chunks(tasks, stop, fork: bool) -> list:
+    """Run the callables ``tasks`` on at most one worker per available CPU
+    and return their results in task order.  Each worker runs one
+    contiguous run of the tasks in order: the caller the first run, and a
+    worker started for each other run, a forked process if ``fork`` and a
+    thread otherwise, which pipes its results back.  So at most one task per
+    CPU runs at a time, and none starts once the shared flag ``stop`` is
+    set.  The call sets ``stop`` as it ends, so an exception in the caller,
+    an interrupt while it waits for the workers included, stops them.  It
+    returns once every worker has ended and been reaped; the first
+    exception in task order is then raised.  A worker's exception arrives
+    through a pickle, from a thread as from a forked process, so it keeps
+    no traceback.
+
+    A fork copies only the calling thread, and with it the locks that other
+    threads hold.  So ``_ensemble_series`` forks only without other Python
+    threads (``_can_fork``); threads share the GIL.  Threads that Python
+    does not see, such as a BLAS library's pool, do not stop a fork.
+    OpenBLAS, which NumPy's wheels ship, ends its pool before each fork and
+    starts it again when next called, so the worker inherits none of it; a
+    library that keeps its threads makes Python 3.12 and later warn at each
+    fork with a DeprecationWarning."""
+    workers = min(_available_cpus(), len(tasks))
+    if workers == 1:
+        return _run_in_order(tasks, stop)
+    cuts = [(w * len(tasks)) // workers for w in range(workers + 1)]
+    runs = [tasks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    start = _fork_worker if fork else _thread_worker
+    reapers = {}  # the read end of each worker's pipe: its reaper
     try:
         for run in runs[1:]:
             read, write = os.pipe()
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(run, stop, write, (read, *pipes))
+                reapers[read] = start(run, stop, write, (read, *reapers))
             except BaseException:
                 os.close(read)
                 raise
-            finally:
-                os.close(write)
-            pipes[read] = pid
         results = _run_in_order(runs[0], stop)
-        payloads = _read_to_end(pipes)
-    except BaseException:
-        stop.set()
-        raise
+        payloads = _read_to_end(reapers)
     finally:
-        # every pipe closes before any worker is reaped: as the caller holds
-        # the only read ends, a worker still writing then fails at once
-        for read in pipes:
+        # the workers stop, and every pipe closes before any worker is
+        # reaped: as the caller holds the only read ends, a worker still
+        # writing then fails at once
+        stop.set()
+        for read in reapers:
             os.close(read)
-        for read, pid in pipes.items():
-            codes[read] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        codes = {read: reap() for read, reap in reapers.items()}
     for read, payload in payloads.items():
         if not payload:
-            raise RuntimeError(
-                f"a chunk worker ended without its results (exit code {codes[read]})"
-            )
+            raise RuntimeError(f"a chunk worker sent no results (exit code {codes[read]})")
         done, error = pickle.loads(payload)
         if error is not None:
             raise error
@@ -386,72 +436,18 @@ def _run_forked(runs, stop) -> list:
     return results
 
 
-def _run_threaded(runs, stop) -> list:
-    """``_run_chunks`` with a pool thread for each run but the first, which
-    the calling thread works."""
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    with ThreadPoolExecutor(len(runs) - 1, "loschmidt-chunk") as pool:
-        try:
-            futures = [pool.submit(_run_in_order, run, stop) for run in runs[1:]]
-            first = _run_in_order(runs[0], stop)
-            # timed waits let an interrupt through that only sets Python's
-            # flag, as _thread.interrupt_main() does
-            while wait(futures, timeout=0.1).not_done:
-                pass
-        except BaseException:
-            # before leaving the block, which waits for every task
-            stop.set()
-            raise
-    # a run cut short by stop leaves an exception to raise here
-    return [*first, *(result for future in futures for result in future.result())]
-
-
-def _run_chunks(tasks, stop) -> list:
-    """Run the callables ``tasks`` on at most one process per available CPU
-    and return their results in task order.  Each process works one
-    contiguous run of the tasks in order: the caller the first run, and a
-    worker forked for each other run.  So at most one task per CPU runs at a
-    time, and none starts once the shared flag ``stop`` is set.  Returns
-    once every worker has ended and been reaped; the first exception in task
-    order is then raised.  An exception in the caller, an interrupt while it
-    waits for the workers included, sets ``stop``.
-
-    A fork copies only the calling thread, and with it the locks that other
-    threads hold.  So without ``os.fork``, or with another Python thread
-    alive, the other runs go to a pool of threads instead, which share the
-    GIL.  Threads that Python does not see, such as a BLAS library's pool,
-    do not stop a fork.  OpenBLAS, which NumPy's wheels ship, ends its pool
-    before each fork and starts it again when next called, so the worker
-    inherits none of it; a library that keeps its threads makes Python 3.12
-    and later warn at each fork with a DeprecationWarning."""
-    workers = min(_available_cpus(), len(tasks))
-    if workers == 1:
-        return _run_in_order(tasks, stop)
-    cuts = [(w * len(tasks)) // workers for w in range(workers + 1)]
-    runs = [tasks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    if _can_fork():
-        return _run_forked(runs, stop)
-    return _run_threaded(runs, stop)
-
-
 def _chunk_moments(steps, starts, counts, stop):
     """The ``_moments`` of every step of the generator ``steps``, stacked
-    over the steps.  Sets the flag ``stop`` on any exception and ends once
-    it is set, so a failing chunk stops the others after their current step.
-    Overflow and invalid values raise no numpy warning in the process that
-    runs the chunk: the divergence guard or the series' checks report a
-    diverging ensemble."""
+    over the steps.  Ends once the flag ``stop`` is set, so a failing chunk
+    stops the others after their current step.  Overflow and invalid values
+    raise no numpy warning in the worker that runs the chunk: the divergence
+    guard or the series' checks report a diverging ensemble."""
     rows = []
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for arrays in steps:
-                rows.append(_moments(starts, counts, *arrays))
-                if stop.is_set():
-                    break
-    except BaseException:
-        stop.set()
-        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arrays in steps:
+            rows.append(_moments(starts, counts, *arrays))
+            if stop.is_set():
+                break
     return tuple(map(np.array, zip(*rows)))
 
 
@@ -505,12 +501,12 @@ def _ensemble_series(state, config, h, delta, kick=None):
     q, p = sample(state, n, config.seed, config.hbar)
     edges = np.array(_batch_edges(n))
     counts = np.diff(edges)
-    stop = _StopFlag()
+    stop, fork = _StopFlag(), _can_fork()
     tasks = []
-    for batches, lo, hi in _chunks(n, config.n_steps):
+    for batches, lo, hi in _chunks(n, config.n_steps, fork):
         steps = _orbit_phasors(h, delta, config, kick and kick(batches), q[lo:hi], p[lo:hi])
         tasks.append(partial(_chunk_moments, steps, edges[batches] - lo, counts[batches], stop))
-    results = _run_chunks(tasks, stop)
+    results = _run_chunks(tasks, stop, fork)
     sums, m2s = (np.concatenate(part, axis=1) for part in zip(*results))
     mean, stderr = _merge_moments(sums, m2s, counts)
     if shared is not None:

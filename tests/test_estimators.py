@@ -771,8 +771,8 @@ def test_batch_moments_subtract_in_place_with_the_bits_of_the_repeat(n):
 @pytest.mark.parametrize("cpus, chunk_traj", [(1, 25_000), (2, 5000)], ids=["1", "2"])
 def test_diverging_thimble_raises_without_numpy_warnings(monkeypatch, cpus, chunk_traj):
     # the CI diverge config at 800 steps: its moments overflow long after
-    # the guard's step; one chunk, then four on two CPUs, two of them on a
-    # pool thread
+    # the guard's step; one chunk, then four on two CPUs, two of them in a
+    # worker
     monkeypatch.setattr(estimators, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(estimators, "_CHUNK_TRAJ", chunk_traj)
     kin = quadratic_kinetic(1.0)
@@ -814,7 +814,8 @@ def test_orbit_loop_is_bit_identical_for_any_cpu_count(monkeypatch):
         monkeypatch.setattr(estimators, "_CHUNK_TRAJ_STEPS", chunk_steps)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(estimators, "_available_cpus", lambda cpus=cpus: cpus)
-            layout = [hi - lo for _, lo, hi in estimators._chunks(n, n_steps)]
+            chunks = estimators._chunks(n, n_steps, estimators._can_fork())
+            layout = [hi - lo for _, lo, hi in chunks]
             assert layout == sizes[cpus - 1], (chunk_traj, chunk_steps, cpus)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # the real-axis ESS
@@ -882,6 +883,15 @@ def wait_for(condition, timeout=60.0) -> bool:
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
 
+def on_either_worker(errors):
+    """Parametrize a runner test by ``fork`` and each of ``errors``: on a
+    forked worker, under the id the error alone gave it, and on a thread."""
+    return pytest.mark.parametrize("fork, error", [
+        *(pytest.param(True, e, marks=needs_fork, id=f"error{i}") for i, e in enumerate(errors)),
+        *(pytest.param(False, e, id=f"thread-error{i}") for i, e in enumerate(errors)),
+    ])
+
+
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -896,7 +906,7 @@ def test_default_ensemble_at_the_sweep_steps_makes_one_chunk_per_cpu(monkeypatch
     monkeypatch.setattr(estimators, "_available_cpus", lambda: cpus)
 
     def sizes(n, n_steps):
-        return [hi - lo for _, lo, hi in estimators._chunks(n, n_steps)]
+        return [hi - lo for _, lo, hi in estimators._chunks(n, n_steps, estimators._can_fork())]
 
     assert sizes(10_000, 252) == {1: [10_000], 2: [5000] * 2, 3: [3125, 3437, 3438]}[cpus]
     assert sizes(100_000, 252) == [25_000] * 4
@@ -912,23 +922,23 @@ def test_an_ensemble_below_the_floor_forks_no_worker(monkeypatch):
     # in the caller; at 100 steps (1e6) they fork one worker, and keep the
     # caller's bits
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
-    forks, run_forked = [], estimators._run_forked
+    forks, fork = [], os.fork
 
-    def counted(runs, stop):
-        forks.append(len(runs) - 1)
-        return run_forked(runs, stop)
+    def counted_fork():
+        forks.append(None)
+        return fork()
 
-    monkeypatch.setattr(estimators, "_run_forked", counted)
+    monkeypatch.setattr(os, "fork", counted_fork)
     sc = load("cubic_perturbation")
     for estimator in (f1_dr, f2_mc):
         estimator(sc.state, sc.pair, config(n_traj=10_000, tau=sc.tau, n_steps=20))
-    assert forks == []
+    assert len(forks) == 0
     cfg = config(n_traj=10_000, tau=sc.tau, n_steps=100)
     split = f1_dr(sc.state, sc.pair, cfg)
-    assert forks == [1]
+    assert len(forks) == 1
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 1)
     serial = f1_dr(sc.state, sc.pair, cfg)
-    assert forks == [1]
+    assert len(forks) == 1
     assert split.values.tobytes() == serial.values.tobytes()
     assert split.stderr.tobytes() == serial.stderr.tobytes()
 
@@ -995,9 +1005,10 @@ def test_a_forked_child_splits_its_ensemble_on_its_own_pool(monkeypatch):
     assert child.exitcode == 0
 
 
-def assert_the_first_failure_wins(monkeypatch):
+def assert_the_first_failure_wins(monkeypatch, fork):
     """Three tasks on three CPUs, one in the caller and one in each of two
-    workers, which mark in shared memory when they start and finish."""
+    workers, forked if ``fork`` and threads otherwise, which mark in shared
+    memory when they start and finish."""
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 3)
     started, finished = shared_counts(3), shared_counts(3)
 
@@ -1014,14 +1025,15 @@ def assert_the_first_failure_wins(monkeypatch):
 
         return run
 
-    assert estimators._run_chunks([task(0), task(1), task(2)], estimators._StopFlag()) == [0, 1, 2]
+    tasks = [task(0), task(1), task(2)]
+    assert estimators._run_chunks(tasks, estimators._StopFlag(), fork) == [0, 1, 2]
     # the caller's chunk succeeds: the earliest failing chunk wins, not the
     # first to fail
     finished[:] = 0
     with pytest.raises(ValueError, match="second chunk"):
         estimators._run_chunks([
             task(0), task(1, 0.2, ValueError("second chunk")), task(2, 0.0, KeyError("third")),
-        ], estimators._StopFlag())
+        ], estimators._StopFlag(), fork)
     assert finished.tolist() == [1, 1, 1]
     # the caller's chunk fails once the worker's has started: the caller
     # still waits for it
@@ -1030,6 +1042,7 @@ def assert_the_first_failure_wins(monkeypatch):
         estimators._run_chunks(
             [task(0, 0.0, RuntimeError("first chunk"), after=1), task(1, 0.2)],
             estimators._StopFlag(),
+            fork,
         )
     assert finished[:2].tolist() == [1, 1]
     assert_no_child_process()
@@ -1037,31 +1050,33 @@ def assert_the_first_failure_wins(monkeypatch):
 
 @needs_fork
 def test_run_chunks_raises_the_first_failure_once_every_chunk_finished(monkeypatch):
-    assert_the_first_failure_wins(monkeypatch)
+    assert_the_first_failure_wins(monkeypatch, True)
 
 
 def test_threaded_chunks_raise_the_first_failure_once_every_chunk_finished(monkeypatch):
     # the same tasks on a caller that cannot fork, whose workers are threads
     monkeypatch.delattr(os, "fork", raising=False)
-    assert_the_first_failure_wins(monkeypatch)
+    assert_the_first_failure_wins(monkeypatch, False)
 
 
 def timed_out(signum, frame):
     raise TimeoutError("the call is still waiting for its worker")
 
 
-@needs_fork
-@pytest.mark.parametrize("error", [RuntimeError("caller's chunk"), KeyboardInterrupt()])
-def test_a_worker_with_a_large_result_ends_when_its_caller_leaves(monkeypatch, error):
+@on_either_worker([RuntimeError("caller's chunk"), KeyboardInterrupt()])
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_worker_with_a_large_result_ends_when_its_caller_leaves(monkeypatch, fork, error):
     # the worker's result, 1 MiB, overflows its pipe's buffer, so the worker
     # writes until its caller reads.  The caller's task raises once the
     # worker's has returned, without reading: the caller closes its read
-    # end, the worker's write fails, and the call returns with no worker left
+    # end, the worker's write fails, and the call returns with no worker
+    # left, a thread's failed write raising nowhere
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
-    returned, workers, fork = shared_counts(1), [], os.fork
+    returned, workers, threads = shared_counts(1), [], threading.active_count()
+    os_fork = getattr(os, "fork", None)
 
     def recorded_fork():
-        workers.append(fork())
+        workers.append(os_fork())
         return workers[-1]
 
     def callers_task():
@@ -1073,12 +1088,13 @@ def test_a_worker_with_a_large_result_ends_when_its_caller_leaves(monkeypatch, e
         returned[0] = 1
         return bytes(2**20)
 
-    monkeypatch.setattr(os, "fork", recorded_fork)
+    if fork:
+        monkeypatch.setattr(os, "fork", recorded_fork)
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(60)
     try:
         with pytest.raises(type(error)) as caught:
-            estimators._run_chunks([callers_task, workers_task], estimators._StopFlag())
+            estimators._run_chunks([callers_task, workers_task], estimators._StopFlag(), fork)
     except TimeoutError:
         for pid in workers:  # a worker stuck in its write would outlive the tests
             os.kill(pid, signal.SIGKILL)
@@ -1088,6 +1104,7 @@ def test_a_worker_with_a_large_result_ends_when_its_caller_leaves(monkeypatch, e
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert caught.value is error
+    assert threading.active_count() == threads
     assert_no_child_process()
 
 
@@ -1279,7 +1296,7 @@ def no_fork():
 @pytest.mark.parametrize("blocker", ["thread", "no_fork"])
 def test_a_caller_that_cannot_fork_splits_its_chunks_over_threads(monkeypatch, blocker):
     # with another thread alive, or without os.fork, nothing is forked: two
-    # chunks run on the caller's thread and two on one pool thread, and the
+    # chunks run on the caller's thread and two on one worker thread, and the
     # series keeps the serial bits
     monkeypatch.setattr(estimators, "_CHUNK_TRAJ", 1000)
     sc = load("cubic_perturbation")
@@ -1326,16 +1343,16 @@ class _LockedError(Exception):
         self.lock = threading.Lock()
 
 
-@needs_fork
-@pytest.mark.parametrize("error", [_TwoArgumentError("lost", "detail"), _LockedError("locked")])
-def test_an_unpicklable_worker_exception_keeps_its_type_name_and_message(monkeypatch, error):
+@on_either_worker([_TwoArgumentError("lost", "detail"), _LockedError("locked")])
+def test_an_unpicklable_worker_exception_keeps_its_type_name_and_message(monkeypatch, fork, error):
+    # a thread's exception, too, reaches the caller through a pickle
     monkeypatch.setattr(estimators, "_available_cpus", lambda: 2)
 
     def fail():
         raise error
 
     with pytest.raises(RuntimeError) as caught:
-        estimators._run_chunks([lambda: 0, fail], estimators._StopFlag())
+        estimators._run_chunks([lambda: 0, fail], estimators._StopFlag(), fork)
     assert str(caught.value) == f"{type(error).__name__}: {error}"
     assert_no_child_process()
 
